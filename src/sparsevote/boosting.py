@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,6 +22,23 @@ from .seeding import split_seed
 from .sparsify import SparsifyReport, sparsify
 
 EDGE_CAP = 1.0 - 1e-10
+
+
+class _StumpTable(NamedTuple):
+    """Per-dataset sort data for stump training, flattened over features.
+
+    Candidate k puts the j smallest values of feature ``feature[k]`` below
+    ``threshold[k]``, where ``prefix_index[k] = feature[k] * (n + 1) + j``
+    indexes the flattened d x (n+1) prefix sums of the signed weights. j = 0
+    is the -inf sentinel, j = n the +inf sentinel, and interior j exist only
+    between distinct values. Candidates run in feature order, thresholds
+    ascending within a feature.
+    """
+
+    order: np.ndarray  # d x n stable argsort of each feature column
+    prefix_index: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,6 +75,30 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def _stump_table(self) -> _StumpTable:
+        # The features are read-only, so one sort serves every boosting round.
+        n = self.n_points
+        order = np.argsort(self.features.T, axis=1, kind="stable")
+        prefix_index, feature, threshold = [], [], []
+        for f in range(self.n_features):
+            sorted_vals = self.features[order[f], f]
+            interior = np.flatnonzero(sorted_vals[:-1] < sorted_vals[1:]) + 1
+            positions = np.concatenate([[0], interior, [n]])
+            thresholds = np.empty(positions.size)
+            thresholds[0] = -math.inf
+            thresholds[-1] = math.inf
+            thresholds[1:-1] = (sorted_vals[interior - 1] + sorted_vals[interior]) / 2.0
+            prefix_index.append(f * (n + 1) + positions)
+            feature.append(np.full(positions.size, f))
+            threshold.append(thresholds)
+        return _StumpTable(
+            order,
+            np.concatenate(prefix_index),
+            np.concatenate(feature),
+            np.concatenate(threshold),
+        )
 
 
 @dataclass(frozen=True)
@@ -105,8 +148,19 @@ class Ensemble:
         return len(self.hypotheses)
 
     def hypothesis_outputs(self, features: np.ndarray) -> np.ndarray:
-        """n x T matrix of raw hypothesis outputs h_j(x_i)."""
-        return np.stack([h.predict(features) for h in self.hypotheses], axis=1)
+        """n x T matrix of raw hypothesis outputs h_j(x_i), C-contiguous.
+
+        Column j equals ``hypotheses[j].predict(features)`` exactly. The
+        layout matters: callers multiply this matrix by weight vectors, and
+        BLAS sums in a different order for an F-ordered operand. ``np.take``
+        gathers the columns in C order (``features[:, feats]`` would not).
+        """
+        feats = np.array([h.feature for h in self.hypotheses], dtype=np.intp)
+        thresholds = np.array([h.threshold for h in self.hypotheses])
+        polarities = np.array([h.polarity for h in self.hypotheses], dtype=np.float64)
+        columns = np.take(features, feats, axis=1)
+        outputs = np.where(columns - thresholds >= 0.0, polarities, -polarities)
+        return np.ascontiguousarray(outputs)
 
 
 @dataclass(frozen=True)
@@ -126,14 +180,19 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     """Exhaustive weighted-edge maximization over all stumps.
 
     Candidate thresholds are the midpoints between consecutive distinct
-    sorted feature values plus -inf/+inf sentinels; for each the edge
-    sum_i D(i) y_i h(x_i) is evaluated through prefix sums in O(n log n)
-    per feature. Ties go to the lowest feature index, then the lowest
-    threshold, then polarity +1.
+    sorted feature values plus -inf/+inf sentinels. The features are sorted
+    once per dataset; each call then evaluates the edge
+    sum_i D(i) y_i h(x_i) of every candidate through prefix sums in one
+    O(d*n) pass. Ties go to the lowest feature index, then the lowest
+    threshold, then polarity +1. Edges are compared as computed, so two
+    stumps that predict alike through different features (or the two
+    sentinels) can be ordered by rounding instead.
     """
     weights = np.asarray(sample_weights, dtype=np.float64)
     if weights.shape != (dataset.n_points,):
         raise ValueError("sample weights must match the number of points")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("sample weights must be finite")
     if np.any(weights < 0):
         raise ValueError("sample weights must be nonnegative")
     total_weight = float(weights.sum())
@@ -142,39 +201,23 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     if abs(total_weight - 1.0) > 1e-9:
         raise ValueError("sample weights must sum to 1")
 
+    table = dataset._stump_table
     signed = weights * dataset.labels
     total = float(signed.sum())
-    best_edge = -math.inf
-    best: tuple[int, float, int] | None = None
-
-    for feature in range(dataset.n_features):
-        column = dataset.features[:, feature]
-        order = np.argsort(column, kind="stable")
-        sorted_vals = column[order]
-        prefix = np.concatenate([[0.0], np.cumsum(signed[order])])
-        # Split positions: j points strictly below the threshold. Position 0
-        # is the -inf sentinel, n the +inf sentinel, and interior positions
-        # exist only between distinct values.
-        interior = np.flatnonzero(sorted_vals[:-1] < sorted_vals[1:]) + 1
-        positions = np.concatenate([[0], interior, [sorted_vals.size]])
-        thresholds = np.empty(positions.size)
-        thresholds[0] = -math.inf
-        thresholds[-1] = math.inf
-        if interior.size:
-            thresholds[1:-1] = (sorted_vals[interior - 1] + sorted_vals[interior]) / 2.0
-        # h = sign(x - threshold): points below contribute -1. Interleaving
-        # +1/-1 polarities per position makes argmax's first-occurrence rule
-        # implement the tie order (threshold ascending, polarity +1 first).
-        edge_plus = total - 2.0 * prefix[positions]
-        flat = np.empty(2 * positions.size)
-        flat[0::2] = edge_plus
-        flat[1::2] = -edge_plus
-        idx = int(np.argmax(flat))
-        if flat[idx] > best_edge:
-            best_edge = float(flat[idx])
-            best = (feature, float(thresholds[idx // 2]), 1 if idx % 2 == 0 else -1)
-    assert best is not None
-    return DecisionStump(*best)
+    prefix = np.zeros((dataset.n_features, dataset.n_points + 1))
+    np.cumsum(signed[table.order], axis=1, out=prefix[:, 1:])
+    # h = sign(x - threshold): points below contribute -1. Interleaving
+    # +1/-1 polarities per candidate makes argmax's first-occurrence rule
+    # implement the tie order (feature, then threshold, then polarity +1).
+    edge_plus = total - 2.0 * prefix.ravel()[table.prefix_index]
+    flat = np.empty(2 * edge_plus.size)
+    flat[0::2] = edge_plus
+    flat[1::2] = -edge_plus
+    idx = int(np.argmax(flat))
+    k = idx // 2
+    return DecisionStump(
+        int(table.feature[k]), float(table.threshold[k]), 1 if idx % 2 == 0 else -1
+    )
 
 
 def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:
@@ -224,6 +267,17 @@ def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:
     return Ensemble(tuple(stumps), WeightVector(np.array(alphas)), stopped_early=stopped)
 
 
+def prune_ensemble(ensemble: Ensemble, weights: WeightVector) -> Ensemble:
+    """The hypotheses of ``ensemble`` on which ``weights`` is nonzero, carrying
+    those weights (``weights`` is indexed like ``ensemble.hypotheses``)."""
+    surviving = weights.nonzero_indices()
+    return Ensemble(
+        tuple(ensemble.hypotheses[i] for i in surviving),
+        WeightVector(weights.values[surviving]),
+        stopped_early=ensemble.stopped_early,
+    )
+
+
 def budget_multiplier(n: int, T: int) -> int:
     """The round multiplier c = ceil(log(n)/log(2+n/T)); base-invariant ratio."""
     if n < 2:
@@ -255,13 +309,7 @@ def sparsiboost(
     w = ensemble.weights.normalized()
     target = min(T, len(ensemble))
     sparse_w, report = sparsify(U, w, target, split_seed(config.seed, 1), coloring)
-    surviving = sparse_w.nonzero_indices()
-    pruned = Ensemble(
-        tuple(ensemble.hypotheses[i] for i in surviving),
-        WeightVector(sparse_w.values[surviving]),
-        stopped_early=ensemble.stopped_early,
-    )
-    return pruned, report
+    return prune_ensemble(ensemble, sparse_w), report
 
 
 def lp_optimal_margin(U: MarginMatrix) -> tuple[float, WeightVector]:

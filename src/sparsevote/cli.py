@@ -28,6 +28,7 @@ from .boosting import (
     Ensemble,
     adaboost_v,
     budget_multiplier,
+    prune_ensemble,
 )
 from .discrepancy import DEFAULT_CONFIG, ColoringConfig
 from .evaluation import accuracy, auc, bias_correct, predict_scores
@@ -115,14 +116,6 @@ def _require_paths(config: RunConfig) -> None:
             raise FileNotFoundError(f"input file not found: {path}")
     if not config.out_path:
         raise ValueError("an output directory (--out) is required")
-
-
-def _pruned_ensemble(full: Ensemble, weights: WeightVector) -> Ensemble:
-    surviving = weights.nonzero_indices()
-    return Ensemble(
-        tuple(full.hypotheses[i] for i in surviving),
-        WeightVector(weights.values[surviving]),
-    )
 
 
 def _dataset_record(
@@ -263,7 +256,7 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
     records.append(
         _dataset_record(
             "sparsified",
-            _pruned_ensemble(full, sparse_w),
+            prune_ensemble(full, sparse_w),
             train,
             test,
             full_train_scores,
@@ -274,7 +267,7 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
     records.append(
         _dataset_record(
             "sampled",
-            _pruned_ensemble(full, sampled_w),
+            prune_ensemble(full, sampled_w),
             train,
             test,
             full_train_scores,
@@ -350,10 +343,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}"
         )
     for key, raw in values.items():
-        attr = {"train": "train", "test": "test", "matrix": "matrix",
-                "model": "model", "out": "out"}.get(key, key)
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, _CONFIG_KEYS[key](raw))
+        if hasattr(args, key) and getattr(args, key) in (None, False):
+            setattr(args, key, _CONFIG_KEYS[key](raw))
     return args
 
 
@@ -448,12 +439,7 @@ def _write_weights_output(path, weights: WeightVector, ensemble: Ensemble | None
             json.dump({"weights": [float(v) for v in weights.values]}, handle, indent=2)
             handle.write("\n")
     else:
-        surviving = weights.nonzero_indices()
-        pruned = Ensemble(
-            tuple(ensemble.hypotheses[i] for i in surviving),
-            WeightVector(weights.values[surviving]),
-        )
-        save_ensemble(path, pruned)
+        save_ensemble(path, prune_ensemble(ensemble, weights))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .margins import ENTRY_TOL
 from .seeding import rng_from, split_seed
-
-ENTRY_TOL = 1e-9
 
 
 class DiscrepancyBoundError(RuntimeError):

@@ -23,7 +23,13 @@ from .discrepancy import (
     full_coloring,
     minority_sign,
 )
-from .margins import MarginMatrix, WeightVector, require_normalized, sup_norm_diff
+from .margins import (
+    MarginMatrix,
+    WeightVector,
+    _check_dims,
+    require_normalized,
+    sup_norm_diff,
+)
 from .seeding import rng_from, split_seed
 
 MIN_HALVING_SUPPORT = 6
@@ -40,14 +46,6 @@ class SparsifyReport:
     per_round_errors: tuple[float, ...]
     seed: object
     truncated_fallback: bool = False
-
-
-def _check_dims(U: MarginMatrix, w: WeightVector) -> None:
-    if len(w) != U.n_hypotheses:
-        raise ValueError(
-            f"dimension mismatch: matrix has {U.n_hypotheses} columns, "
-            f"weight vector has {len(w)} entries"
-        )
 
 
 def _split_support(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
