@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .discrepancy import DEFAULT_CONFIG, ColoringConfig
 from .margins import MarginMatrix, WeightVector, build_margin_matrix
@@ -183,10 +182,13 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     sorted feature values plus -inf/+inf sentinels. The features are sorted
     once per dataset; each call then evaluates the edge
     sum_i D(i) y_i h(x_i) of every candidate through prefix sums in one
-    O(d*n) pass. Ties go to the lowest feature index, then the lowest
-    threshold, then polarity +1. Edges are compared as computed, so two
-    stumps that predict alike through different features (or the two
-    sentinels) can be ordered by rounding instead.
+    O(d*n) pass. Among stumps whose computed edges are exactly equal, ties
+    go to the lowest feature index, then the lowest threshold, then polarity
+    +1. Edges are compared as computed: the prefix sums add the weights in
+    each feature's sort order, so rounding can separate edges that are
+    mathematically equal (for instance two stumps that predict alike
+    through different features, or the two sentinels), and the larger
+    rounded edge wins.
     """
     weights = np.asarray(sample_weights, dtype=np.float64)
     if weights.shape != (dataset.n_points,):
@@ -235,6 +237,9 @@ def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:
     completed so far are returned with the ensemble flagged.
     """
     n = dataset.n_points
+    if n < 2:
+        # With one point nu = 0, so every alpha would be 0.
+        raise ValueError("AdaBoostV needs at least two training points")
     nu = math.sqrt(2.0 * math.log(n) / config.rounds)
     distribution = np.full(n, 1.0 / n)
     cap = config.edge_cap
@@ -319,6 +324,10 @@ def lp_optimal_margin(U: MarginMatrix) -> tuple[float, WeightVector]:
     solver; always feasible (uniform w). Returned weights are cleaned of
     solver-tolerance negatives and renormalized.
     """
+    # Imported here: scipy.optimize costs about half a second to import, and
+    # only this oracle needs it.
+    from scipy.optimize import linprog
+
     n, m = U.n_points, U.n_hypotheses
     cost = np.zeros(m + 1)
     cost[-1] = -1.0

@@ -14,7 +14,9 @@ vectors is exact, fast, and deterministic up to k = 16 columns. Phases whose
 free count has shrunk to at most ``endgame_max`` coordinates are likewise
 finished by enumeration instead of the walk, and completed colorings are
 polished by deterministic single-coordinate (and, for narrow matrices,
-opposite-pair) flips that strictly reduce the discrepancy.
+opposite-pair) flips that strictly reduce the discrepancy. These searches
+are exact and scan their candidates in cache-sized blocks of BLOCK_CELLS
+row sums; the blocking changes neither the candidate picked nor its value.
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ import numpy as np
 
 from .margins import ENTRY_TOL
 from .seeding import rng_from, split_seed
+
+# Row sums per block in the exact searches: 256 KiB of doubles, small enough
+# that each block's abs/max passes run in cache.
+BLOCK_CELLS = 1 << 15
 
 
 class DiscrepancyBoundError(RuntimeError):
@@ -123,12 +129,13 @@ def _validate_matrix(A) -> np.ndarray:
     arr = np.asarray(A, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
+    # NaN and inf propagate through max, so one pass checks both.
     peak = float(np.max(np.abs(arr)))
+    if not math.isfinite(peak):
+        raise ValueError("matrix contains non-finite entries")
     if peak > 1.0 + ENTRY_TOL:
         raise ValueError(f"matrix entry out of [-1, 1]: magnitude {peak}")
-    return np.clip(arr, -1.0, 1.0)
+    return np.clip(arr, -1.0, 1.0) if peak > 1.0 else arr
 
 
 def spencer_bound(n_rows: int, k: int, constant: float) -> float:
@@ -142,19 +149,48 @@ def discrepancy(A: np.ndarray, x: np.ndarray) -> float:
     return float(np.max(np.abs(A @ x)))
 
 
-def _sign_patterns(bits: int) -> np.ndarray:
-    """All 2^bits sign vectors as a (2^bits, bits) float matrix."""
-    codes = np.arange(1 << bits, dtype=np.uint32)
-    cols = [(codes >> j) & 1 for j in range(bits)]
-    return 2.0 * np.stack(cols, axis=1).astype(np.float64) - 1.0
+def _sign_patterns(bits: int, start: int, stop: int) -> np.ndarray:
+    """Sign vectors with binary codes start..stop-1 as a (stop-start, bits)
+    float matrix; bit j of the code is coordinate j (1 -> +1, 0 -> -1)."""
+    codes = np.arange(start, stop, dtype=np.uint32)
+    bits_set = (codes[:, None] >> np.arange(bits, dtype=np.uint32)) & 1
+    return 2.0 * bits_set.astype(np.float64) - 1.0
+
+
+def _best_signs(C: np.ndarray, base: np.ndarray) -> tuple[float, np.ndarray]:
+    """The minimum of max_i |(Cs)_i + base_i| over all 2^k sign vectors s,
+    with the first minimizer in binary-code order.
+
+    Candidates are scanned in blocks of about BLOCK_CELLS row sums, so the
+    block stays in cache and abs/max run in place on it. A block holds the
+    power of two of candidates nearest BLOCK_CELLS / n, at least two: such
+    blocks split the 2^k codes evenly and none is a single row, which numpy
+    would multiply with gemv, rounding differently from gemm.
+    """
+    n, k = C.shape
+    total = 1 << k
+    rows = 1 << max(1, round(math.log2(BLOCK_CELLS / n)))
+    best_val = math.inf
+    best_code = 0
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        sums = _sign_patterns(k, start, stop) @ C.T
+        sums += base
+        np.abs(sums, out=sums)
+        vals = sums.max(axis=1)
+        idx = int(np.argmin(vals))
+        if vals[idx] < best_val:
+            best_val = vals[idx]
+            best_code = start + idx
+    return float(best_val), _sign_patterns(k, best_code, best_code + 1)[0]
 
 
 def bruteforce_min_discrepancy(A) -> tuple[float, np.ndarray]:
     """Exact minimum of max_i |(Ax)_i| over all sign vectors, with a minimizer.
 
     Negating x leaves the discrepancy unchanged, so the last coordinate is
-    pinned at +1 and only 2^(k-1) candidates are scanned, in chunks sized to
-    keep the row-sum block in cache.
+    pinned at +1 and only 2^(k-1) candidates are scanned, in blocks of about
+    BLOCK_CELLS row sums each.
     """
     arr = np.asarray(A, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
@@ -162,23 +198,8 @@ def bruteforce_min_discrepancy(A) -> tuple[float, np.ndarray]:
     n, k = arr.shape
     if k > 20:
         raise ValueError(f"exhaustive search over 2^{k} colorings refused (k > 20)")
-    if k == 1:
-        x = np.ones(1)
-        return discrepancy(arr, x), x
-    last_col = arr[:, k - 1]
-    patterns = _sign_patterns(k - 1)
-    chunk = max(1, (1 << 22) // max(n, 1))
-    best_val = math.inf
-    best_x = None
-    for start in range(0, patterns.shape[0], chunk):
-        block = patterns[start : start + chunk]
-        sums = block @ arr[:, : k - 1].T + last_col
-        vals = np.max(np.abs(sums), axis=1)
-        idx = int(np.argmin(vals))
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best_x = np.concatenate([block[idx], [1.0]])
-    return best_val, best_x
+    value, signs = _best_signs(arr[:, : k - 1], arr[:, k - 1])
+    return value, np.append(signs, 1.0)
 
 
 def minority_sign(x) -> int:
@@ -214,12 +235,9 @@ def _enumerate_completion(
     """Freeze every remaining coordinate at the sign pattern minimizing the
     discrepancy of the completed coloring (exhaustive over the free set)."""
     free_idx = np.flatnonzero(~frozen)
-    base = A @ np.where(frozen, values, 0.0)
-    patterns = _sign_patterns(free_idx.size)
-    sums = patterns @ A[:, free_idx].T + base
-    best = int(np.argmin(np.max(np.abs(sums), axis=1)))
     out = np.where(frozen, values, 0.0)
-    out[free_idx] = patterns[best]
+    _, signs = _best_signs(A[:, free_idx], A @ out)
+    out[free_idx] = signs
     return out
 
 
@@ -325,40 +343,58 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
     """Deterministic local search: accept single-coordinate flips (and, for
     narrow matrices, opposite-sign pair flips) that strictly reduce the
     discrepancy. Each accepted move recomputes exact row sums, so the result
-    never degrades the coloring."""
+    never degrades the coloring.
+
+    Single flips are taken first-improvement in column order; pair flips
+    take the first best (plus, minus) pair. Candidates are scored in blocks
+    of about BLOCK_CELLS row sums, and a block is rescored from the column
+    after each accepted flip, so the moves are those of a one-at-a-time scan.
+    """
     x = x.copy()
     sums = A @ x
     current = float(np.max(np.abs(sums)))
-    k = x.size
+    n, k = A.shape
+    width = max(1, BLOCK_CELLS // n)
     for _ in range(config.refine_sweeps):
         improved = False
-        for j in range(k):
-            cand = sums - 2.0 * x[j] * A[:, j]
-            val = float(np.max(np.abs(cand)))
-            if val < current - 1e-12:
-                x[j] = -x[j]
-                sums = cand
-                current = val
-                improved = True
+        j = 0
+        while j < k:
+            stop = min(j + width, k)
+            cand = sums[:, None] - (2.0 * x[j:stop]) * A[:, j:stop]
+            vals = np.abs(cand, out=cand).max(axis=0)
+            better = np.flatnonzero(vals < current - 1e-12)
+            if better.size == 0:
+                j = stop
+                continue
+            j += int(better[0])
+            sums = sums - 2.0 * x[j] * A[:, j]
+            x[j] = -x[j]
+            current = float(vals[better[0]])
+            improved = True
+            j += 1
         if k <= config.pair_refine_max:
             while True:
                 plus = np.flatnonzero(x > 0)
                 minus = np.flatnonzero(x < 0)
                 if plus.size == 0 or minus.size == 0:
                     break
-                cand = (
-                    sums[None, None, :]
-                    - 2.0 * A[:, plus].T[:, None, :]
-                    + 2.0 * A[:, minus].T[None, :, :]
-                )
-                vals = np.max(np.abs(cand), axis=2)
-                a, b = np.unravel_index(int(np.argmin(vals)), vals.shape)
-                if vals[a, b] >= current - 1e-12:
+                plus_2 = 2.0 * A[:, plus].T
+                minus_2 = 2.0 * A[:, minus].T
+                rows = max(1, BLOCK_CELLS // (minus.size * n))
+                best_val = math.inf
+                for start in range(0, plus.size, rows):
+                    cand = (sums - plus_2[start : start + rows])[:, None, :] + minus_2
+                    vals = np.abs(cand, out=cand).max(axis=2)
+                    idx = int(np.argmin(vals))
+                    if vals.flat[idx] < best_val:
+                        best_val = vals.flat[idx]
+                        a, b = divmod(start * minus.size + idx, minus.size)
+                if best_val >= current - 1e-12:
                     break
+                sums = sums - plus_2[a] + minus_2[b]
                 x[plus[a]] = -1.0
                 x[minus[b]] = 1.0
-                sums = cand[a, b].copy()
-                current = float(vals[a, b])
+                current = float(best_val)
                 improved = True
         if not improved:
             break

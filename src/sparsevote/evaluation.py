@@ -9,7 +9,6 @@ via prefix counts over the sorted scores.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class UndefinedMetricError(ValueError):
@@ -74,6 +73,18 @@ def bias_correct(scores, labels) -> tuple[float, float]:
     return float(candidates[best]), float(correct[best]) / n
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given their average rank. Each average is
+    (first + last) / 2 of two integer ranks, so every rank is exact."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative,
     ties counting one half (midrank computation)."""
@@ -85,6 +96,6 @@ def auc(scores, labels) -> float:
         raise UndefinedMetricError(
             "AUC needs at least one positive and one negative label"
         )
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     positive_rank_sum = float(np.sum(ranks[positive]))
     return (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -88,10 +88,10 @@ def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
     rows of m entries, each within [-1, 1] up to 1e-9.
     """
     with open(path) as handle:
-        lines = [line.split() for line in handle if line.strip()]
+        lines = [line for line in handle if line.strip()]
     if not lines:
         raise FileFormatError(f"{path}: empty file")
-    header = lines[0]
+    header = lines[0].split()
     if len(header) != 2:
         raise FileFormatError(f"{path}: line 1: expected 'n m'")
     try:
@@ -105,21 +105,39 @@ def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
             f"{path}: expected {n + 2} nonempty lines for a {n} x {m} matrix, "
             f"got {len(lines)}"
         )
-    weights = _parse_row(lines[1], m, path, line_no=2)
+    weights = _parse_row(lines[1].split(), m, path, line_no=2)
     total = float(np.sum(np.abs(weights)))
     if total == 0.0:
         raise FileFormatError(f"{path}: line 2: weights are all zero")
     if abs(total - 1.0) > L1_TOL:
         weights = weights / total
-    entries = np.empty((n, m))
-    for i in range(n):
-        row = _parse_row(lines[2 + i], m, path, line_no=3 + i)
-        if np.max(np.abs(row)) > 1.0 + 1e-9:
-            raise FileFormatError(
-                f"{path}: line {3 + i}: matrix entry out of [-1, 1]"
-            )
-        entries[i] = row
+    try:
+        entries = np.loadtxt(lines[2:], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        entries = None
+    if entries is None or entries.shape != (n, m):
+        # Some row is not m plain numbers: parse row by row, so the error
+        # names the first bad line unless an earlier row is out of range.
+        rows = []
+        for i, line in enumerate(lines[2:]):
+            try:
+                rows.append(_parse_row(line.split(), m, path, line_no=3 + i))
+            except FileFormatError:
+                _check_entry_range(np.array(rows).reshape(-1, m), path)
+                raise
+        entries = np.array(rows)
+    _check_entry_range(entries, path)
     return MarginMatrix(entries), WeightVector(weights)
+
+
+def _check_entry_range(entries: np.ndarray, path) -> None:
+    """Reject the first matrix row (file line 3 onward) with an entry beyond
+    [-1, 1] + 1e-9; a NaN entry passes, as MarginMatrix rejects it."""
+    out_of_range = np.flatnonzero(np.max(np.abs(entries), axis=1) > 1.0 + 1e-9)
+    if out_of_range.size:
+        raise FileFormatError(
+            f"{path}: line {3 + out_of_range[0]}: matrix entry out of [-1, 1]"
+        )
 
 
 def _parse_row(cells: list[str], m: int, path, line_no: int) -> np.ndarray:

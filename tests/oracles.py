@@ -193,3 +193,83 @@ def auc_pairwise(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def sign_patterns_all(bits):
+    """All 2^bits sign vectors, row r holding the bits of r (bit j of r is
+    coordinate j, 1 -> +1)."""
+    codes = np.arange(1 << bits, dtype=np.uint32)
+    cols = [(codes >> j) & 1 for j in range(bits)]
+    return 2.0 * np.stack(cols, axis=1).astype(np.float64) - 1.0
+
+
+def bruteforce_unblocked(A):
+    """Exhaustive minimum discrepancy with the last sign pinned at +1, all
+    2^(k-1) candidates' row sums in one block (the pre-blocking kernel)."""
+    A = np.asarray(A, dtype=np.float64)
+    k = A.shape[1]
+    if k == 1:
+        x = np.ones(1)
+        return float(np.max(np.abs(A @ x))), x
+    patterns = sign_patterns_all(k - 1)
+    sums = patterns @ A[:, : k - 1].T + A[:, k - 1]
+    vals = np.max(np.abs(sums), axis=1)
+    best = int(np.argmin(vals))
+    return float(vals[best]), np.concatenate([patterns[best], [1.0]])
+
+
+def enumerate_completion_unblocked(A, values, frozen):
+    """Complete a partial coloring exhaustively over its free coordinates,
+    all 2^free candidates in one block (the pre-blocking kernel)."""
+    free_idx = np.flatnonzero(~frozen)
+    base = A @ np.where(frozen, values, 0.0)
+    patterns = sign_patterns_all(free_idx.size)
+    sums = patterns @ A[:, free_idx].T + base
+    best = int(np.argmin(np.max(np.abs(sums), axis=1)))
+    out = np.where(frozen, values, 0.0)
+    out[free_idx] = patterns[best]
+    return out
+
+
+def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max):
+    """Flip polish scoring one column (and all opposite-sign pairs at once)
+    per step: first-improvement single flips in column order, then repeated
+    best pair flips, until a sweep improves nothing (the pre-blocking
+    kernel)."""
+    x = x.copy()
+    sums = A @ x
+    current = float(np.max(np.abs(sums)))
+    k = x.size
+    for _ in range(refine_sweeps):
+        improved = False
+        for j in range(k):
+            cand = sums - 2.0 * x[j] * A[:, j]
+            val = float(np.max(np.abs(cand)))
+            if val < current - 1e-12:
+                x[j] = -x[j]
+                sums = cand
+                current = val
+                improved = True
+        if k <= pair_refine_max:
+            while True:
+                plus = np.flatnonzero(x > 0)
+                minus = np.flatnonzero(x < 0)
+                if plus.size == 0 or minus.size == 0:
+                    break
+                cand = (
+                    sums[None, None, :]
+                    - 2.0 * A[:, plus].T[:, None, :]
+                    + 2.0 * A[:, minus].T[None, :, :]
+                )
+                vals = np.max(np.abs(cand), axis=2)
+                a, b = np.unravel_index(int(np.argmin(vals)), vals.shape)
+                if vals[a, b] >= current - 1e-12:
+                    break
+                x[plus[a]] = -1.0
+                x[minus[b]] = 1.0
+                sums = cand[a, b].copy()
+                current = float(vals[a, b])
+                improved = True
+        if not improved:
+            break
+    return x

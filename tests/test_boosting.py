@@ -254,6 +254,11 @@ class TestAdaBoostV:
         with pytest.raises(ValueError):
             adaboost_v(data, BoostConfig(rounds=4))
 
+    def test_one_point_rejected(self):
+        # With n = 1, nu = sqrt(2 ln(1) / rounds) = 0 makes every alpha 0.
+        with pytest.raises(ValueError, match="at least two training points"):
+            adaboost_v(line_dataset([1.0], [1.0]), BoostConfig(rounds=4))
+
     def test_early_stop_flag(self, monkeypatch):
         data = line_dataset([1, 2, 3, 4], [1, 1, -1, -1])
         real = boosting.train_stump

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,39 @@ class TestSubcommands:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_one_point_training_set_is_reported(self, tmp_path, data_files, capsys, command):
+        one = tmp_path / "one.csv"
+        save_dataset(one, synthetic_dataset(53, 1))
+        _, test = data_files
+        if command == "train":
+            argv = ["train", "--data", str(one), "--out", str(tmp_path / "m.json")]
+        else:
+            argv = ["compare", "--train", str(one), "--test", str(test),
+                    "--out", str(tmp_path / "out")]
+        assert main(argv + ["--rounds", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: AdaBoostV needs at least two training points\n"
+        )
+
+
+class TestImport:
+    def test_cli_import_skips_heavy_scipy_modules(self):
+        # scipy.optimize (the LP oracle) and scipy.stats cost about a second
+        # to import; a CLI run that needs neither must not load them.
+        src = str(Path(sys.modules["sparsevote"].__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, sparsevote.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestCompare:

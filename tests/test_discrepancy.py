@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,7 +22,17 @@ from sparsevote import (
 )
 from sparsevote.seeding import rng_from, split_seed
 
-from oracles import best_subset_row_sum_error, min_discrepancy_exhaustive
+from oracles import (
+    best_subset_row_sum_error,
+    bruteforce_unblocked,
+    enumerate_completion_unblocked,
+    min_discrepancy_exhaustive,
+    refine_flips_one_at_a_time,
+)
+
+# The package re-exports the function `discrepancy`, which shadows the
+# submodule as an attribute; import_module returns the module itself.
+coloring = importlib.import_module("sparsevote.discrepancy")
 
 # Frozen 8x8 sign matrix (seed 77) whose exhaustive optimum is 2.0.
 A_8X8 = np.array([
@@ -43,6 +54,35 @@ def sign_matrix(seed, n, k):
 
 def box_matrix(seed, n, k):
     return rng_from(seed).uniform(-1.0, 1.0, size=(n, k))
+
+
+def grid_matrix(seed, n, k):
+    """Entries on a five-level grid, so row sums and candidates tie often."""
+    return rng_from(seed).integers(-2, 3, size=(n, k)) / 2.0
+
+
+def sylvester(order):
+    """Sylvester-Hadamard sign matrix of a power-of-two order."""
+    H = np.ones((1, 1))
+    while H.shape[0] < order:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
+
+def fine_grid_matrix(seed, n, k):
+    """Uniform entries rounded to multiples of 2^-20: ties are rare, and
+    every row sum below is exact however the BLAS orders its products, so
+    bit-for-bit comparisons test the search and not the platform's gemm."""
+    return np.round(box_matrix(seed, n, k) * 2.0**20) / 2.0**20
+
+
+KERNEL_MATRICES = {"signs": sign_matrix, "grid": grid_matrix, "fine": fine_grid_matrix}
+# Row counts that split the scans unevenly: with BLOCK_CELLS = 2^15 the
+# single-flip scan takes 32768, 10922, 63 or 16 columns per block (k = 40
+# and 90 are multiples of none), the exhaustive searches take 2^15, 2^13, 64
+# or 16 candidates per block, and the pair scan at n = 2001 takes one
+# plus-coordinate per block.
+KERNEL_ROWS = [1, 3, 513, 2001]
 
 
 class TestSpencerBound:
@@ -90,6 +130,111 @@ class TestBruteforce:
         assert discrepancy(A, x) == pytest.approx(expected, abs=1e-12)
 
 
+class TestBlockedKernels:
+    """The blocked exact searches pick the same candidate, with the same
+    float value, as the one-block and one-column kernels they replaced."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_MATRICES))
+    @pytest.mark.parametrize("n", KERNEL_ROWS)
+    def test_bruteforce_matches_unblocked(self, kind, n):
+        # k = 16 only on short matrices: the unblocked reference holds all
+        # 2^15 row-sum vectors at once.
+        for k in (1, 2, 7, 12) + ((16,) if n <= 3 else ()):
+            A = KERNEL_MATRICES[kind](1000 * n + k, n, k)
+            value, x = bruteforce_min_discrepancy(A)
+            ref_value, ref_x = bruteforce_unblocked(A)
+            assert value == ref_value
+            assert np.array_equal(x, ref_x)
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_MATRICES))
+    @pytest.mark.parametrize("n", KERNEL_ROWS)
+    def test_enumerate_completion_matches_unblocked(self, kind, n):
+        rng = rng_from(n + 7)
+        for k, free in ((1, 1), (5, 3), (20, 9), (30, 12)):
+            A = KERNEL_MATRICES[kind](1000 * n + k, n, k)
+            frozen = np.ones(k, dtype=bool)
+            frozen[rng.choice(k, free, replace=False)] = False
+            values = np.where(frozen, rng.choice([-1.0, 1.0], size=k), 0.3)
+            out = coloring._enumerate_completion(A, values, frozen)
+            assert np.array_equal(out, enumerate_completion_unblocked(A, values, frozen))
+
+    @pytest.mark.parametrize("kind", sorted(KERNEL_MATRICES))
+    @pytest.mark.parametrize("n", KERNEL_ROWS)
+    def test_refine_flips_matches_one_at_a_time(self, kind, n):
+        # k = 40 and 64 take the pair-flip path, k = 90 exceeds
+        # pair_refine_max; 40 and 90 are not multiples of any block width.
+        config = DEFAULT_CONFIG
+        rng = rng_from(n + 11)
+        for k in (5, 40, 64, 90):
+            A = KERNEL_MATRICES[kind](1000 * n + k, n, k)
+            x = rng.choice([-1.0, 1.0], size=k)
+            out = coloring._refine_flips(A, x, config)
+            expected = refine_flips_one_at_a_time(
+                A, x, config.refine_sweeps, config.pair_refine_max
+            )
+            assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_row_sum_blocks(self, monkeypatch, seed):
+        # Blocks narrower than one row: every candidate is its own block.
+        monkeypatch.setattr(coloring, "BLOCK_CELLS", 5)
+        A = grid_matrix(seed + 90, 9, 24)
+        value, x = bruteforce_min_discrepancy(A[:, :10])
+        ref_value, ref_x = bruteforce_unblocked(A[:, :10])
+        assert value == ref_value
+        assert np.array_equal(x, ref_x)
+        frozen = np.arange(24) % 3 != 0
+        values = np.where(frozen, 1.0, 0.0)
+        assert np.array_equal(
+            coloring._enumerate_completion(A, values, frozen),
+            enumerate_completion_unblocked(A, values, frozen),
+        )
+        x0 = rng_from(seed).choice([-1.0, 1.0], size=24)
+        config = DEFAULT_CONFIG
+        assert np.array_equal(
+            coloring._refine_flips(A, x0, config),
+            refine_flips_one_at_a_time(
+                A, x0, config.refine_sweeps, config.pair_refine_max
+            ),
+        )
+
+
+def frozen_coloring_input(name):
+    if name == "tall_bruteforce":
+        return box_matrix(101, 300, 14), 1
+    if name == "tall_pairs":
+        return grid_matrix(102, 600, 40), 2
+    if name == "square_signs":
+        return sign_matrix(103, 170, 170), 3
+    rng = rng_from(104)
+    H = sylvester(128)[:, :64]
+    return rng.choice([-1.0, 1.0], size=128)[:, None] * H[:, rng.permutation(64)], 4
+
+
+# full_coloring outputs ("+" is +1) recorded before the exact searches were
+# blocked: the exhaustive path (k = 14), walk plus accepted pair flips
+# (k = 40), walk on a square sign matrix (k = 170), and a Hadamard block at
+# the pair-flip cutoff (k = 64).
+FROZEN_COLORINGS = {
+    "tall_bruteforce": "+-++--+-+++--+",
+    "tall_pairs": "++--+--++-+---++---++---------++--++-++-",
+    "square_signs": (
+        "-++++++----+----+--++-+-----+-+-+-----+---++-++--+----+-+--++--+++++-"
+        "---+-+++-+-++++-++----+-++---------+-+-++-+-+--+-+---++++-++--+----+-"
+        "-+-++++-+-++++++-++--++---+-++--"
+    ),
+    "hadamard": "-++--+++--+-+-+-++++++-++-+---++-+++++---++-++------+-++++---+--",
+}
+
+
+class TestFrozenColorings:
+    @pytest.mark.parametrize("name", sorted(FROZEN_COLORINGS))
+    def test_matches_recorded(self, name):
+        A, seed = frozen_coloring_input(name)
+        expected = np.array([1.0 if c == "+" else -1.0 for c in FROZEN_COLORINGS[name]])
+        assert np.array_equal(full_coloring(A, seed=seed), expected)
+
+
 class TestMinoritySign:
     def test_examples(self):
         assert minority_sign(np.array([1.0, 1.0, -1.0])) == -1
@@ -134,6 +279,18 @@ class TestFullColoring:
     def test_rejects_out_of_range_entries(self):
         with pytest.raises(ValueError):
             full_coloring(np.array([[2.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        A = np.array([[0.5, bad], [3.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            full_coloring(A)
+
+    def test_entries_within_tolerance_are_clipped(self):
+        A = sign_matrix(5, 20, 18)
+        nudged = A.copy()
+        nudged[0, 0] *= 1.0 + 1e-12
+        assert np.array_equal(full_coloring(nudged, seed=1), full_coloring(A, seed=1))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_walk_meets_bound_and_signs(self, seed):

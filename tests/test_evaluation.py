@@ -14,6 +14,7 @@ from sparsevote import (
     bias_correct,
     predict_scores,
 )
+from sparsevote import evaluation
 from sparsevote.seeding import rng_from
 
 from oracles import (
@@ -183,3 +184,14 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             auc(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_midranks_equal_scipy_rankdata(self, seed):
+        # The numpy midranks must reproduce scipy's average ranks bit for
+        # bit, so AUC values stay identical.
+        from scipy.stats import rankdata
+
+        scores, _ = random_scores(seed + 200, 1 + 97 * seed, ties=seed % 2 == 0)
+        if seed == 4:
+            scores = np.round(scores)  # integer ties, with both 0.0 and -0.0
+        assert np.array_equal(evaluation._midranks(scores), rankdata(scores))
