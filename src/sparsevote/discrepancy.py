@@ -8,6 +8,10 @@ random walk: a discretized Gaussian walk inside the cube [-1,1]^k, projected
 orthogonal to coordinates already frozen at +-1 and to rows whose running
 discrepancy has hit a per-phase cap. Each phase freezes at least half of the
 remaining free coordinates; phases repeat until the coloring is complete.
+A phase runs in blocks of steps, with one matrix product per block, when a
+certificate on those products rules out any row reaching the cap; the
+result is then exactly the stepwise walk's. Only phases the certificate
+cannot clear run step by step, with the projection.
 
 Small instances bypass the walk entirely: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. Phases whose
@@ -31,6 +35,7 @@ from .seeding import rng_from, split_seed
 # Row sums per block in the exact searches: 256 KiB of doubles, small enough
 # that each block's abs/max passes run in cache.
 BLOCK_CELLS = 1 << 15
+EPS = float(np.finfo(np.float64).eps)
 
 
 class DiscrepancyBoundError(RuntimeError):
@@ -241,6 +246,103 @@ def _enumerate_completion(
     return out
 
 
+def _uncapped_walk(
+    A: np.ndarray,
+    values: np.ndarray,
+    frozen: np.ndarray,
+    seed,
+    config: ColoringConfig,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The result of _walk_phase's stepwise loop for a phase in which no row
+    reaches the cap, computed a block of steps at a time; None when a cap
+    cannot be ruled out or the step budget runs out.
+
+    Each block draws its steps as one (steps, k) standard-normal array,
+    which yields the numbers of that many successive k-vector draws, and
+    accumulates them with cumsum over the step axis, which performs the
+    loop's additions in the loop's order. Only the columns free at the
+    start of the phase move. A coordinate snaps to +-1 at its first step
+    with |x| >= 1 - freeze_tolerance and stays there; the phase ends at the
+    first step where half of its free coordinates are frozen.
+    """
+    rng = rng_from(seed)
+    n_rows, k = A.shape
+    cols = np.flatnonzero(~frozen)
+    free_start = cols.size
+    target = (free_start + 1) // 2
+    activation = config.cap_activation * _phase_cap(n_rows, free_start, config)
+    max_steps = config.max_iteration_factor * free_start
+    threshold = 1.0 - config.freeze_tolerance
+    A_free = A[:, cols]
+    start = values[cols]
+    x = start
+    free = np.ones(free_start, dtype=bool)
+    # A block holds about BLOCK_CELLS steps' coordinates; its row shifts are
+    # taken in chunks of at most max(n * k, BLOCK_CELLS) entries.
+    block = max(1, BLOCK_CELLS // k)
+    chunk = max(k, BLOCK_CELLS // n_rows)
+    frozen_count = steps = 0
+    path = peak = 0.0
+    while frozen_count < target:
+        if steps == max_steps:
+            return None
+        drawn = min(block, max_steps - steps)
+        traj = rng.standard_normal((drawn, k))[:, cols]
+        traj *= config.step_size
+        traj[:, ~free] = 0.0
+        path += float(np.abs(traj).sum())
+        traj[0] += x
+        np.cumsum(traj, axis=0, out=traj)
+
+        hits = np.abs(traj) >= threshold
+        hits[:, ~free] = False
+        hit_cols = np.flatnonzero(hits.any(axis=0))
+        hit_steps = np.argmax(hits[:, hit_cols], axis=0)
+        reached = frozen_count + np.cumsum(np.bincount(hit_steps, minlength=drawn))
+        done = np.flatnonzero(reached >= target)
+        used = int(done[0]) + 1 if done.size else drawn
+        keep = hit_steps < used
+        hit_cols, hit_steps = hit_cols[keep], hit_steps[keep]
+        snapped = np.where(traj[hit_steps, hit_cols] >= 0.0, 1.0, -1.0)
+        traj = traj[:used]
+        after = np.arange(used)[:, None] >= hit_steps
+        traj[:, hit_cols] = np.where(after, snapped, traj[:, hit_cols])
+        free[hit_cols] = False
+        frozen_count += hit_cols.size
+        steps += used
+        x = traj[-1].copy()
+
+        # Certificate. The loop caps row i at step s once its float row
+        # shift r_s[i], a running sum of the products A @ (x_t - x_{t-1}),
+        # reaches `activation`; here the shift is A @ (x_s - x_0), one
+        # product per chunk of steps. With u = eps / 2, gamma_m = m*u /
+        # (1 - m*u), |A_ij| <= 1 and L_j the path length of coordinate j:
+        # each difference x_t - x_{t-1} rounds by u relative, each k-term
+        # product by gamma_k times the l1 norm of its vector, and summing s
+        # products adds gamma_s times their l1 norms, so r_s[i] is within
+        # (u + gamma_k + gamma_s)(1 + O(u)) * sum_j L_j of the exact shift,
+        # and the product here within (u + gamma_k)(1 + O(u)) * sum_j L_j:
+        # together (1 + k + s/2)(1 + O(u)) * eps * sum_j L_j. `path` sums
+        # the drawn step lengths; L_j exceeds its share by at most 2 for the
+        # snap and u per step for rounding x, so doubling the factor and
+        # adding 2 per coordinate bounds the gap. The last term covers the
+        # rounding of the sum compared with `activation`.
+        traj -= start
+        for lo in range(0, used, chunk):
+            shifts = traj[lo : lo + chunk] @ A_free.T
+            peak = max(peak, float(np.abs(shifts, out=shifts).max()))
+        allowance = 2.0 * (k + steps + 4) * EPS * (path + 2.0 * free_start)
+        allowance += EPS * activation
+        if peak + allowance >= activation:
+            return None
+
+    out = values.copy()
+    out[cols] = x
+    now_frozen = frozen.copy()
+    now_frozen[cols] = ~free
+    return out, now_frozen
+
+
 def _walk_phase(
     A: np.ndarray,
     values: np.ndarray,
@@ -254,7 +356,15 @@ def _walk_phase(
     step, zeroed on frozen coordinates, and projected orthogonal to every
     row whose discrepancy increment within this phase has reached the cap.
     Coordinates reaching 1 - freeze_tolerance in absolute value snap to +-1.
+
+    A phase in which no row reaches the cap runs in blocks of steps
+    (_uncapped_walk). The stepwise loop below runs, from a fresh generator,
+    only when the blocked walk cannot rule out a cap or runs out of steps;
+    it alone projects away capped rows and raises PhaseFailureError.
     """
+    result = _uncapped_walk(A, values, frozen, seed, config)
+    if result is not None:
+        return result
     rng = rng_from(seed)
     n_rows, k = A.shape
     x = values.copy()
@@ -278,6 +388,8 @@ def _walk_phase(
         g[~free] = 0.0
         if basis.shape[0]:
             g -= basis.T @ (basis @ g)
+            # The SVD basis is zero on frozen columns only up to rounding.
+            g[~free] = 0.0
         step = config.step_size * g
         x_new = x + step
         hit = free & (np.abs(x_new) >= 1.0 - config.freeze_tolerance)

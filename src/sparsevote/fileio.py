@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -200,16 +201,59 @@ def load_ensemble(path) -> Ensemble:
 
 
 def write_json_report(path, payload: dict) -> None:
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+
+    The curve of each record in ``payload["methods"]`` is rendered as text
+    here: json's indenting encoder is pure Python and would otherwise walk
+    every point. Each curve stands in the dump as a placeholder string that
+    is spliced out together with its ``"curve": `` key, so the match is
+    structural (quotes inside other strings are escaped).
+    """
+    stubbed = dict(payload)
+    curves = []
+    if "methods" in payload:
+        stubbed["methods"] = []
+        for record in payload["methods"]:
+            if "curve" in record:
+                curves.append(record["curve"])
+                record = {**record, "curve": f"\x00curve{len(curves) - 1}"}
+            stubbed["methods"].append(record)
+    text = json.dumps(stubbed, indent=2, sort_keys=True)
+    for index, curve in enumerate(curves):
+        head, _, tail = text.partition('"curve": ' + json.dumps(f"\x00curve{index}"))
+        line = head[head.rfind("\n") + 1 :]
+        text = head + '"curve": ' + _curve_json(curve, len(line)) + tail
     with open(path, "w") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True))
+        handle.write(text)
         handle.write("\n")
 
 
+def _curve_json(curve, indent: int) -> str:
+    """A list of (margin, fraction) pairs as json.dumps(indent=2) renders it
+    with its key indented by ``indent`` spaces."""
+    if not curve:
+        return "[]"
+    outer = "\n" + " " * (indent + 2)
+    inner = "\n" + " " * (indent + 4)
+    points = [
+        f"[{inner}{_json_float(margin_value)},{inner}{_json_float(fraction)}{outer}]"
+        for margin_value, fraction in curve
+    ]
+    return "[" + outer + ("," + outer).join(points) + "\n" + " " * indent + "]"
+
+
+def _json_float(value) -> str:
+    value = float(value)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
 def write_curve_csv(path, curve) -> None:
+    rows = "".join(
+        f"{repr(float(margin_value))},{repr(float(fraction))}\n"
+        for margin_value, fraction in curve
+    )
     with open(path, "w", newline="") as handle:
-        handle.write("margin,cumulative_fraction\n")
-        for margin_value, fraction in curve:
-            handle.write(f"{repr(float(margin_value))},{repr(float(fraction))}\n")
+        handle.write("margin,cumulative_fraction\n" + rows)
 
 
 def ensure_parent(path) -> None:

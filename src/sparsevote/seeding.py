@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import numpy as np
 
-# Accepted anywhere a seed is expected: a plain int, an already-derived
-# SeedSequence, or None for fresh OS entropy.
-Seed = "int | np.random.SeedSequence | None"
-
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Wrap ``seed`` in a SeedSequence without consuming spawn state."""
+    """Wrap ``seed`` in a SeedSequence without consuming spawn state.
+
+    A seed is a plain int, an already-derived SeedSequence, or None for
+    fresh OS entropy.
+    """
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)

@@ -265,6 +265,33 @@ class TestCompare:
         for m in METHODS:
             assert (out / f"curve_{m}.csv").read_bytes() == curves_first[m]
 
+    @pytest.mark.parametrize("mode", ["dataset", "matrix"])
+    def test_outputs_equal_json_dumps_and_repr_rows(self, tmp_path, data_files, mode):
+        if mode == "dataset":
+            train, test = data_files
+            config = RunConfig(
+                seed=3, target=8, rounds=16,
+                train_path=str(train), test_path=str(test), out_path=str(tmp_path / "out"),
+            )
+        else:
+            matrix = tmp_path / "matrix.txt"
+            U = MarginMatrix(rng_from(8).choice([-1.0, 1.0], size=(60, 40)))
+            save_margin_matrix(matrix, U, WeightVector.uniform(40))
+            config = RunConfig(
+                seed=3, target=8, matrix_mode=True,
+                matrix_path=str(matrix), out_path=str(tmp_path / "out"),
+            )
+        payload = run_compare(config)
+        out = tmp_path / "out"
+        assert (out / "report.json").read_text() == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        for record in payload["methods"]:
+            rows = "".join(f"{float(m)!r},{float(f)!r}\n" for m, f in record["curve"])
+            assert (out / f"curve_{record['method']}.csv").read_text() == (
+                "margin,cumulative_fraction\n" + rows
+            )
+
     def test_matrix_mode_constant_columns(self, tmp_path):
         U = MarginMatrix(np.full((8, 12), 0.25))
         w = WeightVector.uniform(12)

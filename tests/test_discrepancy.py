@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -322,6 +323,18 @@ class TestFullColoring:
         assert err.achieved > err.bound
         assert err.attempts == 2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_capped_phases_keep_frozen_signs(self, seed):
+        # A phase cap of 1 makes rows reach the cap; the projection away
+        # from them used to leave rounding residue on frozen coordinates,
+        # and PartialColoring rejected the phase's result with ValueError
+        # (seeds 0, 2 and 3).
+        A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
+        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=1.0)
+        x = full_coloring(A, seed=seed, config=config)
+        assert np.all(np.abs(x) == 1.0)
+        assert discrepancy(A, x) <= spencer_bound(40, 80, 12.0)
+
     def test_seed_determinism(self):
         A = sign_matrix(12, 30, 26)
         x1 = full_coloring(A, seed=7)
@@ -381,6 +394,91 @@ class TestPartialColoring:
             PartialColoring(np.array([1.5]), np.array([False]))
         with pytest.raises(ValueError):
             PartialColoring(np.array([0.5]), np.array([True]))
+
+
+def weighted_sign_matrix(seed, n, k):
+    """Signs scaled by column weights in [1/4, 1], as the halver scales the
+    free columns of a weighted ensemble by their largest weight."""
+    rng = rng_from(seed)
+    return rng.choice([-1.0, 1.0], size=(n, k)) * rng.uniform(0.25, 1.0, size=k)
+
+
+WALK_MATRICES = {"signs": sign_matrix, "box": box_matrix, "weighted": weighted_sign_matrix}
+WALK_SHAPES = [(40, 30), (25, 60), (120, 20)]
+
+
+def walk_start(seed, k, partial):
+    """A zero start, or one with about a third of the coordinates frozen at
+    +-1 and the others strictly inside the cube."""
+    if not partial:
+        return np.zeros(k), np.zeros(k, dtype=bool)
+    rng = rng_from(seed)
+    frozen = rng.random(k) < 1.0 / 3.0
+    values = np.where(
+        frozen, rng.choice([-1.0, 1.0], size=k), rng.uniform(-0.9, 0.9, size=k)
+    )
+    return values, frozen
+
+
+def walk_outcome(*args):
+    """_walk_phase's result as bytes, or its PhaseFailureError message."""
+    try:
+        values, frozen = coloring._walk_phase(*args)
+    except PhaseFailureError as exc:
+        return "failed", str(exc)
+    return values.tobytes(), frozen.tobytes()
+
+
+class TestBlockedWalk:
+    @pytest.mark.parametrize("block_cells", [coloring.BLOCK_CELLS, 97])
+    @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
+    def test_matches_stepwise_loop(self, monkeypatch, kind, block_cells):
+        # The blocked walk must return the loop's result bit for bit, and
+        # must decline every phase in which the loop capped a row (the loop
+        # builds its projection basis exactly then). With 97 cells a block
+        # holds one to four steps, so coordinates freeze in earlier blocks.
+        monkeypatch.setattr(coloring, "BLOCK_CELLS", block_cells)
+        certified = declined = 0
+        for scale in (1.0, 2.0, 4.0, 8.0):
+            config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=scale)
+            for partial in (False, True):
+                for shape_seed, (n, k) in enumerate(WALK_SHAPES):
+                    A = WALK_MATRICES[kind](shape_seed + 200, n, k)
+                    values, frozen = walk_start(shape_seed + 300, k, partial)
+                    args = (A, values, frozen, split_seed(7, shape_seed), config)
+                    blocked = coloring._uncapped_walk(*args)
+                    fast = walk_outcome(*args)
+                    bases = []
+                    with monkeypatch.context() as patch:
+                        patch.setattr(coloring, "_uncapped_walk", lambda *a: None)
+                        real = coloring._orthonormal_rows
+                        patch.setattr(
+                            coloring,
+                            "_orthonormal_rows",
+                            lambda M: bases.append(M.shape[0]) or real(M),
+                        )
+                        stepwise = walk_outcome(*args)
+                    assert fast == stepwise
+                    if bases:
+                        assert blocked is None
+                    if blocked is None:
+                        declined += 1
+                    else:
+                        certified += 1
+        assert certified > 0 and declined > 0
+
+    def test_phase_failure_matches_stepwise_loop(self, monkeypatch):
+        # One step per free coordinate cannot freeze half of them: the
+        # blocked walk runs out of steps and the loop raises.
+        A = sign_matrix(41, 40, 30)
+        values, frozen = walk_start(0, 30, False)
+        config = dataclasses.replace(DEFAULT_CONFIG, max_iteration_factor=1)
+        args = (A, values, frozen, 5, config)
+        assert coloring._uncapped_walk(*args) is None
+        fast = walk_outcome(*args)
+        monkeypatch.setattr(coloring, "_uncapped_walk", lambda *a: None)
+        assert fast[0] == "failed"
+        assert walk_outcome(*args) == fast
 
 
 class TestHalveColumns:

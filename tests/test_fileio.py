@@ -190,6 +190,29 @@ class TestReportAndCurves:
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"b": 1, "a": [1, 2]}
 
+    def test_json_report_equals_json_dumps(self, tmp_path):
+        # Curves are rendered outside json.dumps; the bytes must not change,
+        # whatever the points' float type or value, and strings that look
+        # like the curve placeholders must pass through untouched.
+        points = [(-0.5, 0.25), (np.float64(1e-300), 0.5), (math.nan, 0.75), (-math.inf, 1.0)]
+        payload = {
+            "config": {"out_path": "\x00curve0", "note": '"curve": "\\u0000curve1"'},
+            "methods": [
+                {"method": "a", "curve": [[m, f] for m, f in points], "z": None},
+                {"method": "b", "curve": []},
+                {"method": "c", "nested": {"curve": [[0.5, 1.0]]}},
+            ],
+            "timing_seconds": 0.125,
+        }
+        path = tmp_path / "report.json"
+        write_json_report(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_curve_csv_numpy_scalars(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, [(np.float64(-0.1), np.float64(0.5)), (0.2, 1.0)])
+        assert path.read_text() == "margin,cumulative_fraction\n-0.1,0.5\n0.2,1.0\n"
+
     def test_curve_csv_format(self, tmp_path):
         path = tmp_path / "curve.csv"
         write_curve_csv(path, [(-0.5, 0.5), (0.25, 1.0)])
