@@ -19,11 +19,26 @@ free count has shrunk to at most ``endgame_max`` coordinates are likewise
 finished by enumeration instead of the walk, and completed colorings are
 polished by deterministic single-coordinate (and, for narrow matrices,
 opposite-pair) flips that strictly reduce the discrepancy. These searches
-are exact and scan their candidates in cache-sized blocks of BLOCK_CELLS
-row sums; the blocking changes neither the candidate picked nor its value.
+scan their candidates in cache-sized blocks of BLOCK_CELLS row sums.
+
+Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
+for both, so full_coloring colors the distinct rows only: the first row of
+each class of rows equal up to sign, with its first nonzero entry made
+positive. The Spencer-type bound and the phase caps count those rows. The
+output does not depend on the order of the rows or on how often one
+repeats (a phase that reaches its cap aside; none does at the default
+constants): the row sums that seed the searches are taken row by row
+(_row_sums), so equal rows get equal bits wherever they sit, and the
+searches break near-ties by a fixed order instead of by BLAS rounding. A
+candidate counts as tied with the best when its maximum is within
+_tie_tolerance, 2(k + 2) * eps * max_i(sum_j |C_ij| + |base_i|), of the
+smallest: twice the widest gap that rounding, in any summation order, can
+open between two exactly equal maxima of k products and a base, so every
+exact minimizer counts as tied.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,7 +146,9 @@ class PartialColoring:
 
 
 def _validate_matrix(A) -> np.ndarray:
-    arr = np.asarray(A, dtype=np.float64)
+    # Fortran order, the halver's own layout: _row_sums then needs no copy,
+    # and the gemm in _best_signs reads C.T contiguously.
+    arr = np.asfortranarray(A, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
     # NaN and inf propagate through max, so one pass checks both.
@@ -144,14 +161,89 @@ def _validate_matrix(A) -> np.ndarray:
 
 
 def spencer_bound(n_rows: int, k: int, constant: float) -> float:
-    """Target discrepancy bound: c*sqrt(k*ln(e*n/k)) for k <= n, c*sqrt(n) beyond."""
+    """Target discrepancy bound: c*sqrt(k*ln(e*n/k)) for k <= n, c*sqrt(n) beyond.
+
+    full_coloring passes the number of distinct rows up to sign as n, the
+    size of the set system the bound is about; rows repeated up to sign add
+    no constraint, so they do not loosen the bound.
+    """
     if k <= n_rows:
         return constant * math.sqrt(k * math.log(math.e * n_rows / k))
     return constant * math.sqrt(n_rows)
 
 
+def _row_sums(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x with each row's products added in column order, so equal rows
+    get equal bits wherever they sit; a BLAS gemv rounds by row position
+    and thread count. einsum keeps that order on a Fortran-ordered matrix,
+    the layout _validate_matrix gives; others are copied into it."""
+    return np.einsum("ij,j->i", np.asfortranarray(A, dtype=np.float64), x)
+
+
 def discrepancy(A: np.ndarray, x: np.ndarray) -> float:
-    return float(np.max(np.abs(A @ x)))
+    return float(np.max(np.abs(_row_sums(A, x))))
+
+
+def _tie_tolerance(k: int, scale: float) -> float:
+    """Near-tie width for maxima of |sum of k products + base|: with u =
+    eps / 2, any summation order puts at most (k + 1)u / (1 - (k + 1)u) *
+    scale <= (k + 2)u * scale of rounding on each maximum, where scale
+    bounds the rows' l1 norms plus |base|; two exactly tied maxima then
+    differ by at most (k + 2) * eps * scale, half this width."""
+    return 2.0 * (k + 2) * EPS * scale
+
+
+@functools.lru_cache(maxsize=64)
+def _key_weights(k: int) -> np.ndarray:
+    weights = np.random.default_rng(k).uniform(1.0, 2.0, size=k)
+    weights.setflags(write=False)
+    return weights
+
+
+def _row_keys(A: np.ndarray) -> np.ndarray:
+    """One key per row: its sum against fixed pseudo-random weights. Equal
+    rows get equal keys and negated rows negated keys; unequal rows almost
+    never collide, and _distinct_rows checks the rows of equal keys."""
+    return _row_sums(A, _key_weights(A.shape[1]))
+
+
+def _canonical_rows(A: np.ndarray) -> np.ndarray:
+    """A with each row negated when its first nonzero entry is negative,
+    and with -0.0 entries turned into 0.0."""
+    lead = np.argmax(A != 0.0, axis=1)
+    flip = A[np.arange(A.shape[0]), lead] < 0.0
+    out = A * np.where(flip, -1.0, 1.0)[:, None]
+    out += 0.0
+    return out
+
+
+def _distinct_rows(A: np.ndarray) -> np.ndarray:
+    """The first row of each class of rows of A equal up to sign, in their
+    order in A and in canonical sign (_canonical_rows); A itself when no
+    two rows are equal up to sign.
+
+    Rows are sorted by the magnitude of their keys. When every pair of
+    neighbours with equal magnitudes holds rows equal up to the sign of
+    their keys, each run of equal magnitudes is one class; a pair that
+    differs is a key collision, and then the rows are grouped by exact
+    comparison of their canonical forms instead.
+    """
+    keys = _row_keys(A)
+    order = np.argsort(np.abs(keys), kind="stable")
+    keys = keys[order]
+    mags = np.abs(keys)
+    same = mags[1:] == mags[:-1]
+    if not same.any():
+        return A
+    oriented = A[order]
+    oriented *= np.where(keys < 0.0, -1.0, 1.0)[:, None]
+    equal = (oriented[1:] == oriented[:-1]).all(axis=1)
+    if equal[same].all():
+        keep = np.sort(order[np.concatenate(([True], ~same))])
+        return np.asfortranarray(_canonical_rows(A[keep]))
+    canonical = _canonical_rows(A)
+    _, first = np.unique(canonical, axis=0, return_index=True)
+    return np.asfortranarray(canonical[np.sort(first)])
 
 
 def _sign_patterns(bits: int, start: int, stop: int) -> np.ndarray:
@@ -163,31 +255,34 @@ def _sign_patterns(bits: int, start: int, stop: int) -> np.ndarray:
 
 
 def _best_signs(C: np.ndarray, base: np.ndarray) -> tuple[float, np.ndarray]:
-    """The minimum of max_i |(Cs)_i + base_i| over all 2^k sign vectors s,
-    with the first minimizer in binary-code order.
+    """A minimizer of max_i |(Cs)_i + base_i| over all 2^k sign vectors s,
+    with its value.
+
+    Every candidate's maximum is kept, and the lowest binary code whose
+    maximum is within _tie_tolerance(k, max_i(sum_j |C_ij| + |base_i|)) of
+    the smallest wins, so exact ties do not fall to the rounding of the
+    gemm products, which changes with the block size, the row order and the
+    BLAS thread count. The value is the winner's, from _row_sums.
 
     Candidates are scanned in blocks of about BLOCK_CELLS row sums, so the
     block stays in cache and abs/max run in place on it. A block holds the
-    power of two of candidates nearest BLOCK_CELLS / n, at least two: such
-    blocks split the 2^k codes evenly and none is a single row, which numpy
-    would multiply with gemv, rounding differently from gemm.
+    power of two of candidates nearest BLOCK_CELLS / n, at least two, so
+    the blocks split the 2^k codes evenly.
     """
     n, k = C.shape
     total = 1 << k
     rows = 1 << max(1, round(math.log2(BLOCK_CELLS / n)))
-    best_val = math.inf
-    best_code = 0
+    vals = np.empty(total)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
         sums = _sign_patterns(k, start, stop) @ C.T
         sums += base
         np.abs(sums, out=sums)
-        vals = sums.max(axis=1)
-        idx = int(np.argmin(vals))
-        if vals[idx] < best_val:
-            best_val = vals[idx]
-            best_code = start + idx
-    return float(best_val), _sign_patterns(k, best_code, best_code + 1)[0]
+        sums.max(axis=1, out=vals[start:stop])
+    scale = float(np.max(np.abs(C).sum(axis=1) + np.abs(base)))
+    code = int(np.argmax(vals <= vals.min() + _tie_tolerance(k, scale)))
+    signs = _sign_patterns(k, code, code + 1)[0]
+    return float(np.max(np.abs(_row_sums(C, signs) + base))), signs
 
 
 def bruteforce_min_discrepancy(A) -> tuple[float, np.ndarray]:
@@ -241,7 +336,7 @@ def _enumerate_completion(
     discrepancy of the completed coloring (exhaustive over the free set)."""
     free_idx = np.flatnonzero(~frozen)
     out = np.where(frozen, values, 0.0)
-    _, signs = _best_signs(A[:, free_idx], A @ out)
+    _, signs = _best_signs(A[:, free_idx], _row_sums(A, out))
     out[free_idx] = signs
     return out
 
@@ -457,16 +552,24 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
     discrepancy. Each accepted move recomputes exact row sums, so the result
     never degrades the coloring.
 
-    Single flips are taken first-improvement in column order; pair flips
-    take the first best (plus, minus) pair. Candidates are scored in blocks
-    of about BLOCK_CELLS row sums, and a block is rescored from the column
-    after each accepted flip, so the moves are those of a one-at-a-time scan.
+    Single flips are taken first-improvement in column order. A pair flip
+    takes the first (plus, minus) pair, in row-major order, whose maximum is
+    within _tie_tolerance(k, max_i sum_j |A_ij|) of the best pair's, and
+    only when that maximum improves on the current one by more than 1e-12.
+    Candidates are scored in blocks of about BLOCK_CELLS row sums, and a
+    block is rescored from the column after each accepted flip, so the
+    moves are those of a one-at-a-time scan. The row sums start from
+    _row_sums and change only by elementwise updates, so every move is the
+    same whatever the order of the rows and however often one repeats.
     """
     x = x.copy()
-    sums = A @ x
+    sums = _row_sums(A, x)
     current = float(np.max(np.abs(sums)))
     n, k = A.shape
     width = max(1, BLOCK_CELLS // n)
+    pairs = k <= config.pair_refine_max
+    if pairs:
+        tolerance = _tie_tolerance(k, float(np.abs(A).sum(axis=1).max()))
     for _ in range(config.refine_sweeps):
         improved = False
         j = 0
@@ -484,7 +587,7 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
             current = float(vals[better[0]])
             improved = True
             j += 1
-        if k <= config.pair_refine_max:
+        if pairs:
             while True:
                 plus = np.flatnonzero(x > 0)
                 minus = np.flatnonzero(x < 0)
@@ -493,20 +596,18 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
                 plus_2 = 2.0 * A[:, plus].T
                 minus_2 = 2.0 * A[:, minus].T
                 rows = max(1, BLOCK_CELLS // (minus.size * n))
-                best_val = math.inf
+                vals = np.empty((plus.size, minus.size))
                 for start in range(0, plus.size, rows):
                     cand = (sums - plus_2[start : start + rows])[:, None, :] + minus_2
-                    vals = np.abs(cand, out=cand).max(axis=2)
-                    idx = int(np.argmin(vals))
-                    if vals.flat[idx] < best_val:
-                        best_val = vals.flat[idx]
-                        a, b = divmod(start * minus.size + idx, minus.size)
-                if best_val >= current - 1e-12:
+                    np.abs(cand, out=cand).max(axis=2, out=vals[start : start + rows])
+                pick = int(np.argmax(vals <= vals.min() + tolerance))
+                a, b = divmod(pick, minus.size)
+                if vals[a, b] >= current - 1e-12:
                     break
                 sums = sums - plus_2[a] + minus_2[b]
                 x[plus[a]] = -1.0
                 x[minus[b]] = 1.0
-                current = float(best_val)
+                current = float(vals[a, b])
                 improved = True
         if not improved:
             break
@@ -520,14 +621,24 @@ def full_coloring(
 ) -> np.ndarray:
     """Complete sign coloring with discrepancy within the Spencer-type bound.
 
+    Only the distinct rows up to sign are colored (_distinct_rows): a row
+    repeated, or repeated negated, is the same constraint. Everything below
+    runs on them, and n counts them.
+
     For k <= config.bruteforce_max columns the exact exhaustive optimum is
     returned (deterministic, seed unused). Otherwise the partial-coloring walk
     runs phase by phase, the completed coloring is polished by local flips,
     and the whole attempt restarts with a fresh derived seed until the bound
     K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise) is met or the retry
     budget is exhausted.
+
+    Near-ties in the exhaustive searches and the pair flips go to the first
+    candidate in a fixed order (see _best_signs and _refine_flips), so the
+    coloring is the same bits under any order of the rows, any repetition
+    or negation of them, and any BLAS thread count, as long as no walk
+    phase reaches its cap; at the default constants none does.
     """
-    arr = _validate_matrix(A)
+    arr = _distinct_rows(_validate_matrix(A))
     n_rows, k = arr.shape
     bound = spencer_bound(n_rows, k, config.spencer_constant)
 
@@ -538,7 +649,6 @@ def full_coloring(
         return x
 
     best_val = math.inf
-    best_x = None
     for attempt in range(config.retry_budget):
         attempt_seed = split_seed(seed, attempt)
         state = PartialColoring.initial(k)
@@ -553,9 +663,7 @@ def full_coloring(
             continue
         x = _refine_flips(arr, state.values, config)
         val = discrepancy(arr, x)
-        if val < best_val:
-            best_val = val
-            best_x = x
+        best_val = min(best_val, val)
         if val <= bound:
             return x
     raise DiscrepancyBoundError(best_val, bound, attempts=config.retry_budget)

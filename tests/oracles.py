@@ -273,3 +273,18 @@ def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max):
         if not improved:
             break
     return x
+
+
+def distinct_rows_by_dict(A):
+    """The first row of each class of rows equal up to sign, each negated
+    when its first nonzero entry is negative and with -0.0 written as 0.0,
+    found one row at a time with a dict over the rows' bytes."""
+    seen = {}
+    for row in np.asarray(A, dtype=np.float64):
+        row = row.copy()
+        nonzero = np.flatnonzero(row)
+        if nonzero.size and row[nonzero[0]] < 0.0:
+            row = -row
+        row[row == 0.0] = 0.0
+        seen.setdefault(row.tobytes(), row)
+    return np.array(list(seen.values()))

@@ -1,6 +1,10 @@
 import dataclasses
+import functools
 import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,21 +15,27 @@ from sparsevote import (
     DEFAULT_CONFIG,
     ColoringConfig,
     DiscrepancyBoundError,
+    MarginMatrix,
     PartialColoring,
     PhaseFailureError,
+    WeightVector,
     bruteforce_min_discrepancy,
     discrepancy,
     full_coloring,
+    halve,
     halve_columns,
     minority_sign,
     partial_coloring,
+    sparsify,
     spencer_bound,
 )
 from sparsevote.seeding import rng_from, split_seed
+from sparsevote.sparsify import _build_halving_matrix, _split_support
 
 from oracles import (
     best_subset_row_sum_error,
     bruteforce_unblocked,
+    distinct_rows_by_dict,
     enumerate_completion_unblocked,
     min_discrepancy_exhaustive,
     refine_flips_one_at_a_time,
@@ -539,3 +549,219 @@ class TestColoringConfig:
     def test_rejects_zero_retries(self):
         with pytest.raises(ValueError):
             ColoringConfig(retry_budget=0)
+
+
+def hadamard_block(seed, n, k):
+    """k Sylvester-Hadamard columns from the first half of order n, with
+    random row signs and exponential column weights, as the halver scales a
+    weighted ensemble: row i and row i + n/2 are equal up to sign."""
+    rng = rng_from(seed)
+    H = sylvester(n)[:, rng.permutation(n // 2)[:k]]
+    weights = rng.exponential(size=k)
+    return rng.choice([-1.0, 1.0], size=n)[:, None] * H * (weights / weights.max())
+
+
+def stump_matrix(seed, n, k):
+    """Margins y_i * h_j(x_i) of threshold stumps on two features with four
+    values each, scaled by column weights: at most 16 distinct rows up to
+    sign, as in a boosted ensemble's margin matrix."""
+    rng = rng_from(seed)
+    X = rng.integers(0, 4, size=(n, 2))
+    y = rng.choice([-1.0, 1.0], size=n)
+    feature = rng.integers(0, 2, size=k)
+    threshold = rng.integers(1, 4, size=k)
+    polarity = rng.choice([-1.0, 1.0], size=k)
+    h = np.where(X[:, feature] >= threshold, polarity, -polarity)
+    return y[:, None] * h * rng.uniform(0.25, 1.0, size=k)
+
+
+INVARIANCE_MATRICES = {
+    "signs": sign_matrix,
+    "grid": grid_matrix,
+    "box": box_matrix,
+    "hadamard": hadamard_block,
+    "stumps": stump_matrix,
+}
+# The exhaustive path, the walk with pair flips, and the walk without them.
+INVARIANCE_SHAPES = [(64, 12), (128, 40), (256, 90)]
+
+
+def reordered(A, seed):
+    """A's rows in a random order, and A with every row once plus about as
+    many drawn again, each row negated at random, in a random order."""
+    rng = rng_from(seed)
+    n = A.shape[0]
+    permuted = A[rng.permutation(n)]
+    rows = np.concatenate([np.arange(n), rng.integers(0, n, size=n)])
+    rng.shuffle(rows)
+    repeated = rng.choice([-1.0, 1.0], size=rows.size)[:, None] * A[rows]
+    return permuted, repeated
+
+
+@functools.lru_cache(maxsize=1)
+def hadamard_seed_one_search():
+    """(C, base) of the 1025 x 14 exhaustive search that the hadamard
+    benchmark workload at seed 1 runs first (matrix 0, T = 16, compare seed
+    1000000): the first coloring of the fifth halving round, last sign
+    pinned at +1. Its sign vectors with codes 32 and 33 tie exactly, and
+    OpenBLAS rounds their maxima apart in a 4096-candidate block but not in
+    32-candidate blocks."""
+    rng = np.random.default_rng([1, 3, 0])
+    H = sylvester(1024)[:, :512]
+    U = rng.choice([-1.0, 1.0], size=1024)[:, None] * H[:, rng.permutation(512)]
+    weights = rng.exponential(size=512)
+    w = WeightVector(weights / weights.sum())
+    seed = split_seed(1000000, 2)
+    for halving in range(4):
+        w = halve(MarginMatrix(U), w, split_seed(seed, halving, 0))
+    values = w.values.copy()
+    _, free = _split_support(values)
+    A = _build_halving_matrix(U, values, free, float(np.max(np.abs(values[free]))))
+    return A[:, :-1], A[:, -1]
+
+
+def exact_max(C, base, code):
+    """max_i |(Cs)_i + base_i| for the sign vector s of `code`, each row sum
+    correctly rounded (math.fsum)."""
+    signs = np.where((code >> np.arange(C.shape[1])) & 1, 1.0, -1.0)
+    return max(abs(math.fsum([*(row * signs), b])) for row, b in zip(C, base))
+
+
+def best_signs_input(name):
+    if name == "hadamard_seed_one":
+        return hadamard_seed_one_search()
+    A = INVARIANCE_MATRICES[name](31, 256, 12)
+    return A[:, :-1], A[:, -1]
+
+
+class TestRowInvariance:
+    """Colorings depend on the set of distinct rows up to sign, not on the
+    rows' order or repetition, and not on BLAS rounding."""
+
+    @pytest.mark.parametrize("kind", sorted(INVARIANCE_MATRICES))
+    @pytest.mark.parametrize("n, k", INVARIANCE_SHAPES)
+    def test_full_coloring_ignores_row_order_and_repeats(self, kind, n, k):
+        A = INVARIANCE_MATRICES[kind](n + k, n, k)
+        x = full_coloring(A, seed=5)
+        for variant in reordered(A, k):
+            assert full_coloring(variant, seed=5).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(INVARIANCE_MATRICES))
+    def test_distinct_rows_match_dict_oracle(self, monkeypatch, kind):
+        A = INVARIANCE_MATRICES[kind](7, 64, 12)
+        repeated = reordered(A, 3)[1]
+        expected = distinct_rows_by_dict(repeated)
+        got = coloring._distinct_rows(coloring._validate_matrix(repeated))
+        assert got.tobytes() == expected.tobytes()
+        # Every key collides: rows are merged only when they are equal.
+        monkeypatch.setattr(coloring, "_row_keys", lambda M: np.zeros(M.shape[0]))
+        got = coloring._distinct_rows(coloring._validate_matrix(repeated))
+        assert got.tobytes() == expected.tobytes()
+        assert full_coloring(repeated, seed=2).tobytes() == full_coloring(A, seed=2).tobytes()
+
+    @pytest.mark.parametrize("k", [13, 85, 341])
+    def test_row_sums_give_equal_rows_equal_bits(self, k):
+        # Rows 1024-1026 repeat rows 0-2, and row i + 512 is row i up to
+        # sign. OpenBLAS's gemv rounds the rows past the last multiple of
+        # its row block differently, in either layout.
+        block = hadamard_block(k, 1024, k)
+        A = np.vstack([block, block[:3]])
+        x = rng_from(k).uniform(-1.0, 1.0, size=k)
+        sums = coloring._row_sums(A, x)
+        assert sums[1024:].tobytes() == sums[:3].tobytes()
+        signs = np.where(A[:512, 0] == A[512:1024, 0], 1.0, -1.0)
+        assert sums[:512].tobytes() == (signs * sums[512:1024]).tobytes()
+        assert coloring._row_sums(np.asfortranarray(A), x).tobytes() == sums.tobytes()
+
+    def test_distinct_rows_keep_a_matrix_without_repeats(self):
+        A = coloring._validate_matrix(box_matrix(8, 50, 9))
+        assert coloring._distinct_rows(A) is A
+
+    @pytest.mark.parametrize("k", [12, 40])
+    def test_full_coloring_colors_the_distinct_rows(self, monkeypatch, k):
+        repeated = reordered(stump_matrix(11, 200, k), 4)[1]
+        expected = distinct_rows_by_dict(repeated)
+        seen = []
+        for name in ("bruteforce_min_discrepancy", "partial_coloring", "_refine_flips"):
+            real = getattr(coloring, name)
+            spy = lambda M, *args, real=real: seen.append(M.tobytes()) or real(M, *args)
+            monkeypatch.setattr(coloring, name, spy)
+        full_coloring(repeated, seed=1)
+        assert seen and set(seen) == {expected.tobytes()}
+
+    def test_bound_counts_distinct_rows(self):
+        # One distinct row up to sign: its bound 0.5 * sqrt(1) is below the
+        # optimum 1, although the bound for 40 rows, 0.5 * sqrt(3 ln(40e/3))
+        # = 1.64, is not.
+        A = np.tile([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]], (20, 1))
+        with pytest.raises(DiscrepancyBoundError) as info:
+            full_coloring(A, config=ColoringConfig(spencer_constant=0.5))
+        assert info.value.achieved == 1.0
+        assert info.value.bound == spencer_bound(1, 3, 0.5)
+
+    @pytest.mark.parametrize("name", ["hadamard_seed_one", "hadamard", "box", "grid"])
+    def test_best_signs_ignores_row_order_and_blocks(self, monkeypatch, name):
+        C, base = best_signs_input(name)
+        rows = rng_from(9).permutation(C.shape[0])
+        results = set()
+        for cells in (coloring.BLOCK_CELLS, 5, 1 << 22):
+            monkeypatch.setattr(coloring, "BLOCK_CELLS", cells)
+            for order in (slice(None), rows):
+                value, signs = coloring._best_signs(C[order], base[order])
+                results.add((np.float64(value).tobytes(), signs.tobytes()))
+        assert len(results) == 1
+
+    def test_hadamard_seed_one_tie_goes_to_the_lower_code(self):
+        C, base = hadamard_seed_one_search()
+        assert C.shape == (1025, 13)
+        assert exact_max(C, base, 32) == exact_max(C, base, 33)
+        _, signs = coloring._best_signs(C, base)
+        assert np.array_equal(signs, np.where(np.arange(13) == 5, 1.0, -1.0))
+
+    def test_blas_threads_do_not_change_the_search(self, tmp_path):
+        # The thread count is read when OpenBLAS loads, so each count needs
+        # its own process. Each process also runs the search as one block,
+        # where OpenBLAS splits the tie on a 2-core x86-64 host even when
+        # the thread count does not.
+        C, base = hadamard_seed_one_search()
+        np.save(tmp_path / "C.npy", C)
+        np.save(tmp_path / "base.npy", base)
+        script = (
+            "import importlib, sys\n"
+            "import numpy as np\n"
+            "coloring = importlib.import_module('sparsevote.discrepancy')\n"
+            "C, base = np.load(sys.argv[1]), np.load(sys.argv[2])\n"
+            "for cells in (coloring.BLOCK_CELLS, 1 << 22):\n"
+            "    coloring.BLOCK_CELLS = cells\n"
+            "    value, signs = coloring._best_signs(C, base)\n"
+            "    print(np.float64(value).tobytes().hex(), signs.tobytes().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(coloring.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "C.npy"), str(tmp_path / "base.npy")],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(run.stdout.splitlines())
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == outputs[0][1]
+
+    @pytest.mark.parametrize("kind", ["signs", "hadamard", "stumps"])
+    def test_halve_and_sparsify_ignore_duplicated_points(self, kind):
+        U = INVARIANCE_MATRICES[kind](21, 128, 48)
+        rng = rng_from(22)
+        w = WeightVector(rng.dirichlet(np.ones(48)))
+        points = np.concatenate([np.arange(128), rng.integers(0, 128, size=128)])
+        rng.shuffle(points)
+        once, twice = MarginMatrix(U), MarginMatrix(U[points])
+        assert halve(once, w, seed=3).values.tobytes() == halve(twice, w, seed=3).values.tobytes()
+        w_once, report_once = sparsify(once, w, 8, seed=4)
+        w_twice, report_twice = sparsify(twice, w, 8, seed=4)
+        assert w_once.values.tobytes() == w_twice.values.tobytes()
+        assert report_once.halving_rounds == report_twice.halving_rounds
+        assert report_once.truncated_fallback == report_twice.truncated_fallback
+        assert report_twice.achieved_error == pytest.approx(report_once.achieved_error, rel=1e-12)
