@@ -34,6 +34,7 @@ from .discrepancy import DEFAULT_CONFIG, ColoringConfig
 from .evaluation import accuracy, auc, bias_correct, predict_scores
 from .fileio import (
     FileFormatError,
+    FloatText,
     ensure_parent,
     load_dataset,
     load_ensemble,
@@ -147,7 +148,7 @@ def _dataset_record(
         "test_accuracy": accuracy(test_scores, test.labels, offset),
         "train_auc": auc(train_scores, train.labels),
         "test_auc": auc(test_scores, test.labels),
-        "curve": [[m, f] for m, f in cumulative_margin_curve(train_margins)],
+        "curve": cumulative_margin_curve(train_margins),
     }
     if sparsify_report is not None:
         record["sparsify"] = _report_payload(sparsify_report)
@@ -171,7 +172,7 @@ def _matrix_record(
         "test_accuracy": None,
         "train_auc": None,
         "test_auc": None,
-        "curve": [[m, f] for m, f in cumulative_margin_curve(margins(U, weights))],
+        "curve": cumulative_margin_curve(margins(U, weights)),
     }
     if sparsify_report is not None:
         record["sparsify"] = _report_payload(sparsify_report)
@@ -216,9 +217,10 @@ def run_compare(config: RunConfig) -> dict:
         write_json_report(out_dir / "report.json", payload)
         raise
     payload["timing_seconds"] = time.perf_counter() - started
-    write_json_report(out_dir / "report.json", payload)
+    text = FloatText()  # each curve column formatted once for both files
+    write_json_report(out_dir / "report.json", payload, text)
     for record in payload["methods"]:
-        write_curve_csv(out_dir / f"curve_{record['method']}.csv", record["curve"])
+        write_curve_csv(out_dir / f"curve_{record['method']}.csv", record["curve"], text)
     return payload
 
 
@@ -556,9 +558,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, FileNotFoundError, ValueError) as exc:
+    except (FileFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # no coloring within the bound, LP failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

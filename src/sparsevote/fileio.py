@@ -1,13 +1,23 @@
 """On-disk formats: dataset CSV, margin-matrix text, ensemble JSON, reports.
 
+Inputs are parsed in one pass of numpy's C reader. Where that pass cannot
+take a file whole (a malformed or ragged row, a bad label, a quoted cell, a
+whitespace-only line, an entry out of range), the file is parsed again row
+by row. The row parser gives the same arrays wherever both succeed; it is
+kept for the error message naming the offending line, so no file it rejects
+is accepted, save one with a dataset cell longer than the csv module's field
+size limit (131072 characters), which only the row parser enforces.
+
 Floats are written with repr(), which round-trips doubles bit-exactly, so
-save/load pairs reproduce arrays byte-for-byte.
+save/load pairs reproduce arrays byte-for-byte. Writers build each file with
+one join per row, and the report and curve writers format each float column
+once (see ``FloatText``).
 """
 from __future__ import annotations
 
 import csv
 import json
-import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +34,48 @@ def load_dataset(path) -> Dataset:
     """Parse a label-first CSV: first column -1/+1 (0/1 accepted, 0 mapped
     to -1), remaining columns real features. An optional header row is
     detected by a non-numeric first cell."""
+    try:
+        with open(path, newline="") as handle:
+            table = _read_dataset_table(handle)
+    except ValueError:  # undecodable text or a row the C pass rejects
+        table = None
+    if table is None:
+        return _load_dataset_rows(path)
+    labels = table[:, 0]
+    return Dataset(table[:, 1:], np.where(labels == 0.0, -1.0, labels))
+
+
+def _read_dataset_table(handle) -> np.ndarray | None:
+    """The label-first table of a dataset file in one C pass, or None where
+    the row parser must decide.
+
+    The handle splits lines as the csv module does. The header test reads
+    the first cell of the first nonblank line; a quote or NUL there could
+    make the csv module split it otherwise, so that goes to the row parser.
+    In the lines after it, a quote, NUL, blank cell, bad label, ragged row
+    or whitespace-only line makes the C pass fail or return None.
+    """
+    first = _next_nonblank(handle)
+    if first is None or '"' in first or "\x00" in first:
+        return None
+    try:
+        float(first.split(",", 1)[0])
+    except ValueError:  # header row
+        first = _next_nonblank(handle)
+        if first is None:
+            return None  # np.loadtxt would warn on no data
+    table = np.loadtxt(chain([first], handle), delimiter=",", comments=None, ndmin=2)
+    labels = table[:, 0]
+    if table.shape[1] < 2 or not np.all(
+        (labels == 1.0) | (labels == -1.0) | (labels == 0.0)
+    ):
+        return None
+    return table
+
+
+def _load_dataset_rows(path) -> Dataset:
+    """The row-by-row dataset parser: same arrays, and the error names the
+    first bad line."""
     labels: list[float] = []
     rows: list[list[float]] = []
     width = None
@@ -75,10 +127,13 @@ def _parse_label(cell: str, path, line_no: int) -> float:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
+    labels = map(str, map(int, dataset.labels.tolist()))
+    text = "".join(
+        f"{label},{','.join(row)}\n"
+        for label, row in zip(labels, _repr_text(dataset.features))
+    )
     with open(path, "w", newline="") as handle:
-        for label, row in zip(dataset.labels, dataset.features):
-            cells = [str(int(label))] + [repr(float(v)) for v in row]
-            handle.write(",".join(cells) + "\n")
+        handle.write(text)
 
 
 def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
@@ -88,6 +143,53 @@ def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
     unless already within tolerance (so round-trips are bit-exact). Then n
     rows of m entries, each within [-1, 1] up to 1e-9.
     """
+    try:
+        with open(path) as handle:
+            return _read_margin_matrix(handle)
+    except ValueError:  # any fault: the row parser names it
+        return _load_margin_matrix_rows(path)
+
+
+def _read_margin_matrix(handle) -> tuple[MarginMatrix, WeightVector]:
+    """The matrix rows in one C pass over the open file.
+
+    Raises ValueError, with no message worth showing, wherever the row
+    parser might not return the same arrays. The C pass skips exactly the
+    whitespace-only lines the row parser drops, so n rows of m entries mean
+    n + 2 nonblank lines.
+    """
+    header, weight_line, first_row = [_next_nonblank(handle) for _ in range(3)]
+    if first_row is None:
+        raise ValueError("too few lines")  # np.loadtxt would warn on no data
+    n, m = map(int, header.split())
+    weights = _parse_row(weight_line.split(), m, handle.name, line_no=2)
+    entries = np.loadtxt(
+        chain([first_row], handle), dtype=np.float64, comments=None, ndmin=2
+    )
+    if n < 1 or entries.shape != (n, m):
+        raise ValueError("shape")
+    return MarginMatrix(entries), WeightVector(_normalized_weights(weights))
+
+
+def _next_nonblank(handle) -> str | None:
+    for line in handle:
+        if line.strip():
+            return line
+    return None
+
+
+def _normalized_weights(weights: np.ndarray) -> np.ndarray:
+    total = float(np.sum(np.abs(weights)))
+    if total == 0.0:
+        raise ValueError("weights are all zero")
+    if abs(total - 1.0) > L1_TOL:
+        return weights / total
+    return weights
+
+
+def _load_margin_matrix_rows(path) -> tuple[MarginMatrix, WeightVector]:
+    """The row-by-row matrix parser: same arrays, and the error names the
+    first bad line."""
     with open(path) as handle:
         lines = [line for line in handle if line.strip()]
     if not lines:
@@ -107,26 +209,19 @@ def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
             f"got {len(lines)}"
         )
     weights = _parse_row(lines[1].split(), m, path, line_no=2)
-    total = float(np.sum(np.abs(weights)))
-    if total == 0.0:
-        raise FileFormatError(f"{path}: line 2: weights are all zero")
-    if abs(total - 1.0) > L1_TOL:
-        weights = weights / total
     try:
-        entries = np.loadtxt(lines[2:], dtype=np.float64, comments=None, ndmin=2)
+        weights = _normalized_weights(weights)
     except ValueError:
-        entries = None
-    if entries is None or entries.shape != (n, m):
-        # Some row is not m plain numbers: parse row by row, so the error
-        # names the first bad line unless an earlier row is out of range.
-        rows = []
-        for i, line in enumerate(lines[2:]):
-            try:
-                rows.append(_parse_row(line.split(), m, path, line_no=3 + i))
-            except FileFormatError:
-                _check_entry_range(np.array(rows).reshape(-1, m), path)
-                raise
-        entries = np.array(rows)
+        raise FileFormatError(f"{path}: line 2: weights are all zero") from None
+    rows = []
+    for i, line in enumerate(lines[2:]):
+        try:
+            rows.append(_parse_row(line.split(), m, path, line_no=3 + i))
+        except FileFormatError:
+            # An earlier row out of range is reported first.
+            _check_entry_range(np.array(rows).reshape(-1, m), path)
+            raise
+    entries = np.array(rows)
     _check_entry_range(entries, path)
     return MarginMatrix(entries), WeightVector(weights)
 
@@ -155,11 +250,18 @@ def _parse_row(cells: list[str], m: int, path, line_no: int) -> np.ndarray:
 
 
 def save_margin_matrix(path, U: MarginMatrix, w: WeightVector) -> None:
+    rows = chain([_repr_text(w.values)], _repr_text(U.values))
+    text = "".join(" ".join(row) + "\n" for row in rows)
     with open(path, "w") as handle:
-        handle.write(f"{U.n_points} {U.n_hypotheses}\n")
-        handle.write(" ".join(repr(float(v)) for v in w.values) + "\n")
-        for row in U.values:
-            handle.write(" ".join(repr(float(v)) for v in row) + "\n")
+        handle.write(f"{U.n_points} {U.n_hypotheses}\n" + text)
+
+
+def _repr_text(array: np.ndarray) -> list:
+    """repr(float(x)) of every entry, nested as array.tolist() nests, with
+    each distinct value (by its bits) formatted once."""
+    distinct, inverse = np.unique(array.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return text[inverse.reshape(array.shape)].tolist()
 
 
 def save_ensemble(path, ensemble: Ensemble) -> None:
@@ -200,15 +302,61 @@ def load_ensemble(path) -> Ensemble:
     return Ensemble(stumps, weights)
 
 
-def write_json_report(path, payload: dict) -> None:
+# A formatted column: the text of every value, and whether all are finite.
+_Column = tuple[list[str], bool]
+
+
+class FloatText:
+    """repr() text of float columns, each distinct column formatted once.
+
+    Pass one instance to the report writer and to every curve writer of a
+    run: each method's margins are then formatted once for both files, and
+    the fraction column, which every curve of n points shares, once in all.
+    Columns are matched by the exact bits of their values.
+    """
+
+    def __init__(self):
+        self._columns: dict[bytes, _Column] = {}
+
+    def column(self, values) -> _Column:
+        """(text, all finite) of a sequence of numbers, with text[k] =
+        repr(float(values[k]))."""
+        array = np.fromiter(values, dtype=np.float64)
+        key = array.tobytes()
+        column = self._columns.get(key)
+        if column is None:
+            column = (_repr_text(array), bool(np.isfinite(array).all()))
+            self._columns[key] = column
+        return column
+
+    def curve(self, curve) -> tuple[_Column, _Column]:
+        """The margin and fraction columns of (margin, fraction) pairs."""
+        margin_values, fractions = list(zip(*curve)) or [(), ()]
+        return self.column(margin_values), self.column(fractions)
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(column: _Column) -> list[str]:
+    """json.dumps(value) of every value: repr, but NaN and the infinities
+    spelled NaN, Infinity and -Infinity."""
+    text, finite = column
+    return text if finite else [_JSON_NON_FINITE.get(item, item) for item in text]
+
+
+def write_json_report(path, payload: dict, text: FloatText | None = None) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
 
     The curve of each record in ``payload["methods"]`` is rendered as text
-    here: json's indenting encoder is pure Python and would otherwise walk
-    every point. Each curve stands in the dump as a placeholder string that
-    is spliced out together with its ``"curve": `` key, so the match is
-    structural (quotes inside other strings are escaped).
+    here from its formatted columns: json's indenting encoder is pure Python
+    and would otherwise walk every point. Each curve stands in the dump as a
+    placeholder string that is spliced out together with its ``"curve": ``
+    key, so the match is structural (quotes inside other strings are
+    escaped). ``text`` shares the formatted columns with the curve writers
+    of the same run.
     """
+    text = FloatText() if text is None else text
     stubbed = dict(payload)
     curves = []
     if "methods" in payload:
@@ -218,42 +366,38 @@ def write_json_report(path, payload: dict) -> None:
                 curves.append(record["curve"])
                 record = {**record, "curve": f"\x00curve{len(curves) - 1}"}
             stubbed["methods"].append(record)
-    text = json.dumps(stubbed, indent=2, sort_keys=True)
+    key = '"curve": '
+    pieces = []
+    tail = json.dumps(stubbed, indent=2, sort_keys=True)
     for index, curve in enumerate(curves):
-        head, _, tail = text.partition('"curve": ' + json.dumps(f"\x00curve{index}"))
-        line = head[head.rfind("\n") + 1 :]
-        text = head + '"curve": ' + _curve_json(curve, len(line)) + tail
+        head, _, tail = tail.partition(key + json.dumps(f"\x00curve{index}"))
+        indent = len(head) - head.rfind("\n") - 1
+        margins, fractions = text.curve(curve)
+        pieces += [head, key, _curve_json(_json_text(margins), _json_text(fractions), indent)]
     with open(path, "w") as handle:
-        handle.write(text)
-        handle.write("\n")
+        handle.write("".join(pieces) + tail + "\n")
 
 
-def _curve_json(curve, indent: int) -> str:
-    """A list of (margin, fraction) pairs as json.dumps(indent=2) renders it
+def _curve_json(margin_text: list[str], fraction_text: list[str], indent: int) -> str:
+    """A list of [margin, fraction] pairs as json.dumps(indent=2) renders it
     with its key indented by ``indent`` spaces."""
-    if not curve:
+    if not margin_text:
         return "[]"
     outer = "\n" + " " * (indent + 2)
     inner = "\n" + " " * (indent + 4)
-    points = [
-        f"[{inner}{_json_float(margin_value)},{inner}{_json_float(fraction)}{outer}]"
-        for margin_value, fraction in curve
-    ]
-    return "[" + outer + ("," + outer).join(points) + "\n" + " " * indent + "]"
+    between_points = f"{outer}],{outer}[{inner}"
+    points = between_points.join(map(("," + inner).join, zip(margin_text, fraction_text)))
+    return f"[{outer}[{inner}{points}{outer}]\n{' ' * indent}]"
 
 
-def _json_float(value) -> str:
-    value = float(value)
-    return repr(value) if math.isfinite(value) else json.dumps(value)
-
-
-def write_curve_csv(path, curve) -> None:
-    rows = "".join(
-        f"{repr(float(margin_value))},{repr(float(fraction))}\n"
-        for margin_value, fraction in curve
-    )
+def write_curve_csv(path, curve, text: FloatText | None = None) -> None:
+    """Write (margin, fraction) pairs as ``margin,cumulative_fraction`` rows
+    of repr() text; ``text`` as for write_json_report."""
+    text = FloatText() if text is None else text
+    (margins, _), (fractions, _) = text.curve(curve)
+    rows = map(",".join, zip(margins, fractions))
     with open(path, "w", newline="") as handle:
-        handle.write("margin,cumulative_fraction\n" + rows)
+        handle.write("\n".join(chain(["margin,cumulative_fraction"], rows, [""])))
 
 
 def ensure_parent(path) -> None:

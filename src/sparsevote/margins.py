@@ -7,6 +7,7 @@ boosting diagnostics, evaluation) is phrased in terms of it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,23 @@ class MarginMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_array(self.values, 2, "margin matrix")
-        peak = float(np.max(np.abs(arr)))
+        # A private copy, checked with two reductions: min and max carry any
+        # NaN or infinity, and give the peak magnitude.
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"margin matrix must be 2-dimensional, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("margin matrix must be nonempty")
+        low, high = float(arr.min()), float(arr.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("margin matrix contains non-finite entries")
+        peak = max(high, -low)
         if peak > 1.0 + ENTRY_TOL:
             raise ValueError(f"margin matrix entry out of [-1, 1]: magnitude {peak}")
         # Entries within tolerance of the boundary are clipped so downstream
         # range guarantees hold exactly.
-        arr = np.clip(arr, -1.0, 1.0)
+        if peak > 1.0:
+            np.clip(arr, -1.0, 1.0, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -153,5 +164,6 @@ def cumulative_margin_curve(margin_values) -> list[tuple[float, float]]:
     """
     arr = _as_float_array(margin_values, 1, "margin vector")
     n = arr.shape[0]
-    ordered = np.sort(arr)
-    return [(float(ordered[k]), (k + 1) / n) for k in range(n)]
+    # (k + 1) / n in float64 is the correctly rounded quotient, as in Python.
+    fractions = np.arange(1, n + 1) / n
+    return list(zip(np.sort(arr).tolist(), fractions.tolist()))

@@ -288,3 +288,29 @@ def distinct_rows_by_dict(A):
         row[row == 0.0] = 0.0
         seen.setdefault(row.tobytes(), row)
     return np.array(list(seen.values()))
+
+
+def dataset_text_by_cells(features, labels):
+    """Dataset CSV text written one cell at a time: label as an int, then
+    repr of every feature."""
+    lines = []
+    for label, row in zip(labels, features):
+        cells = [str(int(label))] + [repr(float(v)) for v in row]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+def matrix_text_by_cells(U_values, w_values):
+    """Margin-matrix text written one cell at a time: "n m", the weights,
+    then the rows, every value by repr."""
+    n, m = U_values.shape
+    lines = [f"{n} {m}\n", " ".join(repr(float(v)) for v in w_values) + "\n"]
+    for row in U_values:
+        lines.append(" ".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines)
+
+
+def curve_csv_by_rows(curve):
+    """Curve CSV text written one point at a time."""
+    rows = "".join(f"{float(m)!r},{float(f)!r}\n" for m, f in curve)
+    return "margin,cumulative_fraction\n" + rows

@@ -10,6 +10,7 @@ import pytest
 
 from sparsevote import Dataset, MarginMatrix, WeightVector, load_ensemble, save_dataset, save_margin_matrix
 from sparsevote.cli import RunConfig, main, parse_config_file, run_compare
+from sparsevote.discrepancy import DiscrepancyBoundError
 from sparsevote.fileio import FileFormatError
 from sparsevote.seeding import rng_from
 
@@ -185,6 +186,48 @@ class TestSubcommands:
         ])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_as_data_is_one_error_line(self, tmp_path, capsys):
+        code = main([
+            "train", "--data", str(tmp_path), "--rounds", "4",
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+
+    def test_output_below_a_file_is_one_error_line(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([
+            "compare", "--train", str(train), "--test", str(test),
+            "--rounds", "4", "--out", str(blocker / "sub"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "failure",
+        [DiscrepancyBoundError(2.5, 1.5, attempts=16), RuntimeError("margin LP failed: x")],
+    )
+    def test_runtime_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch, failure):
+        path = tmp_path / "m.txt"
+        save_margin_matrix(path, MarginMatrix(np.eye(4) * 2 - 1), WeightVector.uniform(4))
+
+        def fail(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr("sparsevote.cli.sparsify", fail)
+        code = main([
+            "sparsify", "--matrix", str(path), "-T", "2",
+            "--out", str(tmp_path / "w.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {failure}\n"
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_one_point_training_set_is_reported(self, tmp_path, data_files, capsys, command):

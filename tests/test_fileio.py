@@ -20,8 +20,11 @@ from sparsevote import (
     write_curve_csv,
     write_json_report,
 )
-from sparsevote.fileio import ensure_parent
+from sparsevote import fileio
+from sparsevote.fileio import FloatText, ensure_parent
 from sparsevote.seeding import rng_from
+
+from oracles import curve_csv_by_rows, dataset_text_by_cells, matrix_text_by_cells
 
 
 class TestLoadDataset:
@@ -154,6 +157,181 @@ class TestMarginMatrixFormat:
             load_margin_matrix(path)
 
 
+def _outcome(load, path):
+    """What a loader gives for a file: exact array bits, or the error."""
+    try:
+        result = load(path)
+    except Exception as exc:  # compared by type and message
+        return ("error", type(exc).__name__, str(exc))
+    if isinstance(result, Dataset):
+        arrays = (result.features, result.labels)
+    else:
+        arrays = (result[0].values, result[1].values)
+    return ("ok",) + tuple((a.shape, a.tobytes()) for a in arrays)
+
+
+def _differential(monkeypatch, tmp_path, content, fast, load, rows_name):
+    """load and the row parser it falls back to agree on ``content``; when
+    ``fast``, load must not need the row parser."""
+    path = tmp_path / "input"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        with open(path, "w", newline="") as handle:
+            handle.write(content)
+    rows = getattr(fileio, rows_name)
+    expected = _outcome(rows, path)
+    if fast:
+        def no_fallback(path):
+            raise AssertionError("the C pass fell back to the row parser")
+
+        monkeypatch.setattr(fileio, rows_name, no_fallback)
+    assert _outcome(load, path) == expected
+    return expected
+
+
+# content, and whether the C pass takes the file without the row parser
+DATASET_FILES = {
+    "plain": ("1,0.5,2.0\n-1,1.5,3.0\n", True),
+    "header_row": ("label,x1,x2\n1,0.5,2.0\n-1,1.5,3.0\n", True),
+    "header_then_blank": ("label,x\n\n\n1,0.5\n", True),
+    "two_header_rows": ("label,x\nunit,cm\n1,0.5\n", False),
+    "header_only": ("label,x\n", False),
+    "zero_one_labels": ("0,0.5\n1,1.5\n0,2.5\n-0,3.5\n", True),
+    "blank_lines": ("\n1,0.5\n\n-1,1.5\n\n", True),
+    "whitespace_only_lines": ("  \n1,0.5\n   \n\t\n-1,1.5\n \n", False),
+    "crlf": ("label,x\r\n1,0.5\r\n\r\n-1,1.5\r\n", True),
+    "cr_only": ("1,0.5\r-1,1.5\r", False),
+    "quoted_cells": ('"1","0.5"\n-1,"1.5"\n', False),
+    "quoted_header": ('"label","x"\n1,0.5\n', False),
+    "quoted_label_first_row": ('"1",0.5\n-1,1.5\n', False),
+    "quoted_newline": ('label,"a\n1,2"\n-1,3\n', False),
+    "spaces_around_cells": (" 1 , 0.5 ,2\n-1,  1.5,3 \n", True),
+    "single_feature_column": ("1,0.5\n-1,1.5\n1,2.5\n", True),
+    "label_only_rows": ("1\n-1\n", False),
+    "nan_inf_features": ("1,nan\n-1,inf\n", True),
+    "ragged_row": ("1,0.5,2.0\n-1,1.5\n", False),
+    "trailing_comma": ("1,0.5,\n-1,1.5,\n", False),
+    "bad_label_last_line": ("1,0.5\n-1,1.5\n2,2.5\n", False),
+    "non_numeric_feature": ("1,0.5\n-1,abc\n", False),
+    "comment_marker": ("1,0.5 # note\n-1,1.5\n", False),
+    "underscore_digits": ("1,1_000\n-1,2_000\n", False),
+    "nul_in_header": ("lab\x00el,x\n1,0.5\n", False),
+    "undecodable_bytes": (b"1,0.5\n-1,\xff\xfe\n", False),
+    "empty_file": ("", False),
+    "blank_file": ("\n  \n\n", False),
+}
+
+
+class TestDatasetFastPathMatchesRows:
+    @pytest.mark.parametrize("name", sorted(DATASET_FILES))
+    def test_same_arrays_or_error(self, monkeypatch, tmp_path, name):
+        content, fast = DATASET_FILES[name]
+        _differential(
+            monkeypatch, tmp_path, content, fast, load_dataset, "_load_dataset_rows"
+        )
+
+    def test_errors_name_the_line(self, monkeypatch, tmp_path):
+        content, _ = DATASET_FILES["bad_label_last_line"]
+        outcome = _differential(
+            monkeypatch, tmp_path, content, False, load_dataset, "_load_dataset_rows"
+        )
+        assert outcome[:2] == ("error", "FileFormatError") and "line 3" in outcome[2]
+
+    def test_benchmark_shaped_file_is_bit_exact(self, monkeypatch, tmp_path):
+        rng = rng_from(41)
+        data = Dataset(rng.normal(size=(300, 10)) * 10.0 ** rng.integers(-8, 8, size=(300, 10)),
+                       rng.choice([-1.0, 1.0], size=300))
+        path = tmp_path / "data.csv"
+        save_dataset(path, data)
+        _differential(
+            monkeypatch, tmp_path, path.read_text(), True, load_dataset, "_load_dataset_rows"
+        )
+
+
+MATRIX_FILES = {
+    "plain": ("2 2\n0.5 0.5\n1 -1\n-1 1\n", True),
+    "tabs_in_rows": ("2 2\n0.5\t0.5\n1\t-1\n-1 \t 1\n", True),
+    "blank_lines": ("\n2 2\n\n0.5 0.5\n  \n1 -1\n\t\n-1 1\n\n", True),
+    "crlf": ("2 2\r\n0.5 0.5\r\n1 -1\r\n-1 1\r\n", True),
+    "unnormalized_weights": ("2 2\n3 1\n1 -1\n-1 1\n", True),
+    "entry_within_tolerance": ("1 2\n0.5 0.5\n1.0000000001 -1\n", True),
+    "short_row": ("2 2\n0.5 0.5\n1\n-1 1\n", False),
+    "long_row": ("2 2\n0.5 0.5\n1 -1 0\n-1 1\n", False),
+    "out_of_range_entry": ("2 2\n0.5 0.5\n1 -1\n-1 1.5\n", False),
+    "out_of_range_before_bad_row": ("3 2\n0.5 0.5\n1 2\nx 1\n1 1\n", False),
+    "nan_entry": ("1 2\n0.5 0.5\nnan 1\n", False),
+    "non_numeric_entry": ("2 2\n0.5 0.5\n1 -1\n-1 y\n", False),
+    "too_many_rows": ("1 2\n0.5 0.5\n1 -1\n-1 1\n", False),
+    "too_few_rows": ("3 2\n0.5 0.5\n1 -1\n-1 1\n", False),
+    "rows_missing": ("1 2\n0.5 0.5\n", False),
+    "short_weights": ("1 2\n1\n1 -1\n", False),
+    "zero_weights": ("1 2\n0 0\n1 -1\n", False),
+    "bad_header": ("a b\n0.5 0.5\n1 -1\n", False),
+    "three_field_header": ("1 2 3\n0.5 0.5\n1 -1\n", False),
+    "zero_rows": ("0 2\n0.5 0.5\n1 -1\n", False),
+    "comment_marker": ("1 2\n0.5 0.5\n1 -1 # note\n", False),
+    "undecodable_bytes": (b"1 2\n0.5 0.5\n1 \xff\n", False),
+    "empty_file": ("", False),
+}
+
+
+class TestMatrixFastPathMatchesRows:
+    @pytest.mark.parametrize("name", sorted(MATRIX_FILES))
+    def test_same_arrays_or_error(self, monkeypatch, tmp_path, name):
+        content, fast = MATRIX_FILES[name]
+        _differential(
+            monkeypatch, tmp_path, content, fast, load_margin_matrix,
+            "_load_margin_matrix_rows",
+        )
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [("short_row", 3), ("out_of_range_entry", 4), ("out_of_range_before_bad_row", 3)],
+    )
+    def test_errors_name_the_line(self, monkeypatch, tmp_path, name, line):
+        content, _ = MATRIX_FILES[name]
+        outcome = _differential(
+            monkeypatch, tmp_path, content, False, load_margin_matrix,
+            "_load_margin_matrix_rows",
+        )
+        assert outcome[:2] == ("error", "FileFormatError")
+        assert f"line {line}:" in outcome[2]
+
+    def test_benchmark_shaped_file_is_bit_exact(self, monkeypatch, tmp_path):
+        rng = rng_from(43)
+        U = MarginMatrix(rng.choice([-1.0, 1.0], size=(64, 32)) * rng.uniform(0, 1, size=32))
+        w = WeightVector(rng.exponential(size=32) / 7.0)
+        path = tmp_path / "matrix.txt"
+        save_margin_matrix(path, U, w)
+        outcome = _differential(
+            monkeypatch, tmp_path, path.read_text(), True, load_margin_matrix,
+            "_load_margin_matrix_rows",
+        )
+        assert outcome[1] == (U.values.shape, U.values.tobytes())
+
+
+class TestWritersMatchCellByCell:
+    def test_save_dataset_bytes(self, tmp_path):
+        rng = rng_from(44)
+        X = rng.normal(size=(40, 6))
+        X[0, :] = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 9999999999999998.0]
+        X[1, :] = X[0, :]  # repeated values are formatted once
+        data = Dataset(X, rng.choice([-1.0, 1.0], size=40))
+        path = tmp_path / "data.csv"
+        save_dataset(path, data)
+        assert path.read_bytes() == dataset_text_by_cells(X, data.labels).encode()
+
+    def test_save_margin_matrix_bytes(self, tmp_path):
+        rng = rng_from(45)
+        U = rng.choice([-1.0, 1.0], size=(30, 8)) * rng.uniform(0, 1, size=(30, 8))
+        U[0, :4] = [-0.0, 0.0, 5e-324, -1.0]
+        w = rng.dirichlet(np.ones(8))
+        path = tmp_path / "matrix.txt"
+        save_margin_matrix(path, MarginMatrix(U), WeightVector(w))
+        assert path.read_bytes() == matrix_text_by_cells(U, w).encode()
+
+
 class TestEnsembleFormat:
     def test_round_trip_with_sentinel_thresholds(self, tmp_path):
         stumps = (
@@ -207,6 +385,65 @@ class TestReportAndCurves:
         path = tmp_path / "report.json"
         write_json_report(path, payload)
         assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_json_report_edge_values_equal_json_dumps(self, tmp_path):
+        # Values around repr's switches to exponent form, signed zeros,
+        # subnormals, non-finite values and numpy scalars, in curves of one
+        # length shared by several methods, plus an empty curve.
+        edges = [-0.0, 0.0, 5e-324, -2.5e-320, 1e16, 9999999999999998.0, 1e-5,
+                 0.0001, -1e-05, np.float64(0.1), np.float64(-0.0), math.nan,
+                 math.inf, -math.inf, 1.0, -1.0]
+        fractions = [(k + 1) / len(edges) for k in range(len(edges))]
+        payload = {
+            "methods": [
+                {"method": "edges", "curve": [[m, f] for m, f in zip(edges, fractions)]},
+                {"method": "reversed", "curve": [[m, f] for m, f in zip(edges[::-1], fractions)]},
+                {"method": "zeros", "curve": [[0.0, f] for f in fractions]},
+                {"method": "negative_zeros", "curve": [[-0.0, f] for f in fractions]},
+                {"method": "empty", "curve": []},
+            ],
+            "z": {"curve": [[-0.0, 1.0]]},
+        }
+        path = tmp_path / "report.json"
+        write_json_report(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_shared_text_writes_the_same_bytes(self, tmp_path):
+        # One FloatText across the report and every curve file changes no
+        # byte, also for columns equal by value but not by bits.
+        rng = rng_from(47)
+        n = 64
+        fractions = [(k + 1) / n for k in range(n)]
+        margin_columns = [
+            np.sort(rng.uniform(-1, 1, size=n)).tolist(),
+            np.round(np.sort(rng.uniform(-1, 1, size=n)), 1).tolist(),
+            [0.0] * n,
+            [-0.0] * n,
+        ]
+        curves = [list(zip(column, fractions)) for column in margin_columns]
+        payload = {"methods": [{"method": str(i), "curve": c} for i, c in enumerate(curves)]}
+        text = FloatText()
+        write_json_report(tmp_path / "shared.json", payload, text)
+        write_json_report(tmp_path / "alone.json", payload)
+        assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+        for i, curve in enumerate(curves):
+            write_curve_csv(tmp_path / f"shared_{i}.csv", curve, text)
+            assert (tmp_path / f"shared_{i}.csv").read_text() == curve_csv_by_rows(curve)
+
+    def test_curve_csv_equals_repr_rows(self, tmp_path):
+        rng = rng_from(48)
+        margin_values = np.sort(rng.normal(size=200) * 10.0 ** rng.integers(-20, 20, size=200))
+        curve = [
+            (np.float64(m) if k % 2 else float(m), (k + 1) / 200)
+            for k, m in enumerate(margin_values)
+        ]
+        curve += [(-0.0, 1.0), (5e-324, 1.0), (1e16, 1.0), (1e-5, 1.0),
+                  (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)]
+        path = tmp_path / "curve.csv"
+        write_curve_csv(path, curve)
+        assert path.read_text() == curve_csv_by_rows(curve)
+        write_curve_csv(path, [])
+        assert path.read_text() == curve_csv_by_rows([])
 
     def test_curve_csv_numpy_scalars(self, tmp_path):
         path = tmp_path / "curve.csv"

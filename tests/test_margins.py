@@ -79,6 +79,26 @@ class TestMarginMatrix:
         with pytest.raises(ValueError):
             MarginMatrix(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message(self, bad):
+        with pytest.raises(ValueError, match="^margin matrix contains non-finite entries$"):
+            MarginMatrix(np.array([[0.5, bad], [2.0, -3.0]]))
+
+    def test_out_of_range_message_names_peak(self):
+        with pytest.raises(ValueError, match=r"magnitude 1\.75$"):
+            MarginMatrix(np.array([[0.5, -1.75], [1.25, 0.0]]))
+
+    def test_values_equal_clip_of_a_private_copy(self):
+        rng = rng_from(12)
+        A = rng.uniform(-1, 1, size=(20, 7))
+        A[0, :3] = [1.0 + 1e-10, -1.0 - 1e-10, -0.0]
+        expected = np.clip(A, -1.0, 1.0)
+        U = MarginMatrix(A)
+        assert U.values.tobytes() == expected.tobytes()
+        assert A.flags.writeable and not np.shares_memory(U.values, A)
+        A[1, 1] = 0.25
+        assert U.values.tobytes() == expected.tobytes()
+
 
 class TestWeightVector:
     def test_uniform(self):
@@ -224,6 +244,12 @@ class TestCumulativeMarginCurve:
     def test_matches_sort_oracle(self, seed):
         values = rng_from(seed).uniform(-1, 1, size=11)
         assert cumulative_margin_curve(values) == curve_by_sorting(values)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 10, 49, 97, 1000, 2000, 4099])
+    def test_fractions_are_python_quotients(self, n):
+        curve = cumulative_margin_curve(np.zeros(n))
+        assert [f for _, f in curve] == [(k + 1) / n for k in range(n)]
+        assert all(type(m) is float and type(f) is float for m, f in curve)
 
 
 class TestBuildMarginMatrix:
