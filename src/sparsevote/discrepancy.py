@@ -8,18 +8,23 @@ random walk: a discretized Gaussian walk inside the cube [-1,1]^k, projected
 orthogonal to coordinates already frozen at +-1 and to rows whose running
 discrepancy has hit a per-phase cap. Each phase freezes at least half of the
 remaining free coordinates; phases repeat until the coloring is complete.
-A phase runs in blocks of steps, with one matrix product per block, when a
-certificate on those products rules out any row reaching the cap; the
-result is then exactly the stepwise walk's. Only phases the certificate
-cannot clear run step by step, with the projection.
+A phase runs in blocks of steps when a certificate on the rows' shifts
+rules out any row reaching the cap; the result is then exactly the
+stepwise walk's. The first block is about as long as a phase (the walk's
+expected exit time from the cube) and each later one twice as long, so
+few drawn steps go unused. Only phases the certificate cannot clear run
+step by step, with the projection.
 
 Small instances bypass the walk entirely: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. Phases whose
 free count has shrunk to at most ``endgame_max`` coordinates are likewise
 finished by enumeration instead of the walk, and completed colorings are
 polished by deterministic single-coordinate (and, for narrow matrices,
-opposite-pair) flips that strictly reduce the discrepancy. These searches
-scan their candidates in cache-sized blocks of BLOCK_CELLS row sums.
+opposite-pair) flips that strictly reduce the discrepancy. The exhaustive
+searches add a block of partial row sums over the low bits of the sign
+vectors' codes, built once, to one vector per block over the high bits;
+the flip polish scores its candidates in blocks of about BLOCK_CELLS row
+sums. Either way a block of row sums stays in cache.
 
 Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
 for both, so full_coloring colors the distinct rows only: the first row of
@@ -47,8 +52,9 @@ import numpy as np
 from .margins import ENTRY_TOL
 from .seeding import rng_from, split_seed
 
-# Row sums per block in the exact searches: 256 KiB of doubles, small enough
-# that each block's abs/max passes run in cache.
+# Row sums per block in the exact searches and coordinates per block of
+# walk steps: 256 KiB of doubles, small enough that each block's passes
+# run in cache.
 BLOCK_CELLS = 1 << 15
 EPS = float(np.finfo(np.float64).eps)
 
@@ -147,7 +153,7 @@ class PartialColoring:
 
 def _validate_matrix(A) -> np.ndarray:
     # Fortran order, the halver's own layout: _row_sums then needs no copy,
-    # and the gemm in _best_signs reads C.T contiguously.
+    # and _signed_sums reads each column contiguously.
     arr = np.asfortranarray(A, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
@@ -246,12 +252,20 @@ def _distinct_rows(A: np.ndarray) -> np.ndarray:
     return np.asfortranarray(canonical[np.sort(first)])
 
 
-def _sign_patterns(bits: int, start: int, stop: int) -> np.ndarray:
-    """Sign vectors with binary codes start..stop-1 as a (stop-start, bits)
-    float matrix; bit j of the code is coordinate j (1 -> +1, 0 -> -1)."""
-    codes = np.arange(start, stop, dtype=np.uint32)
-    bits_set = (codes[:, None] >> np.arange(bits, dtype=np.uint32)) & 1
-    return 2.0 * bits_set.astype(np.float64) - 1.0
+def _code_signs(code: int, bits: int) -> np.ndarray:
+    """The sign vector with binary code `code`: bit j of the code is
+    coordinate j (1 -> +1, 0 -> -1)."""
+    return np.where((code >> np.arange(bits)) & 1, 1.0, -1.0)
+
+
+def _signed_sums(C: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """start + Cs for every sign vector s of C's columns, one row per s in
+    code order (_code_signs). Built by doubling: each column adds itself to
+    and subtracts itself from every row so far, one addition per cell."""
+    sums = start[None, :]
+    for column in C.T:
+        sums = np.concatenate((sums - column, sums + column))
+    return sums
 
 
 def _best_signs(C: np.ndarray, base: np.ndarray) -> tuple[float, np.ndarray]:
@@ -260,28 +274,35 @@ def _best_signs(C: np.ndarray, base: np.ndarray) -> tuple[float, np.ndarray]:
 
     Every candidate's maximum is kept, and the lowest binary code whose
     maximum is within _tie_tolerance(k, max_i(sum_j |C_ij| + |base_i|)) of
-    the smallest wins, so exact ties do not fall to the rounding of the
-    gemm products, which changes with the block size, the row order and the
-    BLAS thread count. The value is the winner's, from _row_sums.
+    the smallest wins, so exact ties do not fall to the order in which the
+    row sums are added up. The value is the winner's, from _row_sums.
 
-    Candidates are scanned in blocks of about BLOCK_CELLS row sums, so the
-    block stays in cache and abs/max run in place on it. A block holds the
-    power of two of candidates nearest BLOCK_CELLS / n, at least two, so
-    the blocks split the 2^k codes evenly.
+    The candidates' row sums form an outer sum. The low bits, as many as
+    put about BLOCK_CELLS row sums in a block (at least one), give a block
+    of partial sums built once; the high bits and base give one n-vector
+    per block, built in chunks of as many vectors. Each block of 2^low
+    candidates is then that block plus its vector, and abs/max run in place
+    on it in cache.
     """
     n, k = C.shape
-    total = 1 << k
-    rows = 1 << max(1, round(math.log2(BLOCK_CELLS / n)))
-    vals = np.empty(total)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        sums = _sign_patterns(k, start, stop) @ C.T
-        sums += base
-        np.abs(sums, out=sums)
-        sums.max(axis=1, out=vals[start:stop])
+    bits = max(1, round(math.log2(BLOCK_CELLS / n)))
+    low = min(k, bits)
+    chunk = min(k - low, bits)
+    low_sums = _signed_sums(C[:, :low], np.zeros(n))
+    block = np.empty_like(low_sums)
+    vals = np.empty((1 << (k - low), 1 << low))
+    for first in range(0, 1 << (k - low), 1 << chunk):
+        top = _code_signs(first >> chunk, k - low - chunk)
+        start = _row_sums(C[:, low + chunk :], top) + base
+        highs = _signed_sums(C[:, low : low + chunk], start)
+        for code, high in enumerate(highs, first):
+            np.add(low_sums, high, out=block)
+            np.abs(block, out=block)
+            block.max(axis=1, out=vals[code])
+    vals = vals.ravel()
     scale = float(np.max(np.abs(C).sum(axis=1) + np.abs(base)))
     code = int(np.argmax(vals <= vals.min() + _tie_tolerance(k, scale)))
-    signs = _sign_patterns(k, code, code + 1)[0]
+    signs = _code_signs(code, k)
     return float(np.max(np.abs(_row_sums(C, signs) + base))), signs
 
 
@@ -359,6 +380,13 @@ def _uncapped_walk(
     start of the phase move. A coordinate snaps to +-1 at its first step
     with |x| >= 1 - freeze_tolerance and stays there; the phase ends at the
     first step where half of its free coordinates are frozen.
+
+    The first block holds ceil(1 / step_size^2) steps, the walk's expected
+    exit time from the cube, and each later block twice as many as the one
+    before, up to BLOCK_CELLS // k. The steps drawn past the phase's end
+    are discarded, so at most 2 * used + ceil(1 / step_size^2) steps are
+    drawn. Block boundaries change neither the draws nor where the phase
+    ends, so the result does not depend on them.
     """
     rng = rng_from(seed)
     n_rows, k = A.shape
@@ -369,12 +397,14 @@ def _uncapped_walk(
     max_steps = config.max_iteration_factor * free_start
     threshold = 1.0 - config.freeze_tolerance
     A_free = A[:, cols]
+    col_peaks = np.abs(A_free).max(axis=0)
     start = values[cols]
     x = start
     free = np.ones(free_start, dtype=bool)
-    # A block holds about BLOCK_CELLS steps' coordinates; its row shifts are
-    # taken in chunks of at most max(n * k, BLOCK_CELLS) entries.
-    block = max(1, BLOCK_CELLS // k)
+    # Blocks of steps double up to `widest`; row shifts are taken in chunks
+    # of at most max(n * k, BLOCK_CELLS) entries.
+    widest = max(1, BLOCK_CELLS // k)
+    block = min(math.ceil(1.0 / config.step_size**2), widest)
     chunk = max(k, BLOCK_CELLS // n_rows)
     frozen_count = steps = 0
     path = peak = 0.0
@@ -382,10 +412,11 @@ def _uncapped_walk(
         if steps == max_steps:
             return None
         drawn = min(block, max_steps - steps)
+        block = min(2 * block, widest)
         traj = rng.standard_normal((drawn, k))[:, cols]
         traj *= config.step_size
         traj[:, ~free] = 0.0
-        path += float(np.abs(traj).sum())
+        lengths = np.abs(traj).sum(axis=1)
         traj[0] += x
         np.cumsum(traj, axis=0, out=traj)
 
@@ -405,29 +436,34 @@ def _uncapped_walk(
         free[hit_cols] = False
         frozen_count += hit_cols.size
         steps += used
+        path += float(lengths[:used].sum())
         x = traj[-1].copy()
 
         # Certificate. The loop caps row i at step s once its float row
         # shift r_s[i], a running sum of the products A @ (x_t - x_{t-1}),
-        # reaches `activation`; here the shift is A @ (x_s - x_0), one
-        # product per chunk of steps. With u = eps / 2, gamma_m = m*u /
-        # (1 - m*u), |A_ij| <= 1 and L_j the path length of coordinate j:
-        # each difference x_t - x_{t-1} rounds by u relative, each k-term
-        # product by gamma_k times the l1 norm of its vector, and summing s
-        # products adds gamma_s times their l1 norms, so r_s[i] is within
-        # (u + gamma_k + gamma_s)(1 + O(u)) * sum_j L_j of the exact shift,
-        # and the product here within (u + gamma_k)(1 + O(u)) * sum_j L_j:
-        # together (1 + k + s/2)(1 + O(u)) * eps * sum_j L_j. `path` sums
-        # the drawn step lengths; L_j exceeds its share by at most 2 for the
-        # snap and u per step for rounding x, so doubling the factor and
-        # adding 2 per coordinate bounds the gap. The last term covers the
-        # rounding of the sum compared with `activation`.
-        traj -= start
-        for lo in range(0, used, chunk):
-            shifts = traj[lo : lo + chunk] @ A_free.T
-            peak = max(peak, float(np.abs(shifts, out=shifts).max()))
+        # reaches `activation`; here the shift is A @ (x_s - x_0). With u =
+        # eps / 2, gamma_m = m*u / (1 - m*u), |A_ij| <= 1 and L_j the path
+        # length of coordinate j: each difference x_t - x_{t-1} rounds by u
+        # relative, each k-term product by gamma_k times the l1 norm of its
+        # vector, and summing s products adds gamma_s times their l1 norms,
+        # so r_s[i] is within (u + gamma_k + gamma_s)(1 + O(u)) * sum_j L_j
+        # of the exact shift, and the product here within (u + gamma_k)(1 +
+        # O(u)) * sum_j L_j: together (1 + k + s/2)(1 + O(u)) * eps * sum_j
+        # L_j. `path` sums the drawn lengths of the steps taken; L_j exceeds
+        # its share by at most 2 for the snap and u per step for rounding x,
+        # so doubling the factor and adding 2 per coordinate bounds the gap.
+        # The last term covers the rounding of the sum compared with
+        # `activation`. Every row shift is at most sum_j max_i |A_ij| *
+        # |x_sj - x_0j|, which rounds like the product, so the product is
+        # taken, one chunk of steps at a time, only at the steps where that
+        # bound reaches `activation` less the allowance.
         allowance = 2.0 * (k + steps + 4) * EPS * (path + 2.0 * free_start)
         allowance += EPS * activation
+        traj -= start
+        risky = np.flatnonzero(np.abs(traj) @ col_peaks + allowance >= activation)
+        for lo in range(0, risky.size, chunk):
+            shifts = traj[risky[lo : lo + chunk]] @ A_free.T
+            peak = max(peak, float(np.abs(shifts, out=shifts).max()))
         if peak + allowance >= activation:
             return None
 

@@ -5,8 +5,10 @@ take a file whole (a malformed or ragged row, a bad label, a quoted cell, a
 whitespace-only line, an entry out of range), the file is parsed again row
 by row. The row parser gives the same arrays wherever both succeed; it is
 kept for the error message naming the offending line, so no file it rejects
-is accepted, save one with a dataset cell longer than the csv module's field
-size limit (131072 characters), which only the row parser enforces.
+is accepted. A dataset line longer than the csv module's field size limit
+(csv.field_size_limit(), 131072 characters by default) also goes to the
+row parser, which rejects a longer cell with a FileFormatError naming its
+line.
 
 Floats are written with repr(), which round-trips doubles bit-exactly, so
 save/load pairs reproduce arrays byte-for-byte. Writers build each file with
@@ -49,22 +51,28 @@ def _read_dataset_table(handle) -> np.ndarray | None:
     """The label-first table of a dataset file in one C pass, or None where
     the row parser must decide.
 
-    The handle splits lines as the csv module does. The header test reads
-    the first cell of the first nonblank line; a quote or NUL there could
-    make the csv module split it otherwise, so that goes to the row parser.
-    In the lines after it, a quote, NUL, blank cell, bad label, ragged row
-    or whitespace-only line makes the C pass fail or return None.
+    The handle splits lines as the csv module does. A line longer than
+    the csv field size limit may hold a cell the csv module rejects, so
+    that goes to the row parser. The header test reads the first cell of
+    the first nonblank line; a quote or NUL there could make the csv module
+    split it otherwise, so that goes to the row parser too. In the lines
+    after it, a quote, NUL, blank cell, bad label, ragged row or
+    whitespace-only line makes the C pass fail or return None.
     """
-    first = _next_nonblank(handle)
+    lines = handle.readlines()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    rest = iter(lines)
+    first = _next_nonblank(rest)
     if first is None or '"' in first or "\x00" in first:
         return None
     try:
         float(first.split(",", 1)[0])
     except ValueError:  # header row
-        first = _next_nonblank(handle)
+        first = _next_nonblank(rest)
         if first is None:
             return None  # np.loadtxt would warn on no data
-    table = np.loadtxt(chain([first], handle), delimiter=",", comments=None, ndmin=2)
+    table = np.loadtxt(chain([first], rest), delimiter=",", comments=None, ndmin=2)
     labels = table[:, 0]
     if table.shape[1] < 2 or not np.all(
         (labels == 1.0) | (labels == -1.0) | (labels == 0.0)
@@ -80,7 +88,7 @@ def _load_dataset_rows(path) -> Dataset:
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
+        for line_no, row in enumerate(_csv_rows(handle, path), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if width is None:
@@ -108,6 +116,16 @@ def _load_dataset_rows(path) -> Dataset:
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels))
+
+
+def _csv_rows(handle, path):
+    """csv.reader's rows, its errors (a cell beyond the field size limit,
+    for one) raised as FileFormatError naming the line."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FileFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_label(cell: str, path, line_no: int) -> float:

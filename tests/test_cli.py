@@ -197,6 +197,19 @@ class TestSubcommands:
         assert err.startswith("error: ") and "Is a directory" in err
         assert err.count("\n") == 1
 
+    def test_cell_over_field_limit_is_one_error_line(self, tmp_path, data_files, capsys):
+        _, test = data_files
+        train = tmp_path / "long.csv"
+        train.write_text('1,"0.' + "0" * 140000 + '5"\n-1,1.5\n')
+        code = main([
+            "compare", "--train", str(train), "--test", str(test),
+            "--rounds", "4", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 1: field larger than field limit" in err
+        assert err.count("\n") == 1
+
     def test_output_below_a_file_is_one_error_line(self, tmp_path, data_files, capsys):
         train, test = data_files
         blocker = tmp_path / "file"

@@ -210,6 +210,82 @@ class TestBlockedKernels:
         )
 
 
+def ternary_matrix(seed, n, k):
+    """Entries in {-1, 0, 1}: every row sum is an exact integer, so many
+    candidates tie exactly and only the tie rule tells them apart."""
+    return rng_from(seed).integers(-1, 2, size=(n, k)).astype(np.float64)
+
+
+SPLIT_MATRICES = {"signs": sign_matrix, "ternary": ternary_matrix, "fine": fine_grid_matrix}
+# One low bit per block, the default split, and all candidates in one block.
+SPLIT_CELLS = [5, coloring.BLOCK_CELLS, 1 << 22]
+
+
+class TestSplitSearch:
+    """_best_signs adds a block of low-bit partial sums to one high-bit
+    vector per block. Whatever the split, it picks the one-block kernels'
+    candidate, lowest code among exact ties, with the same float value."""
+
+    # With the default BLOCK_CELLS, n = 1 and n = 3 have 15 and 13 low bits:
+    # k - 1 at or below them leaves no high part. k = 1 leaves C no columns.
+    @pytest.mark.parametrize("cells", SPLIT_CELLS)
+    @pytest.mark.parametrize("kind", sorted(SPLIT_MATRICES))
+    @pytest.mark.parametrize(
+        "n, ks", [(1, (1, 2, 9, 16, 17)), (3, (1, 5, 14, 15)), (40, (1, 2, 9, 11)), (300, (3, 12))]
+    )
+    def test_bruteforce_matches_unblocked(self, monkeypatch, cells, kind, n, ks):
+        monkeypatch.setattr(coloring, "BLOCK_CELLS", cells)
+        for k in ks:
+            A = SPLIT_MATRICES[kind](100 * n + k, n, k)
+            value, x = bruteforce_min_discrepancy(A)
+            ref_value, ref_x = bruteforce_unblocked(A)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert x.tobytes() == ref_x.tobytes()
+
+    @pytest.mark.parametrize("cells", SPLIT_CELLS)
+    @pytest.mark.parametrize("kind", sorted(SPLIT_MATRICES))
+    @pytest.mark.parametrize("n", [1, 3, 40, 300])
+    def test_enumerate_completion_matches_unblocked(self, monkeypatch, cells, kind, n):
+        monkeypatch.setattr(coloring, "BLOCK_CELLS", cells)
+        rng = rng_from(n + 5)
+        for k, free in ((1, 1), (6, 6), (20, 11), (24, 14)):
+            A = SPLIT_MATRICES[kind](100 * n + k, n, k)
+            frozen = np.ones(k, dtype=bool)
+            frozen[rng.choice(k, free, replace=False)] = False
+            values = np.where(frozen, rng.choice([-1.0, 1.0], size=k), 0.0)
+            out = coloring._enumerate_completion(A, values, frozen)
+            assert out.tobytes() == enumerate_completion_unblocked(A, values, frozen).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(SPLIT_MATRICES))
+    def test_rows_beyond_block_cells(self, kind):
+        # More rows than BLOCK_CELLS: one low bit, and a high part for the
+        # rest. The row count is odd, so no row block divides it.
+        n = coloring.BLOCK_CELLS + 4093
+        for k in (1, 2, 3, 7):
+            A = SPLIT_MATRICES[kind](k, n, k)
+            value, x = bruteforce_min_discrepancy(A)
+            ref_value, ref_x = bruteforce_unblocked(A)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert x.tobytes() == ref_x.tobytes()
+
+    def test_no_columns_is_the_base(self):
+        base = np.array([0.5, -2.0, 1.5])
+        value, signs = coloring._best_signs(np.zeros((3, 0)), base)
+        assert value == 2.0 and signs.shape == (0,)
+        value, x = bruteforce_min_discrepancy(base[:, None] / 2.0)
+        assert value == 1.0 and np.array_equal(x, [1.0])
+
+    @pytest.mark.parametrize("cells", SPLIT_CELLS)
+    def test_ties_go_to_the_lowest_code(self, monkeypatch, cells):
+        monkeypatch.setattr(coloring, "BLOCK_CELLS", cells)
+        # All 64 candidates tie on a zero matrix: code 0.
+        _, signs = coloring._best_signs(np.zeros((5, 6)), np.zeros(5))
+        assert np.array_equal(signs, -np.ones(6))
+        # Two equal columns: codes 1 (+, -) and 2 (-, +) tie at 0.
+        _, signs = coloring._best_signs(np.ones((5, 2)), np.zeros(5))
+        assert np.array_equal(signs, [1.0, -1.0])
+
+
 def frozen_coloring_input(name):
     if name == "tall_bruteforce":
         return box_matrix(101, 300, 14), 1
@@ -573,6 +649,70 @@ def stump_matrix(seed, n, k):
     polarity = rng.choice([-1.0, 1.0], size=k)
     h = np.where(X[:, feature] >= threshold, polarity, -polarity)
     return y[:, None] * h * rng.uniform(0.25, 1.0, size=k)
+
+
+class CountingGenerator:
+    """A generator from rng_from that counts the standard-normal vectors
+    drawn from it: one per row of a 2-D draw, one for a 1-D draw."""
+
+    def __init__(self, seed):
+        self._rng = rng_from(seed)
+        self.vectors = 0
+
+    def standard_normal(self, size):
+        self.vectors += size[0] if isinstance(size, tuple) else 1
+        return self._rng.standard_normal(size)
+
+
+class TestWalkDraws:
+    """The blocked walk draws few more steps than its phase takes, and
+    where its blocks end does not change its result."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "make, n, k",
+        [(sign_matrix, 128, 96), (hadamard_block, 256, 64), (stump_matrix, 400, 60)],
+        ids=["signs", "hadamard", "stumps"],
+    )
+    def test_drawn_steps_track_used_steps(self, monkeypatch, make, n, k, seed):
+        A = coloring._distinct_rows(coloring._validate_matrix(make(60 + seed, n, k)))
+        config = DEFAULT_CONFIG
+        first = math.ceil(1.0 / config.step_size**2)
+        generators = []
+
+        def counting_rng(phase_seed):
+            generators.append(CountingGenerator(phase_seed))
+            return generators[-1]
+
+        monkeypatch.setattr(coloring, "rng_from", counting_rng)
+        state = PartialColoring.initial(A.shape[1])
+        phase = certified = 0
+        while state.free_count > config.endgame_max:
+            args = (A, state.values, state.frozen, split_seed(seed, phase), config)
+            # The stepwise loop draws one vector per step it takes.
+            generators.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(coloring, "_uncapped_walk", lambda *a: None)
+                values, frozen = coloring._walk_phase(*args)
+            used = generators[0].vectors
+            outcomes = set()
+            for cells in (97, coloring.BLOCK_CELLS, 1 << 20):
+                generators.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(coloring, "BLOCK_CELLS", cells)
+                    blocked = coloring._uncapped_walk(*args)
+                if blocked is None:
+                    outcomes.add(None)
+                    continue
+                assert generators[0].vectors <= 2 * used + first
+                assert blocked[0].tobytes() == values.tobytes()
+                assert blocked[1].tobytes() == frozen.tobytes()
+                outcomes.add(blocked[0].tobytes())
+            assert len(outcomes) == 1
+            certified += outcomes != {None}
+            state = PartialColoring(values, frozen)
+            phase += 1
+        assert certified > 0
 
 
 INVARIANCE_MATRICES = {

@@ -220,6 +220,13 @@ DATASET_FILES = {
     "undecodable_bytes": (b"1,0.5\n-1,\xff\xfe\n", False),
     "empty_file": ("", False),
     "blank_file": ("\n  \n\n", False),
+    # csv.field_size_limit() is 131072 characters: a line of that length
+    # (newline included) stays on the C pass, a longer one goes to the row
+    # parser, which rejects a cell beyond the limit.
+    "line_at_field_limit": ("1,0." + "0" * 131066 + "5\n-1,1.5\n", True),
+    "cell_over_field_limit": ("1,0." + "0" * 140000 + "5\n-1,1.5\n", False),
+    "quoted_cell_over_field_limit": ('1,"0.' + "0" * 140000 + '5"\n-1,1.5\n', False),
+    "line_over_field_limit": ("1" + ",0.5" * 40000 + "\n-1" + ",1.5" * 40000 + "\n", False),
 }
 
 
@@ -237,6 +244,15 @@ class TestDatasetFastPathMatchesRows:
             monkeypatch, tmp_path, content, False, load_dataset, "_load_dataset_rows"
         )
         assert outcome[:2] == ("error", "FileFormatError") and "line 3" in outcome[2]
+
+    @pytest.mark.parametrize("name", ["cell_over_field_limit", "quoted_cell_over_field_limit"])
+    def test_cell_over_field_limit_names_the_line(self, monkeypatch, tmp_path, name):
+        content, _ = DATASET_FILES[name]
+        outcome = _differential(
+            monkeypatch, tmp_path, content, False, load_dataset, "_load_dataset_rows"
+        )
+        assert outcome[:2] == ("error", "FileFormatError")
+        assert "line 1: field larger than field limit" in outcome[2]
 
     def test_benchmark_shaped_file_is_bit_exact(self, monkeypatch, tmp_path):
         rng = rng_from(41)
