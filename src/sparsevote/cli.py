@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -61,15 +62,13 @@ METHOD_NAMES = ("full", "truncated", "sparsified", "sampled")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Driver configuration: seed, target size, constants, and paths."""
+    """Driver configuration: seed, target size, coloring bound constant,
+    retry budget, and paths."""
 
     seed: int = 0
     target: int = 16
     rounds: int | None = None
     spencer_constant: float = 12.0
-    halving_constant: float = 24.0
-    boosting_constant: float = 4.0
-    pipeline_constant: float = 30.0
     coloring_retries: int = 16
     train_path: str | None = None
     test_path: str | None = None
@@ -78,14 +77,8 @@ class RunConfig:
     matrix_mode: bool = False
 
     def __post_init__(self):
-        for name in (
-            "spencer_constant",
-            "halving_constant",
-            "boosting_constant",
-            "pipeline_constant",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.spencer_constant <= 0:
+            raise ValueError("spencer_constant must be positive")
         if self.target < 1:
             raise ValueError("target size must be at least 1")
         if self.coloring_retries < 1:
@@ -295,9 +288,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="root RNG seed")
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--ks", type=float, default=None, help="coloring bound constant")
-    parser.add_argument("--kh", type=float, default=None, help="halving bound constant")
-    parser.add_argument("--cv", type=float, default=None, help="boosting gap constant")
-    parser.add_argument("--cb", type=float, default=None, help="pipeline gap constant")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -322,9 +312,6 @@ _CONFIG_KEYS = {
     "target": int,
     "rounds": int,
     "ks": float,
-    "kh": float,
-    "cv": float,
-    "cb": float,
     "train": str,
     "test": str,
     "matrix": str,
@@ -363,12 +350,6 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
     }
     if args.ks is not None:
         kwargs["spencer_constant"] = args.ks
-    if args.kh is not None:
-        kwargs["halving_constant"] = args.kh
-    if args.cv is not None:
-        kwargs["boosting_constant"] = args.cv
-    if args.cb is not None:
-        kwargs["pipeline_constant"] = args.cb
     return RunConfig(**kwargs)
 
 
@@ -553,9 +534,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing keeps no
+    state in it, and every call of main would otherwise rebuild it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileFormatError, OSError, ValueError) as exc:

@@ -4,16 +4,19 @@ Produces sign colorings x of the columns of a matrix A with entries in
 [-1, 1] such that the discrepancy max_i |(Ax)_i| meets a Spencer-type bound,
 plus the minority-sign column subset that inherits a row-sum sandwich from
 the coloring. The constructive engine is a Lovett-Meka-style partial-coloring
-random walk: a discretized Gaussian walk inside the cube [-1,1]^k, projected
-orthogonal to coordinates already frozen at +-1 and to rows whose running
-discrepancy has hit a per-phase cap. Each phase freezes at least half of the
-remaining free coordinates; phases repeat until the coloring is complete.
-A phase runs in blocks of steps when a certificate on the rows' shifts
-rules out any row reaching the cap; the result is then exactly the
-stepwise walk's. The first block is about as long as a phase (the walk's
-expected exit time from the cube) and each later one twice as long, so
-few drawn steps go unused. Only phases the certificate cannot clear run
-step by step, with the projection.
+random walk: a discretized Gaussian walk inside the cube [-1,1]^k that
+moves only the coordinates not yet frozen at +-1. Each phase freezes at
+least half of the remaining free coordinates; phases repeat until the
+coloring is complete. A phase runs in blocks of steps, and its result is
+exactly a stepwise walk's. The first block is about as long as a phase
+(the walk's expected exit time from the cube) and each later one twice as
+long, so few drawn steps go unused. Lovett and Meka project the walk away
+from rows whose shift within the phase reaches a cap; here a certificate
+on the rows' shifts must instead rule out that any row reached it, and a
+phase it cannot clear fails like one that runs out of steps.
+full_coloring retries a failed attempt with a fresh seed, and its check
+of the Spencer-type bound on the finished coloring is the output's
+guarantee.
 
 Small instances bypass the walk entirely: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. Phases whose
@@ -31,10 +34,11 @@ for both, so full_coloring colors the distinct rows only: the first row of
 each class of rows equal up to sign, with its first nonzero entry made
 positive. The Spencer-type bound and the phase caps count those rows. The
 output does not depend on the order of the rows or on how often one
-repeats (a phase that reaches its cap aside; none does at the default
-constants): the row sums that seed the searches are taken row by row
-(_row_sums), so equal rows get equal bits wherever they sit, and the
-searches break near-ties by a fixed order instead of by BLAS rounding. A
+repeats (a certificate whose peak row shift rounds across its threshold
+aside): the walk's steps do not depend on the rows, the row sums that
+seed the searches are taken row by row (_row_sums), so equal rows get
+equal bits wherever they sit, and the searches break near-ties by a fixed
+order instead of by BLAS rounding. A
 candidate counts as tied with the best when its maximum is within
 _tie_tolerance, 2(k + 2) * eps * max_i(sum_j |C_ij| + |base_i|), of the
 smallest: twice the widest gap that rounding, in any summation order, can
@@ -57,34 +61,49 @@ from .seeding import rng_from, split_seed
 # run in cache.
 BLOCK_CELLS = 1 << 15
 EPS = float(np.finfo(np.float64).eps)
+# A walk phase fails once a row's shift may have reached this share of the
+# phase cap.
+_CAP_ACTIVATION = 0.9
 
 
 class DiscrepancyBoundError(RuntimeError):
-    """Raised when no attempt met the discrepancy bound within the retry budget."""
+    """Raised when no attempt met the discrepancy bound within the retry budget.
+
+    achieved is the smallest discrepancy of the attempts that completed a
+    coloring, and inf when every attempt failed a walk phase.
+    """
 
     def __init__(self, achieved: float, bound: float, attempts: int):
         self.achieved = achieved
         self.bound = bound
         self.attempts = attempts
+        if math.isinf(achieved):
+            outcome = f"all {attempts} attempts failed a walk phase"
+        else:
+            outcome = f"best discrepancy achieved was {achieved:.6g}"
         super().__init__(
             f"no coloring met the bound {bound:.6g} after {attempts} attempts; "
-            f"best discrepancy achieved was {achieved:.6g}"
+            + outcome
         )
 
 
 class PhaseFailureError(RuntimeError):
-    """Raised when one walk phase cannot freeze half its free coordinates."""
+    """Raised when a walk phase runs out of steps before freezing half its
+    free coordinates, or cannot rule out that a row reached its cap."""
 
 
 @dataclass(frozen=True)
 class ColoringConfig:
     """Tuning knobs for the coloring machinery.
 
-    spencer_constant is the K_S of the output bound; phase_cap_scale,
-    step_size, max_iteration_factor and freeze_tolerance parameterize the
-    walk; bruteforce_max and endgame_max are the exhaustive-search cutoffs;
-    retry_budget caps full restarts; refine_sweeps and pair_refine_max
-    control the flip polish on completed colorings.
+    spencer_constant is the K_S of the output bound; step_size,
+    max_iteration_factor and freeze_tolerance parameterize the walk, and
+    phase_cap_scale its per-phase cap on the rows' shifts: a phase in which
+    a row's shift may have reached _CAP_ACTIVATION times the cap fails
+    (there is no projection away from the row). bruteforce_max and
+    endgame_max are the exhaustive-search cutoffs; retry_budget caps full
+    restarts; refine_sweeps and pair_refine_max control the flip polish on
+    completed colorings.
     """
 
     spencer_constant: float = 12.0
@@ -97,7 +116,6 @@ class ColoringConfig:
     retry_budget: int = 16
     refine_sweeps: int = 32
     pair_refine_max: int = 64
-    cap_activation: float = 0.9
 
     def __post_init__(self):
         if not (0 < self.step_size < 1):
@@ -335,15 +353,6 @@ def minority_sign(x) -> int:
     return -1 if minus <= plus else +1
 
 
-def _orthonormal_rows(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of M."""
-    if M.shape[0] == 0:
-        return np.zeros((0, M.shape[1]))
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
-    return vt[:rank]
-
-
 def _phase_cap(n_rows: int, k_free: int, config: ColoringConfig) -> float:
     raw = k_free * math.log(math.e * (n_rows + 1) / k_free)
     raw = max(raw, float(min(k_free, n_rows + 1)))
@@ -362,24 +371,24 @@ def _enumerate_completion(
     return out
 
 
-def _uncapped_walk(
+def _walk_phase(
     A: np.ndarray,
     values: np.ndarray,
     frozen: np.ndarray,
     seed,
     config: ColoringConfig,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The result of _walk_phase's stepwise loop for a phase in which no row
-    reaches the cap, computed a block of steps at a time; None when a cap
-    cannot be ruled out or the step budget runs out.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One partial-coloring phase of the Gaussian walk, run a block of steps
+    at a time. Returns updated (values, frozen).
 
-    Each block draws its steps as one (steps, k) standard-normal array,
-    which yields the numbers of that many successive k-vector draws, and
-    accumulates them with cumsum over the step axis, which performs the
-    loop's additions in the loop's order. Only the columns free at the
-    start of the phase move. A coordinate snaps to +-1 at its first step
-    with |x| >= 1 - freeze_tolerance and stays there; the phase ends at the
-    first step where half of its free coordinates are frozen.
+    Each step adds step_size times a standard-normal vector to the free
+    coordinates. A coordinate snaps to +-1 at its first step with |x| >=
+    1 - freeze_tolerance and stays there; the phase ends at the first step
+    where half of its free coordinates are frozen. Each block draws its
+    steps as one (steps, k) standard-normal array, which yields the numbers
+    of that many successive k-vector draws, and accumulates them with
+    cumsum over the step axis, which performs a stepwise walk's additions
+    in its order. Only the columns free at the start of the phase move.
 
     The first block holds ceil(1 / step_size^2) steps, the walk's expected
     exit time from the cube, and each later block twice as many as the one
@@ -387,13 +396,20 @@ def _uncapped_walk(
     are discarded, so at most 2 * used + ceil(1 / step_size^2) steps are
     drawn. Block boundaries change neither the draws nor where the phase
     ends, so the result does not depend on them.
+
+    Raises PhaseFailureError when the step budget, max_iteration_factor
+    steps per free coordinate, runs out, or when the certificate below
+    cannot rule out that some row's shift within the phase reached the
+    activation, _CAP_ACTIVATION times the phase cap. There is no projection
+    away from such rows: full_coloring retries the attempt with a fresh
+    seed.
     """
     rng = rng_from(seed)
     n_rows, k = A.shape
     cols = np.flatnonzero(~frozen)
     free_start = cols.size
     target = (free_start + 1) // 2
-    activation = config.cap_activation * _phase_cap(n_rows, free_start, config)
+    activation = _CAP_ACTIVATION * _phase_cap(n_rows, free_start, config)
     max_steps = config.max_iteration_factor * free_start
     threshold = 1.0 - config.freeze_tolerance
     A_free = A[:, cols]
@@ -410,7 +426,10 @@ def _uncapped_walk(
     path = peak = 0.0
     while frozen_count < target:
         if steps == max_steps:
-            return None
+            raise PhaseFailureError(
+                f"froze {frozen_count} of {free_start} free coordinates in "
+                f"{max_steps} steps (needed {target})"
+            )
         drawn = min(block, max_steps - steps)
         block = min(2 * block, widest)
         traj = rng.standard_normal((drawn, k))[:, cols]
@@ -439,24 +458,26 @@ def _uncapped_walk(
         path += float(lengths[:used].sum())
         x = traj[-1].copy()
 
-        # Certificate. The loop caps row i at step s once its float row
-        # shift r_s[i], a running sum of the products A @ (x_t - x_{t-1}),
-        # reaches `activation`; here the shift is A @ (x_s - x_0). With u =
-        # eps / 2, gamma_m = m*u / (1 - m*u), |A_ij| <= 1 and L_j the path
-        # length of coordinate j: each difference x_t - x_{t-1} rounds by u
-        # relative, each k-term product by gamma_k times the l1 norm of its
-        # vector, and summing s products adds gamma_s times their l1 norms,
-        # so r_s[i] is within (u + gamma_k + gamma_s)(1 + O(u)) * sum_j L_j
-        # of the exact shift, and the product here within (u + gamma_k)(1 +
-        # O(u)) * sum_j L_j: together (1 + k + s/2)(1 + O(u)) * eps * sum_j
-        # L_j. `path` sums the drawn lengths of the steps taken; L_j exceeds
-        # its share by at most 2 for the snap and u per step for rounding x,
-        # so doubling the factor and adding 2 per coordinate bounds the gap.
-        # The last term covers the rounding of the sum compared with
-        # `activation`. Every row shift is at most sum_j max_i |A_ij| *
-        # |x_sj - x_0j|, which rounds like the product, so the product is
-        # taken, one chunk of steps at a time, only at the steps where that
-        # bound reaches `activation` less the allowance.
+        # Certificate: the phase is accepted only when no row's running
+        # shift, as a stepwise walk would add it up, can have reached
+        # `activation`. That shift r_s[i] after step s is a float running
+        # sum of the products A @ (x_t - x_{t-1}); here it is A @ (x_s -
+        # x_0). With u = eps / 2, gamma_m = m*u / (1 - m*u), |A_ij| <= 1
+        # and L_j the path length of coordinate j: each difference x_t -
+        # x_{t-1} rounds by u relative, each k-term product by gamma_k
+        # times the l1 norm of its vector, and summing s products adds
+        # gamma_s times their l1 norms, so r_s[i] is within (u + gamma_k +
+        # gamma_s)(1 + O(u)) * sum_j L_j of the exact shift, and the
+        # product here within (u + gamma_k)(1 + O(u)) * sum_j L_j:
+        # together (1 + k + s/2)(1 + O(u)) * eps * sum_j L_j. `path` sums
+        # the drawn lengths of the steps taken; L_j exceeds its share by at
+        # most 2 for the snap and u per step for rounding x, so doubling
+        # the factor and adding 2 per coordinate bounds the gap. The last
+        # term covers the rounding of the sum compared with `activation`.
+        # Every row shift is at most sum_j max_i |A_ij| * |x_sj - x_0j|,
+        # which rounds like the product, so the product is taken, one
+        # chunk of steps at a time, only at the steps where that bound
+        # reaches `activation` less the allowance.
         allowance = 2.0 * (k + steps + 4) * EPS * (path + 2.0 * free_start)
         allowance += EPS * activation
         traj -= start
@@ -465,92 +486,16 @@ def _uncapped_walk(
             shifts = traj[risky[lo : lo + chunk]] @ A_free.T
             peak = max(peak, float(np.abs(shifts, out=shifts).max()))
         if peak + allowance >= activation:
-            return None
+            raise PhaseFailureError(
+                f"a row's shift may have reached {activation:.6g} within "
+                f"{steps} steps of the phase"
+            )
 
     out = values.copy()
     out[cols] = x
     now_frozen = frozen.copy()
     now_frozen[cols] = ~free
     return out, now_frozen
-
-
-def _walk_phase(
-    A: np.ndarray,
-    values: np.ndarray,
-    frozen: np.ndarray,
-    seed,
-    config: ColoringConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One partial-coloring phase of the Gaussian walk.
-
-    Returns updated (values, frozen). The walk direction is resampled each
-    step, zeroed on frozen coordinates, and projected orthogonal to every
-    row whose discrepancy increment within this phase has reached the cap.
-    Coordinates reaching 1 - freeze_tolerance in absolute value snap to +-1.
-
-    A phase in which no row reaches the cap runs in blocks of steps
-    (_uncapped_walk). The stepwise loop below runs, from a fresh generator,
-    only when the blocked walk cannot rule out a cap or runs out of steps;
-    it alone projects away capped rows and raises PhaseFailureError.
-    """
-    result = _uncapped_walk(A, values, frozen, seed, config)
-    if result is not None:
-        return result
-    rng = rng_from(seed)
-    n_rows, k = A.shape
-    x = values.copy()
-    free = ~frozen
-    free_start = int(free.sum())
-    target = (free_start + 1) // 2
-    cap = _phase_cap(n_rows, free_start, config)
-    activation = config.cap_activation * cap
-
-    row_shift = np.zeros(n_rows)
-    capped = np.zeros(n_rows, dtype=bool)
-    basis = np.zeros((0, k))
-    basis_stale = False
-    frozen_count = 0
-    max_steps = config.max_iteration_factor * free_start
-
-    for _ in range(max_steps):
-        if frozen_count >= target:
-            break
-        g = rng.standard_normal(k)
-        g[~free] = 0.0
-        if basis.shape[0]:
-            g -= basis.T @ (basis @ g)
-            # The SVD basis is zero on frozen columns only up to rounding.
-            g[~free] = 0.0
-        step = config.step_size * g
-        x_new = x + step
-        hit = free & (np.abs(x_new) >= 1.0 - config.freeze_tolerance)
-        if hit.any():
-            x_new[hit] = np.where(x_new[hit] >= 0.0, 1.0, -1.0)
-            free &= ~hit
-            frozen_count += int(hit.sum())
-            if capped.any():
-                basis_stale = True
-        row_shift += A @ (x_new - x)
-        x = x_new
-        newly_capped = ~capped & (np.abs(row_shift) >= activation)
-        if newly_capped.any():
-            capped |= newly_capped
-            basis_stale = True
-        if basis_stale:
-            rows = A[capped].copy()
-            rows[:, ~free] = 0.0
-            basis = _orthonormal_rows(rows)
-            basis_stale = False
-            if basis.shape[0] >= int(free.sum()):
-                # The projection leaves no direction to move in.
-                break
-
-    if frozen_count < target:
-        raise PhaseFailureError(
-            f"froze {frozen_count} of {free_start} free coordinates "
-            f"(needed {target})"
-        )
-    return x, ~free
 
 
 def partial_coloring(
@@ -562,8 +507,9 @@ def partial_coloring(
     """Advance one phase: freeze at least half of the currently free entries.
 
     Small tails (at most ``config.endgame_max`` free coordinates) are finished
-    exactly by enumeration; larger phases run the projected Gaussian walk and
-    raise PhaseFailureError if the iteration budget expires early.
+    exactly by enumeration; larger phases run the Gaussian walk (_walk_phase)
+    and raise PhaseFailureError when its step budget runs out or its
+    certificate cannot rule out that a row reached the phase cap.
     """
     arr = _validate_matrix(A)
     if arr.shape[1] != state.values.shape[0]:
@@ -663,16 +609,19 @@ def full_coloring(
 
     For k <= config.bruteforce_max columns the exact exhaustive optimum is
     returned (deterministic, seed unused). Otherwise the partial-coloring walk
-    runs phase by phase, the completed coloring is polished by local flips,
-    and the whole attempt restarts with a fresh derived seed until the bound
+    runs phase by phase and the completed coloring is polished by local
+    flips. An attempt in which a phase fails (PhaseFailureError: out of
+    steps, or a row's shift may have reached the phase cap) is dropped, and
+    the whole attempt restarts with a fresh derived seed until the bound
     K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise) is met or the retry
-    budget is exhausted.
+    budget is exhausted; DiscrepancyBoundError then reports inf as the
+    achieved discrepancy if every attempt failed a phase.
 
     Near-ties in the exhaustive searches and the pair flips go to the first
     candidate in a fixed order (see _best_signs and _refine_flips), so the
     coloring is the same bits under any order of the rows, any repetition
-    or negation of them, and any BLAS thread count, as long as no walk
-    phase reaches its cap; at the default constants none does.
+    or negation of them, and any BLAS thread count, unless the peak row
+    shift of a walk phase's certificate rounds across its threshold.
     """
     arr = _distinct_rows(_validate_matrix(A))
     n_rows, k = arr.shape

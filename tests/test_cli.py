@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sparsevote import Dataset, MarginMatrix, WeightVector, load_ensemble, save_dataset, save_margin_matrix
+from sparsevote import cli
 from sparsevote.cli import RunConfig, main, parse_config_file, run_compare
 from sparsevote.discrepancy import DiscrepancyBoundError
 from sparsevote.fileio import FileFormatError
@@ -68,6 +69,17 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_dropped_constant_rejected(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        path = tmp_path / "old.cfg"
+        path.write_text("kh=24\n")
+        code = main([
+            "compare", "--config", str(path), "--train", str(train),
+            "--test", str(test), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "unknown config keys: kh" in capsys.readouterr().err
+
     def test_cli_overrides_file(self, tmp_path, data_files):
         train, test = data_files
         cfg = tmp_path / "run.cfg"
@@ -81,6 +93,38 @@ class TestConfigFile:
         assert report["config"]["seed"] == 2  # command line wins
         assert report["config"]["target"] == 4  # file fills the gap
         assert report["rounds"] == 6
+
+
+class TestParser:
+    @pytest.mark.parametrize("flag", ["--kh", "--cv", "--cb"])
+    def test_dropped_constant_flags_exit_2(self, tmp_path, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--matrix-mode", "--out", str(tmp_path), flag, "2"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_successive_calls_leave_no_state(self, tmp_path, capsys):
+        rng = rng_from(32)
+        matrix = tmp_path / "matrix.txt"
+        save_margin_matrix(
+            matrix,
+            MarginMatrix(rng.choice([-1.0, 1.0], size=(24, 40))),
+            WeightVector(rng.dirichlet(np.ones(40))),
+        )
+        runs = []
+        for extra in (["-T", "4", "--seed", "3", "--ks", "20"], []):
+            out = tmp_path / f"out{len(runs)}"
+            argv = ["compare", "--matrix-mode", "--matrix", str(matrix), "--out", str(out)]
+            assert main(argv + extra) == 0
+            runs.append(json.loads((out / "report.json").read_text())["config"])
+        assert cli._parser() is cli._parser()
+        assert runs[0] == RunConfig(
+            seed=3, target=4, spencer_constant=20.0, matrix_mode=True,
+            matrix_path=str(matrix), out_path=str(tmp_path / "out0"),
+        ).echo()
+        assert runs[1] == RunConfig(
+            matrix_mode=True, matrix_path=str(matrix), out_path=str(tmp_path / "out1"),
+        ).echo()
 
 
 class TestRunConfig:

@@ -37,6 +37,7 @@ from oracles import (
     bruteforce_unblocked,
     distinct_rows_by_dict,
     enumerate_completion_unblocked,
+    gaussian_walk_stepwise,
     min_discrepancy_exhaustive,
     refine_flips_one_at_a_time,
 )
@@ -403,7 +404,7 @@ class TestFullColoring:
     def test_impossible_bound_raises_with_diagnostics(self):
         config = ColoringConfig(spencer_constant=1e-3, retry_budget=2)
         A = sign_matrix(4, 20, 18)
-        with pytest.raises(DiscrepancyBoundError) as info:
+        with pytest.raises(DiscrepancyBoundError, match="best discrepancy") as info:
             full_coloring(A, seed=0, config=config)
         err = info.value
         assert err.achieved > err.bound
@@ -411,15 +412,32 @@ class TestFullColoring:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_capped_phases_keep_frozen_signs(self, seed):
-        # A phase cap of 1 makes rows reach the cap; the projection away
-        # from them used to leave rounding residue on frozen coordinates,
-        # and PartialColoring rejected the phase's result with ValueError
-        # (seeds 0, 2 and 3).
+        # A phase cap of 1 makes rows' shifts reach the cap. Such a phase
+        # fails and its attempt is retried, so full_coloring returns a
+        # coloring within the bound or raises DiscrepancyBoundError; never
+        # ValueError, which PartialColoring raises when a phase moves a
+        # frozen coordinate off +-1. On this matrix every attempt fails.
         A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
         config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=1.0)
-        x = full_coloring(A, seed=seed, config=config)
-        assert np.all(np.abs(x) == 1.0)
-        assert discrepancy(A, x) <= spencer_bound(40, 80, 12.0)
+        with pytest.raises(DiscrepancyBoundError) as info:
+            full_coloring(A, seed=seed, config=config)
+        assert info.value.attempts == config.retry_budget
+        assert info.value.achieved == math.inf
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"max_iteration_factor": 1}, {"phase_cap_scale": 1.0}],
+        ids=["out_of_steps", "capped"],
+    )
+    def test_every_attempt_failing_a_phase_is_reported(self, change):
+        A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
+        config = dataclasses.replace(DEFAULT_CONFIG, **change)
+        with pytest.raises(
+            DiscrepancyBoundError, match="all 16 attempts failed a walk phase$"
+        ) as info:
+            full_coloring(A, seed=0, config=config)
+        assert info.value.achieved == math.inf
+        assert info.value.attempts == 16
 
     def test_seed_determinism(self):
         A = sign_matrix(12, 30, 26)
@@ -460,7 +478,7 @@ class TestPartialColoring:
 
     def test_walk_phase_freezes_half_and_grows_frozen(self):
         # 40 free coordinates exceed the endgame cutoff, so this runs the
-        # projected random walk rather than enumeration.
+        # random walk rather than enumeration.
         A = sign_matrix(31, 40, 40)
         state = PartialColoring.initial(40)
         for attempt in range(8):
@@ -507,7 +525,8 @@ def walk_start(seed, k, partial):
 
 
 def walk_outcome(*args):
-    """_walk_phase's result as bytes, or its PhaseFailureError message."""
+    """_walk_phase's result as bytes, or "failed" and its PhaseFailureError
+    message."""
     try:
         values, frozen = coloring._walk_phase(*args)
     except PhaseFailureError as exc:
@@ -515,16 +534,33 @@ def walk_outcome(*args):
     return values.tobytes(), frozen.tobytes()
 
 
+def stepwise_walk(A, values, frozen, seed, config):
+    """gaussian_walk_stepwise with _walk_phase's step budget and activation."""
+    free_start = int(np.count_nonzero(~frozen))
+    cap = coloring._phase_cap(A.shape[0], free_start, config)
+    return gaussian_walk_stepwise(
+        A,
+        values,
+        frozen,
+        seed,
+        config.step_size,
+        config.freeze_tolerance,
+        config.max_iteration_factor * free_start,
+        coloring._CAP_ACTIVATION * cap,
+    )
+
+
 class TestBlockedWalk:
     @pytest.mark.parametrize("block_cells", [coloring.BLOCK_CELLS, 97])
     @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
     def test_matches_stepwise_loop(self, monkeypatch, kind, block_cells):
-        # The blocked walk must return the loop's result bit for bit, and
-        # must decline every phase in which the loop capped a row (the loop
-        # builds its projection basis exactly then). With 97 cells a block
+        # The blocked walk must return the stepwise walk's result bit for
+        # bit, and must fail every phase in which the stepwise walk has a
+        # row reach the activation or runs out of steps; on these inputs
+        # the certificate declines no other phase. With 97 cells a block
         # holds one to four steps, so coordinates freeze in earlier blocks.
         monkeypatch.setattr(coloring, "BLOCK_CELLS", block_cells)
-        certified = declined = 0
+        accepted = declined = 0
         for scale in (1.0, 2.0, 4.0, 8.0):
             config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=scale)
             for partial in (False, True):
@@ -532,39 +568,31 @@ class TestBlockedWalk:
                     A = WALK_MATRICES[kind](shape_seed + 200, n, k)
                     values, frozen = walk_start(shape_seed + 300, k, partial)
                     args = (A, values, frozen, split_seed(7, shape_seed), config)
-                    blocked = coloring._uncapped_walk(*args)
-                    fast = walk_outcome(*args)
-                    bases = []
-                    with monkeypatch.context() as patch:
-                        patch.setattr(coloring, "_uncapped_walk", lambda *a: None)
-                        real = coloring._orthonormal_rows
-                        patch.setattr(
-                            coloring,
-                            "_orthonormal_rows",
-                            lambda M: bases.append(M.shape[0]) or real(M),
-                        )
-                        stepwise = walk_outcome(*args)
-                    assert fast == stepwise
-                    if bases:
-                        assert blocked is None
-                    if blocked is None:
-                        declined += 1
+                    outcome, x, now_frozen, _ = stepwise_walk(*args)
+                    blocked = walk_outcome(*args)
+                    if outcome == "done":
+                        assert blocked == (x.tobytes(), now_frozen.tobytes())
+                        accepted += 1
                     else:
-                        certified += 1
-        assert certified > 0 and declined > 0
+                        assert blocked[0] == "failed"
+                        declined += 1
+        assert accepted > 0 and declined > 0
 
-    def test_phase_failure_matches_stepwise_loop(self, monkeypatch):
+    def test_phase_failure_matches_stepwise_loop(self):
         # One step per free coordinate cannot freeze half of them: the
-        # blocked walk runs out of steps and the loop raises.
+        # stepwise walk runs out of steps, and the blocked walk raises
+        # having frozen as many coordinates.
         A = sign_matrix(41, 40, 30)
         values, frozen = walk_start(0, 30, False)
         config = dataclasses.replace(DEFAULT_CONFIG, max_iteration_factor=1)
         args = (A, values, frozen, 5, config)
-        assert coloring._uncapped_walk(*args) is None
-        fast = walk_outcome(*args)
-        monkeypatch.setattr(coloring, "_uncapped_walk", lambda *a: None)
-        assert fast[0] == "failed"
-        assert walk_outcome(*args) == fast
+        outcome, _, now_frozen, steps = stepwise_walk(*args)
+        assert (outcome, steps) == ("out of steps", 30)
+        count = np.count_nonzero(now_frozen)
+        with pytest.raises(
+            PhaseFailureError, match=f"^froze {count} of 30 free coordinates in 30 steps"
+        ):
+            coloring._walk_phase(*args)
 
 
 class TestHalveColumns:
@@ -686,33 +714,23 @@ class TestWalkDraws:
 
         monkeypatch.setattr(coloring, "rng_from", counting_rng)
         state = PartialColoring.initial(A.shape[1])
-        phase = certified = 0
+        phase = 0
         while state.free_count > config.endgame_max:
             args = (A, state.values, state.frozen, split_seed(seed, phase), config)
-            # The stepwise loop draws one vector per step it takes.
-            generators.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(coloring, "_uncapped_walk", lambda *a: None)
-                values, frozen = coloring._walk_phase(*args)
-            used = generators[0].vectors
-            outcomes = set()
+            # The stepwise walk draws one vector per step it takes.
+            outcome, values, frozen, used = stepwise_walk(*args)
+            assert outcome == "done"
             for cells in (97, coloring.BLOCK_CELLS, 1 << 20):
                 generators.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(coloring, "BLOCK_CELLS", cells)
-                    blocked = coloring._uncapped_walk(*args)
-                if blocked is None:
-                    outcomes.add(None)
-                    continue
+                    blocked = coloring._walk_phase(*args)
                 assert generators[0].vectors <= 2 * used + first
                 assert blocked[0].tobytes() == values.tobytes()
                 assert blocked[1].tobytes() == frozen.tobytes()
-                outcomes.add(blocked[0].tobytes())
-            assert len(outcomes) == 1
-            certified += outcomes != {None}
             state = PartialColoring(values, frozen)
             phase += 1
-        assert certified > 0
+        assert phase > 0
 
 
 INVARIANCE_MATRICES = {
