@@ -208,18 +208,27 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     total = float(signed.sum())
     prefix = np.zeros((dataset.n_features, dataset.n_points + 1))
     np.cumsum(signed[table.order], axis=1, out=prefix[:, 1:])
-    # h = sign(x - threshold): points below contribute -1. Interleaving
-    # +1/-1 polarities per candidate makes argmax's first-occurrence rule
-    # implement the tie order (feature, then threshold, then polarity +1).
-    edge_plus = total - 2.0 * prefix.ravel()[table.prefix_index]
-    flat = np.empty(2 * edge_plus.size)
-    flat[0::2] = edge_plus
-    flat[1::2] = -edge_plus
-    idx = int(np.argmax(flat))
-    k = idx // 2
-    return DecisionStump(
-        int(table.feature[k]), float(table.threshold[k]), 1 if idx % 2 == 0 else -1
-    )
+    # h = sign(x - threshold): points below contribute -1, so the edge of
+    # polarity +1 is total - 2 * prefix (scaling by -2 is exact, so the
+    # in-place form below has the same bits) and that of -1 its negation.
+    edge = prefix.ravel()[table.prefix_index]
+    edge *= -2.0
+    edge += total
+    k, polarity = _best_candidate(edge)
+    return DecisionStump(int(table.feature[k]), float(table.threshold[k]), polarity)
+
+
+def _best_candidate(edge: np.ndarray) -> tuple[int, int]:
+    """The candidate and polarity of the largest edge among edge (polarity
+    +1) and -edge (polarity -1), first in the order candidate, then
+    polarity +1: argmax over the two interleaved, found without building
+    them. The larger of max(edge) and -min(edge) wins; on a tie (signed
+    zeros compare equal) the lower interleaved index, 2 * argmax or
+    2 * argmin + 1, does."""
+    hi, lo = int(np.argmax(edge)), int(np.argmin(edge))
+    if edge[hi] > -edge[lo] or (edge[hi] == -edge[lo] and hi <= lo):
+        return hi, 1
+    return lo, -1
 
 
 def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:

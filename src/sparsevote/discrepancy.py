@@ -25,9 +25,12 @@ finished by enumeration instead of the walk, and completed colorings are
 polished by deterministic single-coordinate (and, for narrow matrices,
 opposite-pair) flips that strictly reduce the discrepancy. The exhaustive
 searches add a block of partial row sums over the low bits of the sign
-vectors' codes, built once, to one vector per block over the high bits;
-the flip polish scores its candidates in blocks of about BLOCK_CELLS row
-sums. Either way a block of row sums stays in cache.
+vectors' codes, built once, to one vector per block over the high bits,
+so a block of row sums stays in cache. The flip polish first bounds every
+candidate by its maximum over the BOUND_ROWS rows with the largest |row
+sum|, a lower bound on its maximum over all rows, and scores on all rows
+only the candidates that this bound cannot rule out; its moves are those
+of scoring every candidate.
 
 Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
 for both, so full_coloring colors the distinct rows only: the first row of
@@ -61,6 +64,9 @@ from .seeding import rng_from, split_seed
 # run in cache.
 BLOCK_CELLS = 1 << 15
 EPS = float(np.finfo(np.float64).eps)
+# The flip polish bounds each candidate on this many rows, those with the
+# largest |row sum|, before it scores all rows.
+BOUND_ROWS = 32
 # A walk phase fails once a row's shift may have reached this share of the
 # phase cap.
 _CAP_ACTIVATION = 0.9
@@ -170,18 +176,28 @@ class PartialColoring:
 
 
 def _validate_matrix(A) -> np.ndarray:
+    return _validated_columns(A)[0]
+
+
+def _validated_columns(A) -> tuple[np.ndarray, np.ndarray]:
+    """A as a checked Fortran-ordered float matrix, with the peak magnitude
+    of each of its columns."""
     # Fortran order, the halver's own layout: _row_sums then needs no copy,
     # and _signed_sums reads each column contiguously.
     arr = np.asfortranarray(A, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    # NaN and inf propagate through max, so one pass checks both.
-    peak = float(np.max(np.abs(arr)))
+    # A per-column max and min give the peaks with no |A| temporary; NaN
+    # and inf propagate through both, so these passes check them too.
+    peaks = np.maximum(arr.max(axis=0), -arr.min(axis=0))
+    peak = float(peaks.max())
     if not math.isfinite(peak):
         raise ValueError("matrix contains non-finite entries")
     if peak > 1.0 + ENTRY_TOL:
         raise ValueError(f"matrix entry out of [-1, 1]: magnitude {peak}")
-    return np.clip(arr, -1.0, 1.0) if peak > 1.0 else arr
+    if peak > 1.0:
+        return np.clip(arr, -1.0, 1.0), np.minimum(peaks, 1.0)
+    return arr, peaks
 
 
 def spencer_bound(n_rows: int, k: int, constant: float) -> float:
@@ -227,8 +243,11 @@ def _key_weights(k: int) -> np.ndarray:
 def _row_keys(A: np.ndarray) -> np.ndarray:
     """One key per row: its sum against fixed pseudo-random weights. Equal
     rows get equal keys and negated rows negated keys; unequal rows almost
-    never collide, and _distinct_rows checks the rows of equal keys."""
-    return _row_sums(A, _key_weights(A.shape[1]))
+    never collide, and _row_classes checks the rows of equal keys. einsum
+    adds every row's products in one order in either layout (down the
+    columns on a Fortran-ordered matrix, along each row on a C-ordered
+    one), so A is not copied into Fortran order as _row_sums would."""
+    return np.einsum("ij,j->i", A, _key_weights(A.shape[1]))
 
 
 def _canonical_rows(A: np.ndarray) -> np.ndarray:
@@ -241,33 +260,41 @@ def _canonical_rows(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distinct_rows(A: np.ndarray) -> np.ndarray:
-    """The first row of each class of rows of A equal up to sign, in their
-    order in A and in canonical sign (_canonical_rows); A itself when no
-    two rows are equal up to sign.
+def _row_classes(A: np.ndarray) -> np.ndarray | None:
+    """The index of the first row of each class of rows of A equal up to
+    sign, in increasing order; None when no two rows are equal up to sign.
 
-    Rows are sorted by the magnitude of their keys. When every pair of
-    neighbours with equal magnitudes holds rows equal up to the sign of
-    their keys, each run of equal magnitudes is one class; a pair that
-    differs is a key collision, and then the rows are grouped by exact
-    comparison of their canonical forms instead.
+    Rows are sorted by the magnitude of their keys, and only neighbours
+    with equal magnitudes are compared, entry by entry after orienting each
+    by its key's sign. When every such pair holds equal rows, each run of
+    equal magnitudes is one class; a pair that differs is a key collision,
+    and then the rows are grouped by exact comparison of their canonical
+    forms instead.
     """
     keys = _row_keys(A)
     order = np.argsort(np.abs(keys), kind="stable")
-    keys = keys[order]
-    mags = np.abs(keys)
-    same = mags[1:] == mags[:-1]
-    if not same.any():
+    mags = np.abs(keys[order])
+    same = np.flatnonzero(mags[1:] == mags[:-1])
+    if same.size == 0:
+        return None
+    signs = np.where(keys < 0.0, -1.0, 1.0)[:, None]
+    first, second = order[same], order[same + 1]
+    if (A[first] * signs[first] == A[second] * signs[second]).all():
+        leads = np.ones(order.size, dtype=bool)
+        leads[same + 1] = False
+        return np.sort(order[leads])
+    _, leads = np.unique(_canonical_rows(A), axis=0, return_index=True)
+    return np.sort(leads)
+
+
+def _distinct_rows(A: np.ndarray) -> np.ndarray:
+    """The first row of each class of rows of A equal up to sign
+    (_row_classes), in their order in A and in canonical sign
+    (_canonical_rows); A itself when no two rows are equal up to sign."""
+    leads = _row_classes(A)
+    if leads is None:
         return A
-    oriented = A[order]
-    oriented *= np.where(keys < 0.0, -1.0, 1.0)[:, None]
-    equal = (oriented[1:] == oriented[:-1]).all(axis=1)
-    if equal[same].all():
-        keep = np.sort(order[np.concatenate(([True], ~same))])
-        return np.asfortranarray(_canonical_rows(A[keep]))
-    canonical = _canonical_rows(A)
-    _, first = np.unique(canonical, axis=0, return_index=True)
-    return np.asfortranarray(canonical[np.sort(first)])
+    return np.asfortranarray(_canonical_rows(A[leads]))
 
 
 def _code_signs(code: int, bits: int) -> np.ndarray:
@@ -377,6 +404,7 @@ def _walk_phase(
     frozen: np.ndarray,
     seed,
     config: ColoringConfig,
+    col_peaks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One partial-coloring phase of the Gaussian walk, run a block of steps
     at a time. Returns updated (values, frozen).
@@ -403,6 +431,11 @@ def _walk_phase(
     activation, _CAP_ACTIVATION times the phase cap. There is no projection
     away from such rows: full_coloring retries the attempt with a fresh
     seed.
+
+    col_peaks holds max_i |A_ij| for every column j, as partial_coloring's
+    validation finds them, and is taken from A when omitted. The
+    certificate reads A itself only at steps where the peaks cannot rule
+    out the activation, at the default constants at none.
     """
     rng = rng_from(seed)
     n_rows, k = A.shape
@@ -412,8 +445,10 @@ def _walk_phase(
     activation = _CAP_ACTIVATION * _phase_cap(n_rows, free_start, config)
     max_steps = config.max_iteration_factor * free_start
     threshold = 1.0 - config.freeze_tolerance
-    A_free = A[:, cols]
-    col_peaks = np.abs(A_free).max(axis=0)
+    if col_peaks is None:
+        col_peaks = np.abs(A).max(axis=0)
+    free_peaks = col_peaks[cols]
+    A_free = None
     start = values[cols]
     x = start
     free = np.ones(free_start, dtype=bool)
@@ -481,7 +516,9 @@ def _walk_phase(
         allowance = 2.0 * (k + steps + 4) * EPS * (path + 2.0 * free_start)
         allowance += EPS * activation
         traj -= start
-        risky = np.flatnonzero(np.abs(traj) @ col_peaks + allowance >= activation)
+        risky = np.flatnonzero(np.abs(traj) @ free_peaks + allowance >= activation)
+        if risky.size and A_free is None:
+            A_free = A[:, cols]
         for lo in range(0, risky.size, chunk):
             shifts = traj[risky[lo : lo + chunk]] @ A_free.T
             peak = max(peak, float(np.abs(shifts, out=shifts).max()))
@@ -511,7 +548,7 @@ def partial_coloring(
     and raise PhaseFailureError when its step budget runs out or its
     certificate cannot rule out that a row reached the phase cap.
     """
-    arr = _validate_matrix(A)
+    arr, col_peaks = _validated_columns(A)
     if arr.shape[1] != state.values.shape[0]:
         raise ValueError(
             f"matrix has {arr.shape[1]} columns but state has "
@@ -524,8 +561,33 @@ def partial_coloring(
         completed = _enumerate_completion(arr, state.values, state.frozen)
         return PartialColoring(completed, np.ones_like(state.frozen))
 
-    values, frozen = _walk_phase(arr, state.values, state.frozen, seed, config)
+    values, frozen = _walk_phase(
+        arr, state.values, state.frozen, seed, config, col_peaks
+    )
     return PartialColoring(values, frozen)
+
+
+def _top_rows(sums: np.ndarray) -> np.ndarray:
+    """The BOUND_ROWS rows with the largest |row sum|, or every row when
+    there are no more."""
+    cut = sums.size - BOUND_ROWS
+    if cut <= 0:
+        return np.arange(sums.size)
+    return np.argpartition(np.abs(sums), cut)[cut:]
+
+
+def _pair_maxima(
+    sums: np.ndarray, plus_2: np.ndarray, minus_2: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """max_i |sums_i - plus_2[a, i] + minus_2[b, i]| for each flat pair
+    index a * len(minus_2) + b, in blocks of about BLOCK_CELLS row sums."""
+    a, b = np.divmod(pairs, minus_2.shape[0])
+    width = max(1, BLOCK_CELLS // sums.size)
+    out = np.empty(pairs.size)
+    for lo in range(0, pairs.size, width):
+        cand = (sums - plus_2[a[lo : lo + width]]) + minus_2[b[lo : lo + width]]
+        np.abs(cand, out=cand).max(axis=1, out=out[lo : lo + width])
+    return out
 
 
 def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.ndarray:
@@ -538,11 +600,20 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
     takes the first (plus, minus) pair, in row-major order, whose maximum is
     within _tie_tolerance(k, max_i sum_j |A_ij|) of the best pair's, and
     only when that maximum improves on the current one by more than 1e-12.
-    Candidates are scored in blocks of about BLOCK_CELLS row sums, and a
-    block is rescored from the column after each accepted flip, so the
-    moves are those of a one-at-a-time scan. The row sums start from
-    _row_sums and change only by elementwise updates, so every move is the
-    same whatever the order of the rows and however often one repeats.
+
+    A candidate's maximum over a subset of the rows, with each row sum
+    computed as for all rows, is a lower bound on its maximum. So every
+    candidate is first bounded on the BOUND_ROWS rows with the largest
+    |row sum| (_top_rows), and only the candidates whose bound does not
+    rule out the move are scored on all rows, in blocks of about
+    BLOCK_CELLS row sums: single flips whose bound is below the current
+    maximum less 1e-12, until one improves; pairs whose bound is below it,
+    which fixes the best pair's maximum, then those whose bound lies within
+    the tie tolerance of that maximum, since one of them may come first.
+    The moves are therefore those of a one-at-a-time scan of every
+    candidate on all rows. The row sums start from _row_sums and change
+    only by elementwise updates, so every move is the same whatever the
+    order of the rows and however often one repeats.
     """
     x = x.copy()
     sums = _row_sums(A, x)
@@ -556,19 +627,32 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
         improved = False
         j = 0
         while j < k:
+            limit = current - 1e-12
             stop = min(j + width, k)
-            cand = sums[:, None] - (2.0 * x[j:stop]) * A[:, j:stop]
-            vals = np.abs(cand, out=cand).max(axis=0)
-            better = np.flatnonzero(vals < current - 1e-12)
-            if better.size == 0:
-                j = stop
-                continue
-            j += int(better[0])
-            sums = sums - 2.0 * x[j] * A[:, j]
-            x[j] = -x[j]
-            current = float(vals[better[0]])
-            improved = True
-            j += 1
+            top = _top_rows(sums)
+            cand = sums[top, None] - (2.0 * x[j:stop]) * A[top, j:stop]
+            bound = np.abs(cand, out=cand).max(axis=0)
+            candidates = j + np.flatnonzero(bound < limit)
+            j = stop
+            # Blocks of 1, 2, 4, ... candidates: the first one the bound
+            # leaves open usually improves.
+            lo = 0
+            size = 1
+            while lo < candidates.size:
+                cols = candidates[lo : lo + size]
+                lo += size
+                size = min(2 * size, width)
+                cand = sums[:, None] - (2.0 * x[cols]) * A[:, cols]
+                vals = np.abs(cand, out=cand).max(axis=0)
+                better = np.flatnonzero(vals < limit)
+                if better.size:
+                    j = int(cols[better[0]])
+                    sums = sums - 2.0 * x[j] * A[:, j]
+                    x[j] = -x[j]
+                    current = float(vals[better[0]])
+                    improved = True
+                    j += 1
+                    break
         if pairs:
             while True:
                 plus = np.flatnonzero(x > 0)
@@ -577,19 +661,30 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
                     break
                 plus_2 = 2.0 * A[:, plus].T
                 minus_2 = 2.0 * A[:, minus].T
-                rows = max(1, BLOCK_CELLS // (minus.size * n))
-                vals = np.empty((plus.size, minus.size))
-                for start in range(0, plus.size, rows):
-                    cand = (sums - plus_2[start : start + rows])[:, None, :] + minus_2
-                    np.abs(cand, out=cand).max(axis=2, out=vals[start : start + rows])
-                pick = int(np.argmax(vals <= vals.min() + tolerance))
-                a, b = divmod(pick, minus.size)
-                if vals[a, b] >= current - 1e-12:
+                limit = current - 1e-12
+                top = _top_rows(sums)
+                cand = (sums[top] - plus_2[:, top])[:, None, :] + minus_2[:, top]
+                bound = np.abs(cand, out=cand).max(axis=2).ravel()
+                scored = np.flatnonzero(bound < limit)
+                maxima = _pair_maxima(sums, plus_2, minus_2, scored)
+                if scored.size == 0 or maxima.min() >= limit:
                     break
+                best = maxima.min()
+                near = np.flatnonzero((bound >= limit) & (bound <= best + tolerance))
+                if near.size:
+                    scored = np.concatenate((scored, near))
+                    near_maxima = _pair_maxima(sums, plus_2, minus_2, near)
+                    maxima = np.concatenate((maxima, near_maxima))
+                    order = np.argsort(scored)
+                    scored, maxima = scored[order], maxima[order]
+                pick = int(np.argmax(maxima <= best + tolerance))
+                if maxima[pick] >= limit:
+                    break
+                a, b = divmod(int(scored[pick]), minus.size)
                 sums = sums - plus_2[a] + minus_2[b]
                 x[plus[a]] = -1.0
                 x[minus[b]] = 1.0
-                current = float(vals[a, b])
+                current = float(maxima[pick])
                 improved = True
         if not improved:
             break

@@ -20,6 +20,7 @@ from .discrepancy import (
     DEFAULT_CONFIG,
     ColoringConfig,
     DiscrepancyBoundError,
+    _row_classes,
     full_coloring,
     minority_sign,
 )
@@ -63,10 +64,16 @@ def _build_halving_matrix(
     U_values: np.ndarray, values: np.ndarray, columns: np.ndarray, omega: float
 ) -> np.ndarray:
     """The (n+1) x k coloring input: margin columns scaled by w_j/omega, plus
-    an l1 row |w_j|/omega that makes the coloring preserve total mass too."""
-    scaled = U_values[:, columns] * (values[columns] / omega)[None, :]
-    l1_row = np.abs(values[columns]) / omega
-    return np.vstack([scaled, l1_row])
+    an l1 row |w_j|/omega that makes the coloring preserve total mass too.
+
+    It is written straight into Fortran order, full_coloring's layout, so
+    the coloring copies nothing; each column of a Fortran-ordered U_values
+    is read contiguously."""
+    n = U_values.shape[0]
+    out = np.empty((n + 1, columns.size), order="F")
+    np.multiply(U_values[:, columns], values[columns] / omega, out=out[:n])
+    np.divide(np.abs(values[columns]), omega, out=out[n])
+    return out
 
 
 def halve(
@@ -105,9 +112,11 @@ def halve(
         if columns.size == 0:
             break
         A = _build_halving_matrix(U.values, values, columns, omega)
-        peak = float(np.max(np.abs(A)))
+        # Margins lie in [-1, 1], so no scaled entry exceeds its column's
+        # l1 entry (rounding is monotone) and the l1 row holds the peak.
+        peak = float(A[-1].max())
         if peak > 1.0:
-            A = A / peak
+            A /= peak
         x = full_coloring(A, split_seed(seed, iteration), config)
         sigma = minority_sign(x)
         kept = x == sigma
@@ -138,11 +147,20 @@ def sparsify(
     retry exhaustion) are retried with fresh derived seeds up to 8 times;
     if the support is still above T when halving can no longer run, the
     remainder is truncated to the top T weights and the report is flagged.
+
+    The rounds halve on U's distinct rows up to sign (the first of each
+    class, found once here), in Fortran order: rows equal up to sign are
+    one constraint, and the coloring of a halving round does not depend on
+    their repetition, so the weights are those that halving on U gives.
+    Every error is still measured on U itself.
     """
     require_normalized(w)
     _check_dims(U, w)
     if not 1 <= T <= len(w):
         raise ValueError(f"target support T={T} must be in [1, {len(w)}]")
+    leads = _row_classes(U.values)
+    rows = U.values if leads is None else U.values[leads]
+    distinct = MarginMatrix(np.asfortranarray(rows))
 
     current = w
     per_round: list[float] = []
@@ -153,7 +171,7 @@ def sparsify(
         for retry in range(8):
             try:
                 candidate = halve(
-                    U, current, split_seed(seed, len(per_round), retry), config
+                    distinct, current, split_seed(seed, len(per_round), retry), config
                 )
                 break
             except DiscrepancyBoundError:

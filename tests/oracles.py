@@ -106,6 +106,18 @@ def best_stump_exhaustive(features, labels, weights):
     return best, best_edge
 
 
+def stump_pick_interleaved(edge):
+    """(candidate, polarity) picked by argmax over the edges of both
+    polarities interleaved per candidate, +1 first: the first largest in
+    the order candidate, then polarity +1."""
+    edge = np.asarray(edge, dtype=np.float64)
+    flat = np.empty(2 * edge.size)
+    flat[0::2] = edge
+    flat[1::2] = -edge
+    idx = int(np.argmax(flat))
+    return idx // 2, 1 if idx % 2 == 0 else -1
+
+
 def lp_margin_grid(U_values, resolution):
     """Best minimal margin over the simplex grid with denominator
     `resolution` (compositions of resolution into m parts)."""
@@ -275,11 +287,13 @@ def gaussian_walk_stepwise(
     return "done", x, ~free, steps
 
 
-def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max):
+def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max, tolerance=0.0):
     """Flip polish scoring one column (and all opposite-sign pairs at once)
     per step: first-improvement single flips in column order, then repeated
     best pair flips, until a sweep improves nothing (the pre-blocking
-    kernel)."""
+    kernel). The pair flip is the first pair in row-major order whose
+    maximum is within `tolerance` of the smallest, and is made only when
+    that maximum improves on the current one by more than 1e-12."""
     x = x.copy()
     sums = A @ x
     current = float(np.max(np.abs(sums)))
@@ -306,7 +320,8 @@ def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max):
                     + 2.0 * A[:, minus].T[None, :, :]
                 )
                 vals = np.max(np.abs(cand), axis=2)
-                a, b = np.unravel_index(int(np.argmin(vals)), vals.shape)
+                first = int(np.argmax(vals <= vals.min() + tolerance))
+                a, b = np.unravel_index(first, vals.shape)
                 if vals[a, b] >= current - 1e-12:
                     break
                 x[plus[a]] = -1.0

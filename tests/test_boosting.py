@@ -22,7 +22,12 @@ from sparsevote import (
 )
 from sparsevote.seeding import rng_from
 
-from oracles import best_stump_exhaustive, lp_margin_grid, margins_double_loop
+from oracles import (
+    best_stump_exhaustive,
+    lp_margin_grid,
+    margins_double_loop,
+    stump_pick_interleaved,
+)
 
 
 def line_dataset(xs, labels):
@@ -232,6 +237,63 @@ class TestTrainStump:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 train_stump(three, np.array([bad, 0.5, 0.5]))
+
+
+class TestBestCandidate:
+    """train_stump's pick from the edges of polarity +1 equals argmax over
+    both polarities interleaved, which sets the tie order."""
+
+    def edge_vectors(self):
+        rng = rng_from(5)
+        for size in (1, 2, 3, 7, 40):
+            yield rng.uniform(-1.0, 1.0, size=size)
+            # Small integers: many exact ties within and across polarities.
+            yield rng.integers(-3, 4, size=size).astype(np.float64)
+            # Zeros of both signs only.
+            yield rng.choice([0.0, -0.0], size=size)
+            # A cross-polarity tie at the largest magnitude, in both orders.
+            edge = rng.uniform(-0.5, 0.5, size=size)
+            i, j = rng.integers(0, size, size=2)
+            edge[i], edge[j] = -0.75, 0.75
+            yield edge
+            edge[i], edge[j] = 0.75, -0.75
+            yield edge
+            # Largest magnitude 0: zeros of both signs, then a tie at +-0.
+            yield np.where(rng.random(size) < 0.5, 0.0, -0.0) * rng.uniform(size=size)
+
+    def test_matches_interleaved_argmax(self):
+        count = 0
+        for edge in self.edge_vectors():
+            assert boosting._best_candidate(edge) == stump_pick_interleaved(edge)
+            count += 1
+        assert count == 30
+
+    @pytest.mark.parametrize(
+        "edge, expected",
+        [
+            ([0.5, -0.5], (0, 1)),
+            ([-0.5, 0.5], (0, -1)),
+            ([0.25, -0.5, 0.5], (1, -1)),
+            ([-0.0, 0.0], (0, 1)),
+            ([-0.0], (0, 1)),
+            ([-0.25, 0.0, 0.25], (0, -1)),
+        ],
+    )
+    def test_tie_order(self, edge, expected):
+        edge = np.array(edge)
+        assert boosting._best_candidate(edge) == expected
+        assert stump_pick_interleaved(edge) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edges_keep_their_bits(self, seed):
+        # total + (-2 * p) in place has the bits of total - 2 * p.
+        rng = rng_from(seed)
+        p = rng.uniform(-1.0, 1.0, size=500) * 2.0 ** rng.integers(-30, 2, size=500)
+        total = float(rng.uniform(-1.0, 1.0))
+        edge = p.copy()
+        edge *= -2.0
+        edge += total
+        assert edge.tobytes() == (total - 2.0 * p).tobytes()
 
 
 class TestAdaBoostV:

@@ -923,3 +923,221 @@ class TestRowInvariance:
         assert report_once.halving_rounds == report_twice.halving_rounds
         assert report_once.truncated_fallback == report_twice.truncated_fallback
         assert report_twice.achieved_error == pytest.approx(report_once.achieved_error, rel=1e-12)
+
+
+def pair_heavy_matrix(seed, n, k):
+    """Columns drawn from ten sign patterns, each scaled by a weight in
+    [1/2, 1] on a 2^-20 grid: many columns repeat a pattern, so single
+    flips stall where opposite pairs still help, and every row sum is
+    exact, so ties between pairs are exact whatever the summation order."""
+    rng = rng_from(seed)
+    patterns = rng.choice([-1.0, 1.0], size=(n, 10))
+    weights = np.round(rng.uniform(0.5, 1.0, size=k) * 2.0**20) / 2.0**20
+    return patterns[:, rng.integers(0, 10, size=k)] * weights
+
+
+POLISH_MATRICES = {
+    "hadamard": hadamard_block,
+    "stumps": stump_matrix,
+    "pairs": pair_heavy_matrix,
+    "signs": sign_matrix,
+}
+
+
+class TestBoundedPolish:
+    """_refine_flips bounds candidates on a few rows before it scores them
+    on all rows; its moves must be those of scoring every candidate."""
+
+    @pytest.mark.parametrize("bound_rows", ["default", 1, "all"])
+    @pytest.mark.parametrize("kind", sorted(POLISH_MATRICES))
+    @pytest.mark.parametrize("n, ks", [(128, (20, 40, 64)), (256, (17, 48, 90))])
+    def test_matches_one_at_a_time(self, monkeypatch, bound_rows, kind, n, ks):
+        config = DEFAULT_CONFIG
+        for k in ks:
+            A = coloring._distinct_rows(
+                coloring._validate_matrix(POLISH_MATRICES[kind](7 * n + k, n, k))
+            )
+            rows = {"default": coloring.BOUND_ROWS, "all": A.shape[0] + 1}.get(
+                bound_rows, bound_rows
+            )
+            monkeypatch.setattr(coloring, "BOUND_ROWS", rows)
+            for start in range(3):
+                x = rng_from(100 * k + start).choice([-1.0, 1.0], size=k)
+                out = coloring._refine_flips(A, x, config)
+                expected = refine_flips_one_at_a_time(
+                    A, x, config.refine_sweeps, config.pair_refine_max
+                )
+                assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bound_rows", [1, 32])
+    @pytest.mark.parametrize("tolerance", [0.01, 0.1])
+    def test_tie_rule_with_a_wide_tolerance(self, monkeypatch, bound_rows, tolerance):
+        # A wide tie tolerance often makes the first tied pair one that the
+        # bound leaves at or above the current maximum, or one that does
+        # not improve it, so the polish stops there. Row sums of these
+        # matrices are exact, so ties are exact as well.
+        monkeypatch.setattr(coloring, "_tie_tolerance", lambda k, scale: tolerance)
+        monkeypatch.setattr(coloring, "BOUND_ROWS", bound_rows)
+        config = DEFAULT_CONFIG
+        cases = [(pair_heavy_matrix, 128, 40), (fine_grid_matrix, 96, 64), (pair_heavy_matrix, 64, 24)]
+        for seed, (make, n, k) in enumerate(cases):
+            A = coloring._distinct_rows(coloring._validate_matrix(make(seed + 70, n, k)))
+            for start in range(4):
+                x = rng_from(10 * seed + start).choice([-1.0, 1.0], size=k)
+                out = coloring._refine_flips(A, x, config)
+                expected = refine_flips_one_at_a_time(
+                    A, x, config.refine_sweeps, config.pair_refine_max, tolerance
+                )
+                assert out.tobytes() == expected.tobytes()
+
+    def test_pairs_are_scored(self, monkeypatch):
+        # The cases above make pair flips that the single flips could not:
+        # without pairs the polish ends elsewhere on some start.
+        config = DEFAULT_CONFIG
+        no_pairs = dataclasses.replace(config, pair_refine_max=0)
+        differ = 0
+        for seed in range(6):
+            A = coloring._validate_matrix(pair_heavy_matrix(seed, 64, 40))
+            x = rng_from(seed).choice([-1.0, 1.0], size=40)
+            with_pairs = coloring._refine_flips(A, x, config)
+            without = coloring._refine_flips(A, x, no_pairs)
+            differ += with_pairs.tobytes() != without.tobytes()
+        assert differ > 0
+
+    @pytest.mark.parametrize("n", [1, 5, 32, 33, 600])
+    def test_top_rows_are_the_largest(self, n):
+        sums = rng_from(n).normal(size=n)
+        top = coloring._top_rows(sums)
+        assert top.size == min(n, coloring.BOUND_ROWS)
+        assert np.unique(top).size == top.size
+        rest = np.setdiff1d(np.arange(n), top)
+        if rest.size:
+            assert np.abs(sums[top]).min() >= np.abs(sums[rest]).max()
+
+
+class TestRowClasses:
+    """_row_classes finds the first row of each class of rows equal up to
+    sign, on a margin matrix in either layout."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("kind", ["hadamard", "stumps", "signs"])
+    def test_matches_dict_oracle(self, monkeypatch, layout, kind):
+        U = INVARIANCE_MATRICES[kind](13, 256, 40)
+        for variant in (U, *reordered(U, 17)):
+            variant = np.asarray(variant, order=layout)
+            expected = distinct_rows_by_dict(variant)
+            leads = coloring._row_classes(variant)
+            got = variant if leads is None else variant[leads]
+            assert coloring._canonical_rows(got).tobytes() == expected.tobytes()
+            with monkeypatch.context() as patch:
+                # Every key collides: rows are merged only when they are equal.
+                patch.setattr(coloring, "_row_keys", lambda M: np.zeros(M.shape[0]))
+                collided = coloring._row_classes(variant)
+            assert np.array_equal(
+                np.arange(variant.shape[0]) if leads is None else leads,
+                np.arange(variant.shape[0]) if collided is None else collided,
+            )
+
+    def test_hadamard_rows_pair_up(self):
+        U = hadamard_block(3, 1024, 512)
+        leads = coloring._row_classes(U)
+        assert np.array_equal(leads, np.arange(512))
+        assert coloring._row_classes(U[:512]) is None
+
+    @pytest.mark.parametrize("k", [13, 85, 341])
+    def test_keys_match_across_layouts(self, k):
+        # Equal rows, and rows equal up to sign, get equal and negated keys
+        # in either layout, wherever they sit.
+        block = hadamard_block(k, 1024, k)
+        A = np.vstack([block, block[:3]])
+        for layout in ("C", "F"):
+            keys = coloring._row_keys(np.asarray(A, order=layout))
+            assert keys[1024:].tobytes() == keys[:3].tobytes()
+            signs = np.where(A[:512, 0] == A[512:1024, 0], 1.0, -1.0)
+            assert keys[:512].tobytes() == (signs * keys[512:1024]).tobytes()
+
+
+class TestWalkPeaks:
+    """partial_coloring hands _walk_phase the column peaks its validation
+    found; the walk must not depend on where they came from."""
+
+    @pytest.mark.parametrize("scale", [1.0, 8.0])
+    @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
+    def test_passed_peaks_match_recomputed(self, kind, scale):
+        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=scale)
+        outcomes = set()
+        for partial in (False, True):
+            for shape_seed, (n, k) in enumerate(WALK_SHAPES):
+                A, peaks = coloring._validated_columns(
+                    WALK_MATRICES[kind](shape_seed + 500, n, k)
+                )
+                assert peaks.tobytes() == np.abs(A).max(axis=0).tobytes()
+                values, frozen = walk_start(shape_seed + 600, k, partial)
+                args = (A, values, frozen, split_seed(9, shape_seed), config)
+                passed = walk_outcome(*args, peaks)
+                assert passed == walk_outcome(*args)
+                outcomes.add(passed[0])
+        # At scale 1 some of these phases fail the certificate; at 8 none.
+        assert ("failed" in outcomes) == (scale == 1.0)
+
+    def test_clipped_entries_clip_the_peaks(self):
+        A = np.array([[1.0 + 1e-12, -0.5], [0.25, -(1.0 + 1e-12)]])
+        arr, peaks = coloring._validated_columns(A)
+        assert np.array_equal(arr, [[1.0, -0.5], [0.25, -1.0]])
+        assert np.array_equal(peaks, [1.0, 1.0])
+        assert arr.flags.f_contiguous
+
+    def test_risky_steps_read_the_matrix(self, monkeypatch):
+        # Peaks of 1 on 0.5-sized entries make every step risky, so the
+        # certificate takes row shifts from A; the result must not change.
+        A = coloring._validate_matrix(0.5 * sign_matrix(3, 40, 30))
+        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=2.0)
+        values, frozen = walk_start(0, 30, False)
+        args = (A, values, frozen, 4, config)
+        assert walk_outcome(*args, np.ones(30)) == walk_outcome(*args)
+
+
+class TestPhaseCalls:
+    """Every phase of full_coloring goes through partial_coloring, the
+    function that tracing counts phases and phase failures on."""
+
+    # Every phase fails at scale 1 on signs, some do at 2 on stumps, none
+    # do at the default 8.
+    @pytest.mark.parametrize(
+        "kind, scale, failures",
+        [
+            ("signs", 1.0, True),
+            ("stumps", 2.0, True),
+            ("hadamard", 8.0, False),
+            ("signs", 8.0, False),
+        ],
+    )
+    def test_one_partial_coloring_call_per_phase(self, monkeypatch, kind, scale, failures):
+        calls = {"partial": 0, "walk": 0, "enumerate": 0, "failed": 0, "raised": 0}
+
+        def counted(name, key, failures=None):
+            real = getattr(coloring, name)
+
+            def spy(*args, **kwargs):
+                calls[key] += 1
+                try:
+                    return real(*args, **kwargs)
+                except PhaseFailureError:
+                    calls[failures] += 1 if failures else 0
+                    raise
+
+            monkeypatch.setattr(coloring, name, spy)
+
+        counted("partial_coloring", "partial", "raised")
+        counted("_walk_phase", "walk", "failed")
+        counted("_enumerate_completion", "enumerate")
+        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=scale)
+        A = INVARIANCE_MATRICES[kind](41, 128, 60)
+        try:
+            full_coloring(A, seed=3, config=config)
+        except DiscrepancyBoundError:
+            pass
+        assert calls["partial"] > 0
+        assert calls["partial"] == calls["walk"] + calls["enumerate"]
+        assert calls["raised"] == calls["failed"]
+        assert (calls["failed"] > 0) == failures

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,10 @@ from sparsevote import (
 )
 from sparsevote.sparsify import MIN_HALVING_SUPPORT, _build_halving_matrix, _split_support
 from sparsevote.seeding import rng_from, split_seed
+
+from oracles import distinct_rows_by_dict
+
+sparsify_module = importlib.import_module("sparsevote.sparsify")
 
 
 def random_instance(seed, n, m, signed=False, uniform=False):
@@ -65,6 +70,20 @@ class TestHalvingMatrixIdentity:
         assert omega * A[-1].sum() == pytest.approx(
             np.sum(np.abs(values[free])), abs=1e-10
         )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_l1_row_holds_column_peaks(self, seed):
+        # halve reads the peak it rescales by off the l1 row, also when the
+        # first pass has doubled the surviving weights.
+        rng = rng_from(seed + 40)
+        U = MarginMatrix(rng.choice([-1.0, 1.0, 0.5, -0.0], size=(30, 24)))
+        w = rng.exponential(size=24) * rng.choice([-1.0, 1.0], size=24)
+        values = w / np.abs(w).sum()
+        _, free = _split_support(values)
+        omega = float(np.max(np.abs(values[free])))
+        values[free[::2]] *= 2.0
+        A = _build_halving_matrix(U.values, values, free, omega)
+        assert np.abs(A).max(axis=0).tobytes() == A[-1].tobytes()
 
 
 class TestHalve:
@@ -190,6 +209,88 @@ class TestSparsify:
             assert np.all(
                 np.sign(out.values[surviving]) == np.sign(w.values[surviving])
             )
+
+
+def sylvester_rows(seed, n, m):
+    """m columns of a Sylvester-Hadamard matrix of order n with random row
+    signs and exponential weights, as in the hadamard benchmark: row i and
+    row i + n/2 are equal up to sign."""
+    rng = rng_from(seed)
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    U = rng.choice([-1.0, 1.0], size=n)[:, None] * H[:, rng.permutation(m)]
+    weights = rng.exponential(size=m)
+    return MarginMatrix(U), WeightVector(weights / weights.sum())
+
+
+def stump_rows(seed, n, m):
+    """Margins of threshold stumps on three features with five values each,
+    points repeated: few distinct rows, as in a boosted ensemble."""
+    rng = rng_from(seed)
+    X = rng.integers(0, 5, size=(n, 3))
+    y = rng.choice([-1.0, 1.0], size=n)
+    feature = rng.integers(0, 3, size=m)
+    threshold = rng.integers(1, 5, size=m)
+    polarity = rng.choice([-1.0, 1.0], size=m)
+    U = y[:, None] * np.where(X[:, feature] >= threshold, polarity, -polarity)
+    return MarginMatrix(U), WeightVector(rng.dirichlet(np.ones(m)))
+
+
+DISTINCT_ROW_INSTANCES = {
+    "hadamard": lambda: sylvester_rows(1, 256, 96),
+    "stumps": lambda: stump_rows(2, 300, 64),
+    "uniform": lambda: random_instance(3, n=80, m=64),
+}
+
+
+class TestDistinctRowHalving:
+    """sparsify halves on U's distinct rows up to sign, built column-major,
+    and gets the weights that halving on U itself gives."""
+
+    @pytest.mark.parametrize("kind", sorted(DISTINCT_ROW_INSTANCES))
+    def test_halving_matrices_are_fortran_with_one_row_per_class(self, monkeypatch, kind):
+        U, w = DISTINCT_ROW_INSTANCES[kind]()
+        classes = distinct_rows_by_dict(U.values).shape[0]
+        seen = []
+        real = sparsify_module.full_coloring
+
+        def spy(A, *args, **kwargs):
+            seen.append((A.flags.f_contiguous, A.shape[0]))
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(sparsify_module, "full_coloring", spy)
+        sparsify(U, w, T=8, seed=5)
+        assert len(seen) >= 2
+        assert set(seen) == {(True, classes + 1)}
+        if kind != "uniform":
+            assert classes < U.n_points
+
+    @pytest.mark.parametrize("kind", sorted(DISTINCT_ROW_INSTANCES))
+    def test_rounds_are_halving_on_all_rows(self, kind):
+        # The same rounds, each a halve call on U itself.
+        U, w = DISTINCT_ROW_INSTANCES[kind]()
+        out, report = sparsify(U, w, T=8, seed=6)
+        current, errors = w, []
+        while current.support_size > 8:
+            halved = halve(U, current, split_seed(6, len(errors), 0))
+            errors.append(sup_norm_diff(U, current, halved))
+            current = halved
+        assert out.values.tobytes() == current.values.tobytes()
+        assert report.per_round_errors == tuple(errors)
+        assert report.achieved_error == sup_norm_diff(U, w, out)
+
+    def test_halving_matrix_matches_row_major_build(self):
+        U, w = sylvester_rows(4, 64, 40)
+        values = w.values.copy()
+        _, free = _split_support(values)
+        omega = float(np.max(np.abs(values[free])))
+        scaled = U.values[:, free] * (values[free] / omega)[None, :]
+        expected = np.vstack([scaled, np.abs(values[free]) / omega])
+        for layout in (U.values, np.asfortranarray(U.values)):
+            A = _build_halving_matrix(layout, values, free, omega)
+            assert A.flags.f_contiguous
+            assert A.tobytes(order="C") == expected.tobytes()
 
 
 class TestImportanceSample:
