@@ -164,15 +164,15 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class BoostConfig:
+    """AdaBoostV's round budget, and a seed that only sparsiboost reads, as
+    the root of its sparsifier's seed: training itself is deterministic."""
+
     rounds: int
-    edge_cap: float = EDGE_CAP
     seed: object = None
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("need at least one boosting round")
-        if not 0.0 < self.edge_cap < 1.0:
-            raise ValueError("edge cap must lie strictly between 0 and 1")
 
 
 def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
@@ -251,7 +251,7 @@ def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:
         raise ValueError("AdaBoostV needs at least two training points")
     nu = math.sqrt(2.0 * math.log(n) / config.rounds)
     distribution = np.full(n, 1.0 / n)
-    cap = config.edge_cap
+    cap = EDGE_CAP
 
     stumps: list[DecisionStump] = []
     alphas: list[float] = []
@@ -315,10 +315,7 @@ def sparsiboost(
     if T < 1:
         raise ValueError("target size must be positive")
     c = budget_multiplier(dataset.n_points, T)
-    train_config = BoostConfig(
-        rounds=c * T, edge_cap=config.edge_cap, seed=config.seed
-    )
-    ensemble = adaboost_v(dataset, train_config)
+    ensemble = adaboost_v(dataset, BoostConfig(rounds=c * T, seed=config.seed))
     U = build_margin_matrix(dataset, ensemble)
     w = ensemble.weights.normalized()
     target = min(T, len(ensemble))

@@ -5,10 +5,11 @@ eval, margins, and compare, the driver that trains a full ensemble,
 derives truncated / sparsified / importance-sampled competitors, evaluates
 all four, and writes a JSON report plus cumulative-margin CSV curves.
 
-Every run is reproducible from its config: all randomness derives from the
-single seed through fixed component indices (0 full training, 1 truncated
-training, 2 sparsifier, 3 sampler), and reports are written with sorted
-keys so identical configs produce byte-identical files (timing aside).
+Every run is reproducible from its config. Training is deterministic; the
+sparsifier and the sampler draw from the single seed through the fixed
+component indices 2 and 3 (0 and 1 are unused). Reports are written with
+sorted keys, so identical configs produce byte-identical files (timing
+aside).
 """
 from __future__ import annotations
 
@@ -62,14 +63,13 @@ METHOD_NAMES = ("full", "truncated", "sparsified", "sampled")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Driver configuration: seed, target size, coloring bound constant,
-    retry budget, and paths."""
+    """Driver configuration: seed, target size, coloring bound constant, and
+    paths."""
 
     seed: int = 0
     target: int = 16
     rounds: int | None = None
     spencer_constant: float = 12.0
-    coloring_retries: int = 16
     train_path: str | None = None
     test_path: str | None = None
     matrix_path: str | None = None
@@ -77,23 +77,19 @@ class RunConfig:
     matrix_mode: bool = False
 
     def __post_init__(self):
-        if self.spencer_constant <= 0:
-            raise ValueError("spencer_constant must be positive")
+        _coloring(self.spencer_constant)
         if self.target < 1:
             raise ValueError("target size must be at least 1")
-        if self.coloring_retries < 1:
-            raise ValueError("coloring retry budget must be at least 1")
-
-    def coloring_config(self) -> ColoringConfig:
-        return dataclasses.replace(
-            DEFAULT_CONFIG,
-            spencer_constant=self.spencer_constant,
-            retry_budget=self.coloring_retries,
-        )
 
     def echo(self) -> dict:
-        payload = dataclasses.asdict(self)
-        return payload
+        return dataclasses.asdict(self)
+
+
+def _coloring(ks: float | None) -> ColoringConfig:
+    """The coloring configuration for a --ks value, DEFAULT_CONFIG when it
+    is unset; ColoringConfig rejects a constant that is not positive and
+    finite."""
+    return DEFAULT_CONFIG if ks is None else ColoringConfig(spencer_constant=ks)
 
 
 def _require_paths(config: RunConfig) -> None:
@@ -224,12 +220,10 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
     rounds = config.rounds
     if rounds is None:
         rounds = budget_multiplier(train.n_points, T) * T
-    coloring = config.coloring_config()
+    coloring = _coloring(config.spencer_constant)
 
-    full = adaboost_v(train, BoostConfig(rounds=rounds, seed=split_seed(config.seed, 0)))
-    truncated = adaboost_v(
-        train, BoostConfig(rounds=min(T, rounds), seed=split_seed(config.seed, 1))
-    )
+    full = adaboost_v(train, BoostConfig(rounds=rounds))
+    truncated = adaboost_v(train, BoostConfig(rounds=min(T, rounds)))
     U = build_margin_matrix(train, full)
     w_full = full.weights.normalized()
     target = min(T, len(full))
@@ -274,7 +268,7 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
 def _compare_matrix(config: RunConfig, payload: dict) -> None:
     U, w = load_margin_matrix(config.matrix_path)
     T = min(config.target, len(w))
-    coloring = config.coloring_config()
+    coloring = _coloring(config.spencer_constant)
     sparse_w, report = sparsify(U, w, T, split_seed(config.seed, 2), coloring)
     sampled_w = importance_sample(w, T, split_seed(config.seed, 3))
     records = payload["methods"]
@@ -353,12 +347,6 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _coloring_from(args: argparse.Namespace) -> ColoringConfig:
-    if getattr(args, "ks", None) is not None:
-        return dataclasses.replace(DEFAULT_CONFIG, spencer_constant=args.ks)
-    return DEFAULT_CONFIG
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     args = _merge_config(args)
     dataset = load_dataset(args.data)
@@ -393,9 +381,10 @@ def _load_matrix_or_model(args: argparse.Namespace) -> tuple[MarginMatrix, Weigh
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
     args = _merge_config(args)
+    coloring = _coloring(args.ks)
     U, w, ensemble = _load_matrix_or_model(args)
     T = min(args.target, len(w))
-    sparse_w, report = sparsify(U, w, T, split_seed(args.seed or 0, 2), _coloring_from(args))
+    sparse_w, report = sparsify(U, w, T, split_seed(args.seed or 0, 2), coloring)
     _write_weights_output(args.out, sparse_w, ensemble)
     print(json.dumps(_report_payload(report), indent=2, sort_keys=True))
     return 0

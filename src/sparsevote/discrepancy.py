@@ -20,7 +20,7 @@ guarantee.
 
 Small instances bypass the walk entirely: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. Phases whose
-free count has shrunk to at most ``endgame_max`` coordinates are likewise
+free count has shrunk to at most ENDGAME_MAX coordinates are likewise
 finished by enumeration instead of the walk, and completed colorings are
 polished by deterministic single-coordinate (and, for narrow matrices,
 opposite-pair) flips that strictly reduce the discrepancy. The exhaustive
@@ -70,6 +70,24 @@ BOUND_ROWS = 32
 # A walk phase fails once a row's shift may have reached this share of the
 # phase cap.
 _CAP_ACTIVATION = 0.9
+# The walk's constants: its step, the scale of its per-phase cap on the
+# rows' shifts (_phase_cap), its budget of steps per free coordinate, and
+# how close to +-1 a coordinate must come to freeze.
+STEP_SIZE = 0.1
+PHASE_CAP_SCALE = 8.0
+MAX_ITERATION_FACTOR = 64
+FREEZE_TOLERANCE = 1e-6
+# Exhaustive search colors matrices of at most BRUTEFORCE_MAX columns and
+# finishes phases with at most ENDGAME_MAX free coordinates; both stay at
+# most 20, the limit of bruteforce_min_discrepancy.
+BRUTEFORCE_MAX = 16
+ENDGAME_MAX = 12
+# Walk attempts full_coloring makes before it gives up.
+RETRY_BUDGET = 16
+# The flip polish makes at most REFINE_SWEEPS sweeps, and tries pair flips
+# on matrices of at most PAIR_REFINE_MAX columns.
+REFINE_SWEEPS = 32
+PAIR_REFINE_MAX = 64
 
 
 class DiscrepancyBoundError(RuntimeError):
@@ -100,36 +118,18 @@ class PhaseFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ColoringConfig:
-    """Tuning knobs for the coloring machinery.
-
-    spencer_constant is the K_S of the output bound; step_size,
-    max_iteration_factor and freeze_tolerance parameterize the walk, and
-    phase_cap_scale its per-phase cap on the rows' shifts: a phase in which
-    a row's shift may have reached _CAP_ACTIVATION times the cap fails
-    (there is no projection away from the row). bruteforce_max and
-    endgame_max are the exhaustive-search cutoffs; retry_budget caps full
-    restarts; refine_sweeps and pair_refine_max control the flip polish on
-    completed colorings.
-    """
+    """The coloring's one parameter: spencer_constant, the K_S of the bound
+    that full_coloring enforces. It must be positive and finite: at zero or
+    below no coloring meets the bound, and at inf every one does. The
+    walk's and the searches' constants are module constants."""
 
     spencer_constant: float = 12.0
-    phase_cap_scale: float = 8.0
-    step_size: float = 0.1
-    max_iteration_factor: int = 64
-    freeze_tolerance: float = 1e-6
-    bruteforce_max: int = 16
-    endgame_max: int = 12
-    retry_budget: int = 16
-    refine_sweeps: int = 32
-    pair_refine_max: int = 64
 
     def __post_init__(self):
-        if not (0 < self.step_size < 1):
-            raise ValueError("step_size must be in (0, 1)")
-        if self.bruteforce_max > 20 or self.endgame_max > 20:
-            raise ValueError("exhaustive-search cutoffs beyond 20 are not supported")
-        if self.retry_budget < 1:
-            raise ValueError("retry_budget must be at least 1")
+        if not (math.isfinite(self.spencer_constant) and self.spencer_constant > 0):
+            raise ValueError(
+                f"spencer_constant must be positive and finite, got {self.spencer_constant}"
+            )
 
 
 DEFAULT_CONFIG = ColoringConfig()
@@ -380,10 +380,10 @@ def minority_sign(x) -> int:
     return -1 if minus <= plus else +1
 
 
-def _phase_cap(n_rows: int, k_free: int, config: ColoringConfig) -> float:
+def _phase_cap(n_rows: int, k_free: int) -> float:
     raw = k_free * math.log(math.e * (n_rows + 1) / k_free)
     raw = max(raw, float(min(k_free, n_rows + 1)))
-    return config.phase_cap_scale * math.sqrt(raw)
+    return PHASE_CAP_SCALE * math.sqrt(raw)
 
 
 def _enumerate_completion(
@@ -403,29 +403,28 @@ def _walk_phase(
     values: np.ndarray,
     frozen: np.ndarray,
     seed,
-    config: ColoringConfig,
     col_peaks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One partial-coloring phase of the Gaussian walk, run a block of steps
     at a time. Returns updated (values, frozen).
 
-    Each step adds step_size times a standard-normal vector to the free
+    Each step adds STEP_SIZE times a standard-normal vector to the free
     coordinates. A coordinate snaps to +-1 at its first step with |x| >=
-    1 - freeze_tolerance and stays there; the phase ends at the first step
+    1 - FREEZE_TOLERANCE and stays there; the phase ends at the first step
     where half of its free coordinates are frozen. Each block draws its
     steps as one (steps, k) standard-normal array, which yields the numbers
     of that many successive k-vector draws, and accumulates them with
     cumsum over the step axis, which performs a stepwise walk's additions
     in its order. Only the columns free at the start of the phase move.
 
-    The first block holds ceil(1 / step_size^2) steps, the walk's expected
+    The first block holds ceil(1 / STEP_SIZE^2) steps, the walk's expected
     exit time from the cube, and each later block twice as many as the one
     before, up to BLOCK_CELLS // k. The steps drawn past the phase's end
-    are discarded, so at most 2 * used + ceil(1 / step_size^2) steps are
+    are discarded, so at most 2 * used + ceil(1 / STEP_SIZE^2) steps are
     drawn. Block boundaries change neither the draws nor where the phase
     ends, so the result does not depend on them.
 
-    Raises PhaseFailureError when the step budget, max_iteration_factor
+    Raises PhaseFailureError when the step budget, MAX_ITERATION_FACTOR
     steps per free coordinate, runs out, or when the certificate below
     cannot rule out that some row's shift within the phase reached the
     activation, _CAP_ACTIVATION times the phase cap. There is no projection
@@ -442,9 +441,9 @@ def _walk_phase(
     cols = np.flatnonzero(~frozen)
     free_start = cols.size
     target = (free_start + 1) // 2
-    activation = _CAP_ACTIVATION * _phase_cap(n_rows, free_start, config)
-    max_steps = config.max_iteration_factor * free_start
-    threshold = 1.0 - config.freeze_tolerance
+    activation = _CAP_ACTIVATION * _phase_cap(n_rows, free_start)
+    max_steps = MAX_ITERATION_FACTOR * free_start
+    threshold = 1.0 - FREEZE_TOLERANCE
     if col_peaks is None:
         col_peaks = np.abs(A).max(axis=0)
     free_peaks = col_peaks[cols]
@@ -455,7 +454,7 @@ def _walk_phase(
     # Blocks of steps double up to `widest`; row shifts are taken in chunks
     # of at most max(n * k, BLOCK_CELLS) entries.
     widest = max(1, BLOCK_CELLS // k)
-    block = min(math.ceil(1.0 / config.step_size**2), widest)
+    block = min(math.ceil(1.0 / STEP_SIZE**2), widest)
     chunk = max(k, BLOCK_CELLS // n_rows)
     frozen_count = steps = 0
     path = peak = 0.0
@@ -468,7 +467,7 @@ def _walk_phase(
         drawn = min(block, max_steps - steps)
         block = min(2 * block, widest)
         traj = rng.standard_normal((drawn, k))[:, cols]
-        traj *= config.step_size
+        traj *= STEP_SIZE
         traj[:, ~free] = 0.0
         lengths = np.abs(traj).sum(axis=1)
         traj[0] += x
@@ -535,16 +534,11 @@ def _walk_phase(
     return out, now_frozen
 
 
-def partial_coloring(
-    A,
-    state: PartialColoring,
-    seed=None,
-    config: ColoringConfig = DEFAULT_CONFIG,
-) -> PartialColoring:
+def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
     """Advance one phase: freeze at least half of the currently free entries.
 
-    Small tails (at most ``config.endgame_max`` free coordinates) are finished
-    exactly by enumeration; larger phases run the Gaussian walk (_walk_phase)
+    Small tails (at most ENDGAME_MAX free coordinates) are finished exactly
+    by enumeration; larger phases run the Gaussian walk (_walk_phase)
     and raise PhaseFailureError when its step budget runs out or its
     certificate cannot rule out that a row reached the phase cap.
     """
@@ -557,13 +551,11 @@ def partial_coloring(
     if state.free_count == 0:
         raise ValueError("no free coordinates left to color")
 
-    if state.free_count <= config.endgame_max:
+    if state.free_count <= ENDGAME_MAX:
         completed = _enumerate_completion(arr, state.values, state.frozen)
         return PartialColoring(completed, np.ones_like(state.frozen))
 
-    values, frozen = _walk_phase(
-        arr, state.values, state.frozen, seed, config, col_peaks
-    )
+    values, frozen = _walk_phase(arr, state.values, state.frozen, seed, col_peaks)
     return PartialColoring(values, frozen)
 
 
@@ -590,7 +582,7 @@ def _pair_maxima(
     return out
 
 
-def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.ndarray:
+def _refine_flips(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Deterministic local search: accept single-coordinate flips (and, for
     narrow matrices, opposite-sign pair flips) that strictly reduce the
     discrepancy. Each accepted move recomputes exact row sums, so the result
@@ -620,10 +612,10 @@ def _refine_flips(A: np.ndarray, x: np.ndarray, config: ColoringConfig) -> np.nd
     current = float(np.max(np.abs(sums)))
     n, k = A.shape
     width = max(1, BLOCK_CELLS // n)
-    pairs = k <= config.pair_refine_max
+    pairs = k <= PAIR_REFINE_MAX
     if pairs:
         tolerance = _tie_tolerance(k, float(np.abs(A).sum(axis=1).max()))
-    for _ in range(config.refine_sweeps):
+    for _ in range(REFINE_SWEEPS):
         improved = False
         j = 0
         while j < k:
@@ -702,15 +694,15 @@ def full_coloring(
     repeated, or repeated negated, is the same constraint. Everything below
     runs on them, and n counts them.
 
-    For k <= config.bruteforce_max columns the exact exhaustive optimum is
+    For k <= BRUTEFORCE_MAX columns the exact exhaustive optimum is
     returned (deterministic, seed unused). Otherwise the partial-coloring walk
     runs phase by phase and the completed coloring is polished by local
     flips. An attempt in which a phase fails (PhaseFailureError: out of
     steps, or a row's shift may have reached the phase cap) is dropped, and
     the whole attempt restarts with a fresh derived seed until the bound
-    K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise) is met or the retry
-    budget is exhausted; DiscrepancyBoundError then reports inf as the
-    achieved discrepancy if every attempt failed a phase.
+    K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise) is met or
+    RETRY_BUDGET attempts are spent; DiscrepancyBoundError then reports inf
+    as the achieved discrepancy if every attempt failed a phase.
 
     Near-ties in the exhaustive searches and the pair flips go to the first
     candidate in a fixed order (see _best_signs and _refine_flips), so the
@@ -722,31 +714,29 @@ def full_coloring(
     n_rows, k = arr.shape
     bound = spencer_bound(n_rows, k, config.spencer_constant)
 
-    if k <= config.bruteforce_max:
+    if k <= BRUTEFORCE_MAX:
         achieved, x = bruteforce_min_discrepancy(arr)
         if achieved > bound:
             raise DiscrepancyBoundError(achieved, bound, attempts=1)
         return x
 
     best_val = math.inf
-    for attempt in range(config.retry_budget):
+    for attempt in range(RETRY_BUDGET):
         attempt_seed = split_seed(seed, attempt)
         state = PartialColoring.initial(k)
         phase = 0
         try:
             while not state.is_complete:
-                state = partial_coloring(
-                    arr, state, split_seed(attempt_seed, phase), config
-                )
+                state = partial_coloring(arr, state, split_seed(attempt_seed, phase))
                 phase += 1
         except PhaseFailureError:
             continue
-        x = _refine_flips(arr, state.values, config)
+        x = _refine_flips(arr, state.values)
         val = discrepancy(arr, x)
         best_val = min(best_val, val)
         if val <= bound:
             return x
-    raise DiscrepancyBoundError(best_val, bound, attempts=config.retry_budget)
+    raise DiscrepancyBoundError(best_val, bound, attempts=RETRY_BUDGET)
 
 
 def halve_columns(

@@ -100,12 +100,10 @@ def halve(
         )
 
     values = w.values.copy()
+    # The support is at least 6 and the protected top third ceil(s/3), so
+    # at least 4 nonzero weights are free and omega is positive.
     _, free = _split_support(values)
-    omega = float(np.max(np.abs(values[free]))) if free.size else 0.0
-    if omega == 0.0:
-        # Unreachable for valid inputs (the free set is drawn from the
-        # support), kept as a defensive no-op so callers can fall back.
-        return w
+    omega = float(np.max(np.abs(values[free])))
 
     for iteration in (0, 1):
         columns = free[values[free] != 0.0]
@@ -143,10 +141,11 @@ def sparsify(
 ) -> tuple[WeightVector, SparsifyReport]:
     """Repeated halving until the support is at most T.
 
-    Rounds that fail to shrink the support (possible only through coloring
-    retry exhaustion) are retried with fresh derived seeds up to 8 times;
-    if the support is still above T when halving can no longer run, the
-    remainder is truncated to the top T weights and the report is flagged.
+    A round whose coloring misses its bound (DiscrepancyBoundError) is
+    retried with fresh derived seeds up to 8 times. Every round that
+    succeeds at least halves the support. When all 8 fail, or the support
+    is still above T once halving can no longer run, the remainder is
+    truncated to the top T weights and the report is flagged.
 
     The rounds halve on U's distinct rows up to sign (the first of each
     class, found once here), in Fortran order: rows equal up to sign are
@@ -166,7 +165,6 @@ def sparsify(
     per_round: list[float] = []
     fallback = False
     while current.support_size > max(T, MIN_HALVING_SUPPORT - 1):
-        before = current.support_size
         candidate = None
         for retry in range(8):
             try:
@@ -176,7 +174,7 @@ def sparsify(
                 break
             except DiscrepancyBoundError:
                 continue
-        if candidate is None or candidate.support_size >= before:
+        if candidate is None:
             fallback = True
             break
         per_round.append(sup_norm_diff(U, current, candidate))

@@ -360,8 +360,6 @@ class TestAdaBoostV:
     def test_rounds_validation(self):
         with pytest.raises(ValueError):
             BoostConfig(rounds=0)
-        with pytest.raises(ValueError):
-            BoostConfig(rounds=4, edge_cap=1.0)
 
     def test_margin_consistency_invariant(self):
         data = random_dataset(9, 25, 3)

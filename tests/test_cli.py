@@ -267,6 +267,27 @@ class TestSubcommands:
         assert err.startswith("error: ") and "Not a directory" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("ks", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["sparsify", "compare"])
+    def test_bad_ks_is_one_error_line(self, tmp_path, capsys, command, ks):
+        # At zero or below no coloring meets the bound and at inf every one
+        # does, so the halver would silently fall back or go unchecked.
+        path = tmp_path / "m.txt"
+        rng = rng_from(64)
+        save_margin_matrix(
+            path, MarginMatrix(rng.choice([-1.0, 1.0], size=(64, 40))), WeightVector.uniform(40)
+        )
+        out = tmp_path / "out"
+        if command == "sparsify":
+            argv = ["sparsify", "--matrix", str(path), "--out", str(out)]
+        else:
+            argv = ["compare", "--matrix-mode", "--matrix", str(path), "--out", str(out)]
+        assert main(argv + ["-T", "8", "--ks", ks]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spencer_constant must be positive and finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "failure",
         [DiscrepancyBoundError(2.5, 1.5, attempts=16), RuntimeError("margin LP failed: x")],

@@ -174,15 +174,14 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("n", KERNEL_ROWS)
     def test_refine_flips_matches_one_at_a_time(self, kind, n):
         # k = 40 and 64 take the pair-flip path, k = 90 exceeds
-        # pair_refine_max; 40 and 90 are not multiples of any block width.
-        config = DEFAULT_CONFIG
+        # PAIR_REFINE_MAX; 40 and 90 are not multiples of any block width.
         rng = rng_from(n + 11)
         for k in (5, 40, 64, 90):
             A = KERNEL_MATRICES[kind](1000 * n + k, n, k)
             x = rng.choice([-1.0, 1.0], size=k)
-            out = coloring._refine_flips(A, x, config)
+            out = coloring._refine_flips(A, x)
             expected = refine_flips_one_at_a_time(
-                A, x, config.refine_sweeps, config.pair_refine_max
+                A, x, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX
             )
             assert np.array_equal(out, expected)
 
@@ -202,11 +201,10 @@ class TestBlockedKernels:
             enumerate_completion_unblocked(A, values, frozen),
         )
         x0 = rng_from(seed).choice([-1.0, 1.0], size=24)
-        config = DEFAULT_CONFIG
         assert np.array_equal(
-            coloring._refine_flips(A, x0, config),
+            coloring._refine_flips(A, x0),
             refine_flips_one_at_a_time(
-                A, x0, config.refine_sweeps, config.pair_refine_max
+                A, x0, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX
             ),
         )
 
@@ -401,8 +399,9 @@ class TestFullColoring:
         expected, _ = min_discrepancy_exhaustive(A)
         assert discrepancy(A, x) >= expected - 1e-12
 
-    def test_impossible_bound_raises_with_diagnostics(self):
-        config = ColoringConfig(spencer_constant=1e-3, retry_budget=2)
+    def test_impossible_bound_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(coloring, "RETRY_BUDGET", 2)
+        config = ColoringConfig(spencer_constant=1e-3)
         A = sign_matrix(4, 20, 18)
         with pytest.raises(DiscrepancyBoundError, match="best discrepancy") as info:
             full_coloring(A, seed=0, config=config)
@@ -411,31 +410,31 @@ class TestFullColoring:
         assert err.attempts == 2
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_capped_phases_keep_frozen_signs(self, seed):
+    def test_capped_phases_keep_frozen_signs(self, monkeypatch, seed):
         # A phase cap of 1 makes rows' shifts reach the cap. Such a phase
         # fails and its attempt is retried, so full_coloring returns a
         # coloring within the bound or raises DiscrepancyBoundError; never
         # ValueError, which PartialColoring raises when a phase moves a
         # frozen coordinate off +-1. On this matrix every attempt fails.
         A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
-        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=1.0)
+        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", 1.0)
         with pytest.raises(DiscrepancyBoundError) as info:
-            full_coloring(A, seed=seed, config=config)
-        assert info.value.attempts == config.retry_budget
+            full_coloring(A, seed=seed)
+        assert info.value.attempts == coloring.RETRY_BUDGET
         assert info.value.achieved == math.inf
 
     @pytest.mark.parametrize(
-        "change",
-        [{"max_iteration_factor": 1}, {"phase_cap_scale": 1.0}],
+        "name, value",
+        [("MAX_ITERATION_FACTOR", 1), ("PHASE_CAP_SCALE", 1.0)],
         ids=["out_of_steps", "capped"],
     )
-    def test_every_attempt_failing_a_phase_is_reported(self, change):
+    def test_every_attempt_failing_a_phase_is_reported(self, monkeypatch, name, value):
         A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
-        config = dataclasses.replace(DEFAULT_CONFIG, **change)
+        monkeypatch.setattr(coloring, name, value)
         with pytest.raises(
             DiscrepancyBoundError, match="all 16 attempts failed a walk phase$"
         ) as info:
-            full_coloring(A, seed=0, config=config)
+            full_coloring(A, seed=0)
         assert info.value.achieved == math.inf
         assert info.value.attempts == 16
 
@@ -534,18 +533,19 @@ def walk_outcome(*args):
     return values.tobytes(), frozen.tobytes()
 
 
-def stepwise_walk(A, values, frozen, seed, config):
-    """gaussian_walk_stepwise with _walk_phase's step budget and activation."""
+def stepwise_walk(A, values, frozen, seed):
+    """gaussian_walk_stepwise with _walk_phase's step, step budget and
+    activation, read from the module as they stand."""
     free_start = int(np.count_nonzero(~frozen))
-    cap = coloring._phase_cap(A.shape[0], free_start, config)
+    cap = coloring._phase_cap(A.shape[0], free_start)
     return gaussian_walk_stepwise(
         A,
         values,
         frozen,
         seed,
-        config.step_size,
-        config.freeze_tolerance,
-        config.max_iteration_factor * free_start,
+        coloring.STEP_SIZE,
+        coloring.FREEZE_TOLERANCE,
+        coloring.MAX_ITERATION_FACTOR * free_start,
         coloring._CAP_ACTIVATION * cap,
     )
 
@@ -562,12 +562,12 @@ class TestBlockedWalk:
         monkeypatch.setattr(coloring, "BLOCK_CELLS", block_cells)
         accepted = declined = 0
         for scale in (1.0, 2.0, 4.0, 8.0):
-            config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=scale)
+            monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", scale)
             for partial in (False, True):
                 for shape_seed, (n, k) in enumerate(WALK_SHAPES):
                     A = WALK_MATRICES[kind](shape_seed + 200, n, k)
                     values, frozen = walk_start(shape_seed + 300, k, partial)
-                    args = (A, values, frozen, split_seed(7, shape_seed), config)
+                    args = (A, values, frozen, split_seed(7, shape_seed))
                     outcome, x, now_frozen, _ = stepwise_walk(*args)
                     blocked = walk_outcome(*args)
                     if outcome == "done":
@@ -578,14 +578,14 @@ class TestBlockedWalk:
                         declined += 1
         assert accepted > 0 and declined > 0
 
-    def test_phase_failure_matches_stepwise_loop(self):
+    def test_phase_failure_matches_stepwise_loop(self, monkeypatch):
         # One step per free coordinate cannot freeze half of them: the
         # stepwise walk runs out of steps, and the blocked walk raises
         # having frozen as many coordinates.
         A = sign_matrix(41, 40, 30)
         values, frozen = walk_start(0, 30, False)
-        config = dataclasses.replace(DEFAULT_CONFIG, max_iteration_factor=1)
-        args = (A, values, frozen, 5, config)
+        monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", 1)
+        args = (A, values, frozen, 5)
         outcome, _, now_frozen, steps = stepwise_walk(*args)
         assert (outcome, steps) == ("out of steps", 30)
         count = np.count_nonzero(now_frozen)
@@ -642,17 +642,16 @@ class TestColoringConfig:
     def test_default_is_valid(self):
         assert DEFAULT_CONFIG.spencer_constant == 12.0
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            ColoringConfig(step_size=0.0)
+    def test_holds_only_the_spencer_constant(self):
+        assert [f.name for f in dataclasses.fields(ColoringConfig)] == ["spencer_constant"]
 
-    def test_rejects_bruteforce_beyond_enumeration(self):
-        with pytest.raises(ValueError):
-            ColoringConfig(bruteforce_max=21)
+    @pytest.mark.parametrize("constant", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_constant_not_positive_and_finite(self, constant):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ColoringConfig(spencer_constant=constant)
 
-    def test_rejects_zero_retries(self):
-        with pytest.raises(ValueError):
-            ColoringConfig(retry_budget=0)
+    def test_exhaustive_cutoffs_stay_enumerable(self):
+        assert max(coloring.BRUTEFORCE_MAX, coloring.ENDGAME_MAX) <= 20
 
 
 def hadamard_block(seed, n, k):
@@ -704,8 +703,7 @@ class TestWalkDraws:
     )
     def test_drawn_steps_track_used_steps(self, monkeypatch, make, n, k, seed):
         A = coloring._distinct_rows(coloring._validate_matrix(make(60 + seed, n, k)))
-        config = DEFAULT_CONFIG
-        first = math.ceil(1.0 / config.step_size**2)
+        first = math.ceil(1.0 / coloring.STEP_SIZE**2)
         generators = []
 
         def counting_rng(phase_seed):
@@ -715,8 +713,8 @@ class TestWalkDraws:
         monkeypatch.setattr(coloring, "rng_from", counting_rng)
         state = PartialColoring.initial(A.shape[1])
         phase = 0
-        while state.free_count > config.endgame_max:
-            args = (A, state.values, state.frozen, split_seed(seed, phase), config)
+        while state.free_count > coloring.ENDGAME_MAX:
+            args = (A, state.values, state.frozen, split_seed(seed, phase))
             # The stepwise walk draws one vector per step it takes.
             outcome, values, frozen, used = stepwise_walk(*args)
             assert outcome == "done"
@@ -952,7 +950,6 @@ class TestBoundedPolish:
     @pytest.mark.parametrize("kind", sorted(POLISH_MATRICES))
     @pytest.mark.parametrize("n, ks", [(128, (20, 40, 64)), (256, (17, 48, 90))])
     def test_matches_one_at_a_time(self, monkeypatch, bound_rows, kind, n, ks):
-        config = DEFAULT_CONFIG
         for k in ks:
             A = coloring._distinct_rows(
                 coloring._validate_matrix(POLISH_MATRICES[kind](7 * n + k, n, k))
@@ -963,9 +960,9 @@ class TestBoundedPolish:
             monkeypatch.setattr(coloring, "BOUND_ROWS", rows)
             for start in range(3):
                 x = rng_from(100 * k + start).choice([-1.0, 1.0], size=k)
-                out = coloring._refine_flips(A, x, config)
+                out = coloring._refine_flips(A, x)
                 expected = refine_flips_one_at_a_time(
-                    A, x, config.refine_sweeps, config.pair_refine_max
+                    A, x, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX
                 )
                 assert out.tobytes() == expected.tobytes()
 
@@ -978,29 +975,28 @@ class TestBoundedPolish:
         # matrices are exact, so ties are exact as well.
         monkeypatch.setattr(coloring, "_tie_tolerance", lambda k, scale: tolerance)
         monkeypatch.setattr(coloring, "BOUND_ROWS", bound_rows)
-        config = DEFAULT_CONFIG
         cases = [(pair_heavy_matrix, 128, 40), (fine_grid_matrix, 96, 64), (pair_heavy_matrix, 64, 24)]
         for seed, (make, n, k) in enumerate(cases):
             A = coloring._distinct_rows(coloring._validate_matrix(make(seed + 70, n, k)))
             for start in range(4):
                 x = rng_from(10 * seed + start).choice([-1.0, 1.0], size=k)
-                out = coloring._refine_flips(A, x, config)
+                out = coloring._refine_flips(A, x)
                 expected = refine_flips_one_at_a_time(
-                    A, x, config.refine_sweeps, config.pair_refine_max, tolerance
+                    A, x, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX, tolerance
                 )
                 assert out.tobytes() == expected.tobytes()
 
     def test_pairs_are_scored(self, monkeypatch):
         # The cases above make pair flips that the single flips could not:
         # without pairs the polish ends elsewhere on some start.
-        config = DEFAULT_CONFIG
-        no_pairs = dataclasses.replace(config, pair_refine_max=0)
         differ = 0
         for seed in range(6):
             A = coloring._validate_matrix(pair_heavy_matrix(seed, 64, 40))
             x = rng_from(seed).choice([-1.0, 1.0], size=40)
-            with_pairs = coloring._refine_flips(A, x, config)
-            without = coloring._refine_flips(A, x, no_pairs)
+            with_pairs = coloring._refine_flips(A, x)
+            with monkeypatch.context() as patch:
+                patch.setattr(coloring, "PAIR_REFINE_MAX", 0)
+                without = coloring._refine_flips(A, x)
             differ += with_pairs.tobytes() != without.tobytes()
         assert differ > 0
 
@@ -1063,8 +1059,8 @@ class TestWalkPeaks:
 
     @pytest.mark.parametrize("scale", [1.0, 8.0])
     @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
-    def test_passed_peaks_match_recomputed(self, kind, scale):
-        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=scale)
+    def test_passed_peaks_match_recomputed(self, monkeypatch, kind, scale):
+        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", scale)
         outcomes = set()
         for partial in (False, True):
             for shape_seed, (n, k) in enumerate(WALK_SHAPES):
@@ -1073,7 +1069,7 @@ class TestWalkPeaks:
                 )
                 assert peaks.tobytes() == np.abs(A).max(axis=0).tobytes()
                 values, frozen = walk_start(shape_seed + 600, k, partial)
-                args = (A, values, frozen, split_seed(9, shape_seed), config)
+                args = (A, values, frozen, split_seed(9, shape_seed))
                 passed = walk_outcome(*args, peaks)
                 assert passed == walk_outcome(*args)
                 outcomes.add(passed[0])
@@ -1091,9 +1087,9 @@ class TestWalkPeaks:
         # Peaks of 1 on 0.5-sized entries make every step risky, so the
         # certificate takes row shifts from A; the result must not change.
         A = coloring._validate_matrix(0.5 * sign_matrix(3, 40, 30))
-        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=2.0)
+        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", 2.0)
         values, frozen = walk_start(0, 30, False)
-        args = (A, values, frozen, 4, config)
+        args = (A, values, frozen, 4)
         assert walk_outcome(*args, np.ones(30)) == walk_outcome(*args)
 
 
@@ -1131,10 +1127,10 @@ class TestPhaseCalls:
         counted("partial_coloring", "partial", "raised")
         counted("_walk_phase", "walk", "failed")
         counted("_enumerate_completion", "enumerate")
-        config = dataclasses.replace(DEFAULT_CONFIG, phase_cap_scale=scale)
+        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", scale)
         A = INVARIANCE_MATRICES[kind](41, 128, 60)
         try:
-            full_coloring(A, seed=3, config=config)
+            full_coloring(A, seed=3)
         except DiscrepancyBoundError:
             pass
         assert calls["partial"] > 0
