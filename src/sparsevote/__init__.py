@@ -6,7 +6,6 @@ discrepancy-minimizing weight halving, and benchmarks the result against
 importance sampling and plain truncation.
 """
 from .boosting import (
-    BoostConfig,
     Dataset,
     DecisionStump,
     Ensemble,
@@ -70,7 +69,6 @@ from .sparsify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostConfig",
     "ColoringConfig",
     "DEFAULT_CONFIG",
     "Dataset",

@@ -162,19 +162,6 @@ class Ensemble:
         return np.ascontiguousarray(outputs)
 
 
-@dataclass(frozen=True)
-class BoostConfig:
-    """AdaBoostV's round budget, and a seed that only sparsiboost reads, as
-    the root of its sparsifier's seed: training itself is deterministic."""
-
-    rounds: int
-    seed: object = None
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("need at least one boosting round")
-
-
 def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     """Exhaustive weighted-edge maximization over all stumps.
 
@@ -231,7 +218,7 @@ def _best_candidate(edge: np.ndarray) -> tuple[int, int]:
     return lo, -1
 
 
-def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:
+def adaboost_v(dataset: Dataset, rounds: int) -> Ensemble:
     """AdaBoostV: margin-maximizing boosting with an adaptive target.
 
     Per-round update (Ratsch & Warmuth, JMLR 6, 2005, "Efficient Margin
@@ -245,11 +232,13 @@ def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:
     A round whose best edge is <= 0 stops training early; the rounds
     completed so far are returned with the ensemble flagged.
     """
+    if rounds < 1:
+        raise ValueError("need at least one boosting round")
     n = dataset.n_points
     if n < 2:
         # With one point nu = 0, so every alpha would be 0.
         raise ValueError("AdaBoostV needs at least two training points")
-    nu = math.sqrt(2.0 * math.log(n) / config.rounds)
+    nu = math.sqrt(2.0 * math.log(n) / rounds)
     distribution = np.full(n, 1.0 / n)
     cap = EDGE_CAP
 
@@ -258,7 +247,7 @@ def adaboost_v(dataset: Dataset, config: BoostConfig) -> Ensemble:
     min_edge = math.inf
     stopped = False
 
-    for _ in range(config.rounds):
+    for _ in range(rounds):
         stump = train_stump(dataset, distribution)
         agreement = dataset.labels * stump.predict(dataset.features)
         edge = float(distribution @ agreement)
@@ -304,23 +293,24 @@ def budget_multiplier(n: int, T: int) -> int:
 def sparsiboost(
     dataset: Dataset,
     T: int,
-    config: BoostConfig,
+    seed=None,
     coloring: ColoringConfig = DEFAULT_CONFIG,
-) -> tuple[Ensemble, SparsifyReport]:
-    """Train c*T stumps, then sparsify the ensemble down to T of them.
+    rounds: int | None = None,
+) -> tuple[Ensemble, Ensemble, SparsifyReport]:
+    """Train ``rounds`` stumps (default c*T), then sparsify the ensemble down
+    to T of them, seeding the sparsifier with component 2 of ``seed``.
 
-    The returned ensemble carries the surviving hypotheses with their
-    renormalized weights (summing to 1); the report documents the halving.
+    Returns the full ensemble, the pruned one (the surviving hypotheses with
+    their renormalized weights, summing to 1), and the halving's report.
     """
-    if T < 1:
-        raise ValueError("target size must be positive")
-    c = budget_multiplier(dataset.n_points, T)
-    ensemble = adaboost_v(dataset, BoostConfig(rounds=c * T, seed=config.seed))
-    U = build_margin_matrix(dataset, ensemble)
-    w = ensemble.weights.normalized()
-    target = min(T, len(ensemble))
-    sparse_w, report = sparsify(U, w, target, split_seed(config.seed, 1), coloring)
-    return prune_ensemble(ensemble, sparse_w), report
+    if rounds is None:
+        rounds = budget_multiplier(dataset.n_points, T) * T
+    full = adaboost_v(dataset, rounds)
+    U = build_margin_matrix(dataset, full)
+    w = full.weights.normalized()
+    target = min(T, len(full))
+    sparse_w, report = sparsify(U, w, target, split_seed(seed, 2), coloring)
+    return full, prune_ensemble(full, sparse_w), report
 
 
 def lp_optimal_margin(U: MarginMatrix) -> tuple[float, WeightVector]:

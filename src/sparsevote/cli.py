@@ -7,9 +7,10 @@ all four, and writes a JSON report plus cumulative-margin CSV curves.
 
 Every run is reproducible from its config. Training is deterministic; the
 sparsifier and the sampler draw from the single seed through the fixed
-component indices 2 and 3 (0 and 1 are unused). Reports are written with
-sorted keys, so identical configs produce byte-identical files (timing
-aside).
+component indices 2 and 3, the only components used anywhere (so
+``sparsiboost`` with the same seed returns compare's sparsified ensemble).
+Reports are written with sorted keys, so identical configs produce
+byte-identical files (timing aside).
 """
 from __future__ import annotations
 
@@ -25,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import (
-    BoostConfig,
     Dataset,
     Ensemble,
     adaboost_v,
     budget_multiplier,
     prune_ensemble,
+    sparsiboost,
 )
 from .discrepancy import DEFAULT_CONFIG, ColoringConfig
 from .evaluation import accuracy, auc, bias_correct, predict_scores
@@ -220,15 +221,12 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
     rounds = config.rounds
     if rounds is None:
         rounds = budget_multiplier(train.n_points, T) * T
-    coloring = _coloring(config.spencer_constant)
-
-    full = adaboost_v(train, BoostConfig(rounds=rounds))
-    truncated = adaboost_v(train, BoostConfig(rounds=min(T, rounds)))
-    U = build_margin_matrix(train, full)
+    full, sparsified, report = sparsiboost(
+        train, T, config.seed, _coloring(config.spencer_constant), rounds
+    )
+    truncated = adaboost_v(train, min(T, rounds))
     w_full = full.weights.normalized()
-    target = min(T, len(full))
-    sparse_w, report = sparsify(U, w_full, target, split_seed(config.seed, 2), coloring)
-    sampled_w = importance_sample(w_full, target, split_seed(config.seed, 3))
+    sampled_w = importance_sample(w_full, min(T, len(full)), split_seed(config.seed, 3))
 
     full_scored = Ensemble(full.hypotheses, w_full)
     full_train_scores = predict_scores(full_scored, train)
@@ -245,7 +243,7 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
     records.append(
         _dataset_record(
             "sparsified",
-            prune_ensemble(full, sparse_w),
+            sparsified,
             train,
             test,
             full_train_scores,
@@ -276,12 +274,6 @@ def _compare_matrix(config: RunConfig, payload: dict) -> None:
     records.append(_matrix_record("truncated", U, truncate_top(w, T), w))
     records.append(_matrix_record("sparsified", U, sparse_w, w, report))
     records.append(_matrix_record("sampled", U, sampled_w, w))
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="root RNG seed")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--ks", type=float, default=None, help="coloring bound constant")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -317,7 +309,7 @@ _CONFIG_KEYS = {
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """File values fill in only the options the command line left unset."""
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return args
     values = parse_config_file(args.config)
     unknown = set(values) - set(_CONFIG_KEYS)
@@ -348,10 +340,8 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     dataset = load_dataset(args.data)
-    config = BoostConfig(rounds=args.rounds, seed=args.seed)
-    ensemble = adaboost_v(dataset, config)
+    ensemble = adaboost_v(dataset, args.rounds)
     ensure_parent(args.out)
     save_ensemble(args.out, ensemble)
     w = ensemble.weights.normalized()
@@ -476,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True, help="training CSV (label first)")
     p_train.add_argument("--rounds", type=int, required=True)
     p_train.add_argument("--out", required=True, help="output model JSON")
-    _add_common(p_train)
     p_train.set_defaults(func=_cmd_train)
 
     for name, func, helptext in (
@@ -489,7 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", default=None, help="dataset CSV for the model")
         p.add_argument("--target", "-T", type=int, required=True)
         p.add_argument("--out", required=True)
-        _add_common(p)
+        p.add_argument("--seed", type=int, default=None, help="root RNG seed")
+        p.add_argument("--config", default=None, help="key=value config file")
+        if func is _cmd_sparsify:
+            p.add_argument("--ks", type=float, default=None, help="coloring bound constant")
         p.set_defaults(func=func)
 
     p_eval = sub.add_parser("eval", help="score a model on a dataset")
@@ -498,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--offset", type=float, default=0.0)
     p_eval.add_argument("--fit-bias", action="store_true", dest="fit_bias")
     p_eval.add_argument("--out", default=None)
-    _add_common(p_eval)
+    p_eval.add_argument("--config", default=None, help="key=value config file")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_margins = sub.add_parser("margins", help="write the cumulative-margin curve")
@@ -506,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_margins.add_argument("--model", default=None)
     p_margins.add_argument("--data", default=None)
     p_margins.add_argument("--out", required=True)
-    _add_common(p_margins)
+    p_margins.add_argument("--config", default=None, help="key=value config file")
     p_margins.set_defaults(func=_cmd_margins)
 
     p_compare = sub.add_parser("compare", help="full four-method comparison")
@@ -517,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--target", "-T", type=int, default=None)
     p_compare.add_argument("--rounds", type=int, default=None)
     p_compare.add_argument("--out", default=None)
-    _add_common(p_compare)
+    p_compare.add_argument("--seed", type=int, default=None, help="root RNG seed")
+    p_compare.add_argument("--config", default=None, help="key=value config file")
+    p_compare.add_argument("--ks", type=float, default=None, help="coloring bound constant")
     p_compare.set_defaults(func=_cmd_compare)
 
     return parser

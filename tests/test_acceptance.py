@@ -19,7 +19,6 @@ import pytest
 
 from oracles import auc_pairwise, best_offset_counting, min_discrepancy_exhaustive
 from sparsevote import (
-    BoostConfig,
     Dataset,
     MarginMatrix,
     WeightVector,
@@ -62,7 +61,7 @@ def _boosted_benchmark(seed, n=512, d=8, rounds=256):
         + 0.3 * rng.normal(size=n)
     )
     data = Dataset(X, np.where(logits >= 0, 1.0, -1.0))
-    ensemble = adaboost_v(data, BoostConfig(rounds=rounds, seed=split_seed(7001, seed)))
+    ensemble = adaboost_v(data, rounds)
     U = build_margin_matrix(data, ensemble)
     return U, ensemble.weights.normalized()
 
@@ -285,7 +284,7 @@ def test_criterion_08_boosting_gap_rate():
     gaps = []
     bounds = []
     for T in (16, 64, 256):
-        ensemble = adaboost_v(data, BoostConfig(rounds=T, seed=split_seed(1400, T)))
+        ensemble = adaboost_v(data, T)
         U = build_margin_matrix(data, ensemble)
         rho = min_margin(U, ensemble.weights.normalized())
         rho_star, _ = lp_optimal_margin(U)
@@ -314,11 +313,8 @@ def test_criterion_09_end_to_end_pipeline():
         -1.0,
     )
     data = Dataset(X, y)
-    ensemble, _ = sparsiboost(data, T, BoostConfig(rounds=1, seed=split_seed(1901, 0)))
+    dictionary, ensemble, _ = sparsiboost(data, T, seed=split_seed(1901, 0))
     c = budget_multiplier(n, T)
-    dictionary = adaboost_v(
-        data, BoostConfig(rounds=c * T, seed=split_seed(1901, 0))
-    )
     rho_star, _ = lp_optimal_margin(build_margin_matrix(data, dictionary))
     rho = min_margin(build_margin_matrix(data, ensemble), ensemble.weights)
     gap = rho_star - rho

@@ -5,7 +5,6 @@ import pytest
 
 import sparsevote.boosting as boosting
 from sparsevote import (
-    BoostConfig,
     Dataset,
     DecisionStump,
     Ensemble,
@@ -43,7 +42,7 @@ def random_dataset(seed, n, d, grid=None):
     return Dataset(X, y)
 
 
-# adaboost_v(random_dataset(44, 60, 4, grid=2), BoostConfig(rounds=40)),
+# adaboost_v(random_dataset(44, 60, 4, grid=2), 40),
 # recorded before stump training moved to per-dataset presorting. The
 # half-integer grid makes many thresholds and edges tie, so this pins the
 # tie order as well as the arithmetic, bit for bit.
@@ -138,7 +137,7 @@ class TestEnsemble:
 
     def test_outputs_bitwise_equal_stacked_predictions(self):
         data = random_dataset(3, 40, 4, grid=2)
-        ens = adaboost_v(data, BoostConfig(rounds=30))
+        ens = adaboost_v(data, 30)
         stumps = ens.hypotheses + (
             DecisionStump(1, -math.inf, 1),
             DecisionStump(2, math.inf, -1),
@@ -299,14 +298,14 @@ class TestBestCandidate:
 class TestAdaBoostV:
     def test_perfect_single_stump(self):
         data = line_dataset([1, 2, 3, 4], [1, 1, -1, -1])
-        ens = adaboost_v(data, BoostConfig(rounds=1))
+        ens = adaboost_v(data, 1)
         assert len(ens) == 1
         U = build_margin_matrix(data, ens)
         assert min_margin(U, ens.weights.normalized()) == 1.0
 
     def test_weights_nonnegative_and_positive_total(self):
         data = random_dataset(5, 30, 2)
-        ens = adaboost_v(data, BoostConfig(rounds=20))
+        ens = adaboost_v(data, 20)
         assert np.all(ens.weights.values >= 0.0)
         assert ens.weights.l1_norm > 0.0
 
@@ -314,12 +313,12 @@ class TestAdaBoostV:
         # identical points with opposite labels leave every stump at edge 0
         data = line_dataset([1, 1], [1, -1])
         with pytest.raises(ValueError):
-            adaboost_v(data, BoostConfig(rounds=4))
+            adaboost_v(data, 4)
 
     def test_one_point_rejected(self):
         # With n = 1, nu = sqrt(2 ln(1) / rounds) = 0 makes every alpha 0.
         with pytest.raises(ValueError, match="at least two training points"):
-            adaboost_v(line_dataset([1.0], [1.0]), BoostConfig(rounds=4))
+            adaboost_v(line_dataset([1.0], [1.0]), 4)
 
     def test_early_stop_flag(self, monkeypatch):
         data = line_dataset([1, 2, 3, 4], [1, 1, -1, -1])
@@ -334,7 +333,7 @@ class TestAdaBoostV:
             return real(dataset, weights)
 
         monkeypatch.setattr(boosting, "train_stump", failing_learner)
-        ens = adaboost_v(data, BoostConfig(rounds=5))
+        ens = adaboost_v(data, 5)
         assert ens.stopped_early
         assert len(ens) == 1
 
@@ -343,7 +342,7 @@ class TestAdaBoostV:
         ys = np.where((xs > 0.3) & (xs <= 0.7), 1.0, -1.0)
         data = line_dataset(xs, ys)
         T = 64
-        ens = adaboost_v(data, BoostConfig(rounds=T))
+        ens = adaboost_v(data, T)
         U = build_margin_matrix(data, ens)
         rho_T = min_margin(U, ens.weights.normalized())
         rho_star, _ = lp_optimal_margin(U)
@@ -351,19 +350,20 @@ class TestAdaBoostV:
 
     def test_frozen_tie_heavy_run(self):
         data = random_dataset(44, 60, 4, grid=2)
-        ens = adaboost_v(data, BoostConfig(rounds=40))
+        ens = adaboost_v(data, 40)
         assert not ens.stopped_early
         got = [(h.feature, h.threshold, h.polarity) for h in ens.hypotheses]
         assert got == FROZEN_TIE_STUMPS
         assert ens.weights.values.tolist() == FROZEN_TIE_ALPHAS
 
     def test_rounds_validation(self):
-        with pytest.raises(ValueError):
-            BoostConfig(rounds=0)
+        data = line_dataset([1, 2, 3, 4], [1, 1, -1, -1])
+        with pytest.raises(ValueError, match="at least one boosting round"):
+            adaboost_v(data, 0)
 
     def test_margin_consistency_invariant(self):
         data = random_dataset(9, 25, 3)
-        ens = adaboost_v(data, BoostConfig(rounds=12))
+        ens = adaboost_v(data, 12)
         w = ens.weights.normalized()
         U = build_margin_matrix(data, ens)
         direct = margins_double_loop(
@@ -424,22 +424,21 @@ class TestSparsiBoost:
     def test_pipeline_postconditions(self):
         data = random_dataset(21, 60, 3)
         T = 8
-        ens, report = sparsiboost(data, T, BoostConfig(rounds=1, seed=5))
+        full, ens, report = sparsiboost(data, T, seed=5)
         assert len(ens) <= T
         assert np.all(ens.weights.values >= 0.0)
         assert abs(ens.weights.l1_norm - 1.0) <= 1e-9
         c = budget_multiplier(60, T)
+        assert len(full) <= c * T
         assert report.initial_support <= c * T
         assert report.final_support == len(ens)
 
     def test_margin_chain_invariant(self):
         data = random_dataset(22, 80, 3)
         T = 8
-        c = budget_multiplier(80, T)
-        full = adaboost_v(data, BoostConfig(rounds=c * T))
+        full, ens, report = sparsiboost(data, T, seed=13)
         U = build_margin_matrix(data, full)
         w = full.weights.normalized()
-        ens, report = sparsiboost(data, T, BoostConfig(rounds=1, seed=13))
         pruned_margin = float(
             np.min(
                 data.labels

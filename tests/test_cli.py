@@ -8,7 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsevote import Dataset, MarginMatrix, WeightVector, load_ensemble, save_dataset, save_margin_matrix
+from sparsevote import (
+    Dataset,
+    MarginMatrix,
+    WeightVector,
+    load_dataset,
+    load_ensemble,
+    save_dataset,
+    save_margin_matrix,
+    sparsiboost,
+)
 from sparsevote import cli
 from sparsevote.cli import RunConfig, main, parse_config_file, run_compare
 from sparsevote.discrepancy import DiscrepancyBoundError
@@ -100,6 +109,28 @@ class TestParser:
     def test_dropped_constant_flags_exit_2(self, tmp_path, flag, capsys):
         with pytest.raises(SystemExit) as info:
             main(["compare", "--matrix-mode", "--out", str(tmp_path), flag, "2"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train", "--seed"),
+            ("train", "--ks"),
+            ("sample", "--ks"),
+            ("eval", "--ks"),
+            ("margins", "--ks"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_exit_2(self, command, flag, capsys):
+        argv = {
+            "train": ["--data", "d.csv", "--rounds", "4", "--out", "m.json"],
+            "sample": ["--matrix", "m.txt", "-T", "4", "--out", "w.json"],
+            "eval": ["--model", "m.json", "--data", "d.csv"],
+            "margins": ["--matrix", "m.txt", "--out", "c.csv"],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, flag, "1"])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -369,6 +400,26 @@ class TestCompare:
             assert 0.0 <= record["test_accuracy"] <= 1.0
             assert 0.0 <= record["test_auc"] <= 1.0
         assert "timing_seconds" in report
+
+    @pytest.mark.parametrize("rounds", [12, None])
+    def test_sparsified_record_is_sparsiboost(self, tmp_path, data_files, rounds):
+        train, test = data_files
+        payload = run_compare(RunConfig(
+            seed=7, target=4, rounds=rounds,
+            train_path=str(train), test_path=str(test), out_path=str(tmp_path / "out"),
+        ))
+        full, sparsified, report = sparsiboost(load_dataset(train), 4, seed=7, rounds=rounds)
+        by_name = {r["method"]: r for r in payload["methods"]}
+        assert by_name["full"]["hypothesis_count"] == len(full)
+        assert by_name["sparsified"]["hypothesis_count"] == len(sparsified)
+        assert by_name["sparsified"]["sparsify"] == {
+            "initial_support": report.initial_support,
+            "final_support": report.final_support,
+            "halving_rounds": report.halving_rounds,
+            "achieved_error": report.achieved_error,
+            "per_round_errors": list(report.per_round_errors),
+            "truncated_fallback": report.truncated_fallback,
+        }
 
     def test_deterministic_reports(self, tmp_path, data_files):
         train, test = data_files
