@@ -303,6 +303,8 @@ def sparsiboost(
     Returns the full ensemble, the pruned one (the surviving hypotheses with
     their renormalized weights, summing to 1), and the halving's report.
     """
+    if T < 1:
+        raise ValueError("target size must be positive")
     if rounds is None:
         rounds = budget_multiplier(dataset.n_points, T) * T
     full = adaboost_v(dataset, rounds)

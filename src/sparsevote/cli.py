@@ -302,6 +302,7 @@ _CONFIG_KEYS = {
     "test": str,
     "matrix": str,
     "model": str,
+    "data": str,
     "out": str,
     "matrix_mode": lambda v: v.lower() in ("1", "true", "yes"),
 }
@@ -318,7 +319,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}"
         )
     for key, raw in values.items():
-        if hasattr(args, key) and getattr(args, key) in (None, False):
+        # Unset is None, or False for a store_true flag; a 0 was given.
+        current = getattr(args, key, True)
+        if current is None or current is False:
             setattr(args, key, _CONFIG_KEYS[key](raw))
     return args
 
@@ -531,7 +534,7 @@ def main(argv=None) -> int:
     except (FileFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # no coloring within the bound, LP failure
+    except RuntimeError as exc:  # an internal check failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -82,7 +82,8 @@ FREEZE_TOLERANCE = 1e-6
 # most 20, the limit of bruteforce_min_discrepancy.
 BRUTEFORCE_MAX = 16
 ENDGAME_MAX = 12
-# Walk attempts full_coloring makes before it gives up.
+# Walk attempts full_coloring makes before it gives up; sparsify adds no
+# retry of its own, so this bounds the work of a failing halving round.
 RETRY_BUDGET = 16
 # The flip polish makes at most REFINE_SWEEPS sweeps, and tries pair flips
 # on matrices of at most PAIR_REFINE_MAX columns.
@@ -750,7 +751,6 @@ def halve_columns(
     Colors the columns and keeps the minority sign: the kept subset's row sum
     is (full sum + sigma*(Ax)_i)/2, so the coloring bound transfers directly.
     """
-    arr = _validate_matrix(A)
-    x = full_coloring(arr, seed, config)
+    x = full_coloring(A, seed, config)
     sigma = minority_sign(x)
     return np.flatnonzero(x == sigma)

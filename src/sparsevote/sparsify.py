@@ -21,8 +21,7 @@ from .discrepancy import (
     ColoringConfig,
     DiscrepancyBoundError,
     _row_classes,
-    full_coloring,
-    minority_sign,
+    halve_columns,
 )
 from .margins import (
     MarginMatrix,
@@ -115,11 +114,10 @@ def halve(
         peak = float(A[-1].max())
         if peak > 1.0:
             A /= peak
-        x = full_coloring(A, split_seed(seed, iteration), config)
-        sigma = minority_sign(x)
-        kept = x == sigma
-        values[columns[kept]] *= 2.0
-        values[columns[~kept]] = 0.0
+        kept = columns[halve_columns(A, split_seed(seed, iteration), config)]
+        doubled = 2.0 * values[kept]
+        values[columns] = 0.0
+        values[kept] = doubled
 
     total = float(np.sum(np.abs(values)))
     values /= total
@@ -141,9 +139,10 @@ def sparsify(
 ) -> tuple[WeightVector, SparsifyReport]:
     """Repeated halving until the support is at most T.
 
-    A round whose coloring misses its bound (DiscrepancyBoundError) is
-    retried with fresh derived seeds up to 8 times. Every round that
-    succeeds at least halves the support. When all 8 fail, or the support
+    Each round calls halve once, with seed split_seed(seed, round, 0); its
+    colorings make up to RETRY_BUDGET walk attempts each. A round that
+    succeeds at least halves the support. When a coloring still misses its
+    bound (DiscrepancyBoundError), halving stops; then, or when the support
     is still above T once halving can no longer run, the remainder is
     truncated to the top T weights and the report is flagged.
 
@@ -163,26 +162,17 @@ def sparsify(
 
     current = w
     per_round: list[float] = []
-    fallback = False
     while current.support_size > max(T, MIN_HALVING_SUPPORT - 1):
-        candidate = None
-        for retry in range(8):
-            try:
-                candidate = halve(
-                    distinct, current, split_seed(seed, len(per_round), retry), config
-                )
-                break
-            except DiscrepancyBoundError:
-                continue
-        if candidate is None:
-            fallback = True
+        try:
+            candidate = halve(distinct, current, split_seed(seed, len(per_round), 0), config)
+        except DiscrepancyBoundError:
             break
         per_round.append(sup_norm_diff(U, current, candidate))
         current = candidate
 
-    if current.support_size > T:
+    fallback = current.support_size > T
+    if fallback:
         current = truncate_top(current, T)
-        fallback = True
 
     report = SparsifyReport(
         initial_support=w.support_size,

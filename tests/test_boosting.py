@@ -448,3 +448,12 @@ class TestSparsiBoost:
         bound = 24.0 * math.sqrt(math.log(2.0 + 80 / T) / T)
         assert pruned_margin >= min_margin(U, w) - bound
         assert report.achieved_error <= bound
+
+    @pytest.mark.parametrize("rounds", [None, 200])
+    def test_bad_target_rejected_before_training(self, monkeypatch, rounds):
+        def no_training(*args, **kwargs):
+            raise AssertionError("adaboost_v ran for an invalid target")
+
+        monkeypatch.setattr(boosting, "adaboost_v", no_training)
+        with pytest.raises(ValueError, match="target size must be positive"):
+            sparsiboost(random_dataset(23, 40, 3), 0, rounds=rounds)

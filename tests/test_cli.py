@@ -103,6 +103,37 @@ class TestConfigFile:
         assert report["config"]["target"] == 4  # file fills the gap
         assert report["rounds"] == 6
 
+    def test_zero_on_command_line_wins(self, tmp_path, data_files):
+        train, test = data_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=5\ntarget=4\nrounds=6\ntrain={train}\ntest={test}\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["seed"] == 0
+
+    def test_zero_ks_on_command_line_is_rejected(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"ks=7\ntarget=4\nrounds=6\ntrain={train}\ntest={test}\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--ks", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: spencer_constant must be positive and finite"
+        )
+        assert not out.exists()
+
+    def test_data_key_fills_data_option(self, tmp_path, data_files):
+        train, _ = data_files
+        model = tmp_path / "model.json"
+        main(["train", "--data", str(train), "--rounds", "12", "--out", str(model)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model={model}\ndata={train}\n")
+        sparse = tmp_path / "sparse.json"
+        code = main(["sparsify", "--config", str(cfg), "-T", "4", "--out", str(sparse)])
+        assert code == 0
+        assert len(load_ensemble(sparse)) <= 4
+
 
 class TestParser:
     @pytest.mark.parametrize("flag", ["--kh", "--cv", "--cb"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevote import (
+    ColoringConfig,
     MarginMatrix,
     SparsifyReport,
     WeightVector,
@@ -167,6 +168,27 @@ class TestSparsify:
             errors.append(report.achieved_error)
         assert float(np.median(errors)) <= bound
 
+    def test_failed_coloring_truncates_after_one_halve(self, monkeypatch):
+        # 21 of the 32 weights are free, too many for the exhaustive search,
+        # and no coloring of them meets a bound of K_S = 1e-3: the first
+        # round's walk spends its retry budget, and sparsify truncates
+        # without trying that round again.
+        U, w = random_instance(10, n=64, m=32)
+        calls = []
+        real = sparsify_module.halve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sparsify_module, "halve", spy)
+        out, report = sparsify(U, w, T=8, seed=5, config=ColoringConfig(1e-3))
+        assert len(calls) == 1
+        assert report.truncated_fallback
+        assert report.halving_rounds == 0
+        assert report.final_support <= 8
+        assert out.values.tobytes() == truncate_top(w, 8).values.tobytes()
+
     def test_report_fields(self):
         U, w = random_instance(8, n=12, m=32)
         out, report = sparsify(U, w, T=8, seed=4)
@@ -253,13 +275,13 @@ class TestDistinctRowHalving:
         U, w = DISTINCT_ROW_INSTANCES[kind]()
         classes = distinct_rows_by_dict(U.values).shape[0]
         seen = []
-        real = sparsify_module.full_coloring
+        real = sparsify_module.halve_columns
 
         def spy(A, *args, **kwargs):
             seen.append((A.flags.f_contiguous, A.shape[0]))
             return real(A, *args, **kwargs)
 
-        monkeypatch.setattr(sparsify_module, "full_coloring", spy)
+        monkeypatch.setattr(sparsify_module, "halve_columns", spy)
         sparsify(U, w, T=8, seed=5)
         assert len(seen) >= 2
         assert set(seen) == {(True, classes + 1)}
