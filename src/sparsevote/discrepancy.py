@@ -10,12 +10,9 @@ least half of the remaining free coordinates; phases repeat until the
 coloring is complete. A phase runs in blocks of steps, and its result is
 exactly a stepwise walk's. The first block is about as long as a phase
 (the walk's expected exit time from the cube) and each later one twice as
-long, so few drawn steps go unused. Lovett and Meka project the walk away
-from rows whose shift within the phase reaches a cap; here a certificate
-on the rows' shifts must instead rule out that any row reached it, and a
-phase it cannot clear fails like one that runs out of steps.
-full_coloring retries a failed attempt with a fresh seed, and its check
-of the Spencer-type bound on the finished coloring is the output's
+long, so few drawn steps go unused. A phase fails only when it runs out of
+steps; full_coloring retries a failed attempt with a fresh seed, and its
+check of the Spencer-type bound on the finished coloring is the output's
 guarantee.
 
 Small instances bypass the walk entirely: an exhaustive search over all sign
@@ -35,14 +32,12 @@ of scoring every candidate.
 Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
 for both, so full_coloring colors the distinct rows only: the first row of
 each class of rows equal up to sign, with its first nonzero entry made
-positive. The Spencer-type bound and the phase caps count those rows. The
-output does not depend on the order of the rows or on how often one
-repeats (a certificate whose peak row shift rounds across its threshold
-aside): the walk's steps do not depend on the rows, the row sums that
-seed the searches are taken row by row (_row_sums), so equal rows get
-equal bits wherever they sit, and the searches break near-ties by a fixed
-order instead of by BLAS rounding. A
-candidate counts as tied with the best when its maximum is within
+positive. The Spencer-type bound counts those rows. The output does not
+depend on the order of the rows or on how often one repeats: the walk's
+steps do not depend on the rows, the row sums that seed the searches are
+taken row by row (_row_sums), so equal rows get equal bits wherever they
+sit, and the searches break near-ties by a fixed order instead of by BLAS
+rounding. A candidate counts as tied with the best when its maximum is within
 _tie_tolerance, 2(k + 2) * eps * max_i(sum_j |C_ij| + |base_i|), of the
 smallest: twice the widest gap that rounding, in any summation order, can
 open between two exactly equal maxima of k products and a base, so every
@@ -67,14 +62,9 @@ EPS = float(np.finfo(np.float64).eps)
 # The flip polish bounds each candidate on this many rows, those with the
 # largest |row sum|, before it scores all rows.
 BOUND_ROWS = 32
-# A walk phase fails once a row's shift may have reached this share of the
-# phase cap.
-_CAP_ACTIVATION = 0.9
-# The walk's constants: its step, the scale of its per-phase cap on the
-# rows' shifts (_phase_cap), its budget of steps per free coordinate, and
-# how close to +-1 a coordinate must come to freeze.
+# The walk's constants: its step, its budget of steps per free coordinate,
+# and how close to +-1 a coordinate must come to freeze.
 STEP_SIZE = 0.1
-PHASE_CAP_SCALE = 8.0
 MAX_ITERATION_FACTOR = 64
 FREEZE_TOLERANCE = 1e-6
 # Exhaustive search colors matrices of at most BRUTEFORCE_MAX columns and
@@ -114,7 +104,7 @@ class DiscrepancyBoundError(RuntimeError):
 
 class PhaseFailureError(RuntimeError):
     """Raised when a walk phase runs out of steps before freezing half its
-    free coordinates, or cannot rule out that a row reached its cap."""
+    free coordinates, the only way a phase fails."""
 
 
 @dataclass(frozen=True)
@@ -177,28 +167,24 @@ class PartialColoring:
 
 
 def _validate_matrix(A) -> np.ndarray:
-    return _validated_columns(A)[0]
-
-
-def _validated_columns(A) -> tuple[np.ndarray, np.ndarray]:
-    """A as a checked Fortran-ordered float matrix, with the peak magnitude
-    of each of its columns."""
+    """A as a checked Fortran-ordered float matrix, with entries within
+    ENTRY_TOL of [-1, 1] clipped into it."""
     # Fortran order, the halver's own layout: _row_sums then needs no copy,
     # and _signed_sums reads each column contiguously.
     arr = np.asfortranarray(A, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    # A per-column max and min give the peaks with no |A| temporary; NaN
-    # and inf propagate through both, so these passes check them too.
-    peaks = np.maximum(arr.max(axis=0), -arr.min(axis=0))
-    peak = float(peaks.max())
-    if not math.isfinite(peak):
+    # A min and a max give the peak with no |A| temporary; NaN and inf
+    # propagate through both, so these passes check them too.
+    low, high = float(arr.min()), float(arr.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("matrix contains non-finite entries")
+    peak = max(high, -low)
     if peak > 1.0 + ENTRY_TOL:
         raise ValueError(f"matrix entry out of [-1, 1]: magnitude {peak}")
     if peak > 1.0:
-        return np.clip(arr, -1.0, 1.0), np.minimum(peaks, 1.0)
-    return arr, peaks
+        return np.clip(arr, -1.0, 1.0)
+    return arr
 
 
 def spencer_bound(n_rows: int, k: int, constant: float) -> float:
@@ -381,12 +367,6 @@ def minority_sign(x) -> int:
     return -1 if minus <= plus else +1
 
 
-def _phase_cap(n_rows: int, k_free: int) -> float:
-    raw = k_free * math.log(math.e * (n_rows + 1) / k_free)
-    raw = max(raw, float(min(k_free, n_rows + 1)))
-    return PHASE_CAP_SCALE * math.sqrt(raw)
-
-
 def _enumerate_completion(
     A: np.ndarray, values: np.ndarray, frozen: np.ndarray
 ) -> np.ndarray:
@@ -400,11 +380,7 @@ def _enumerate_completion(
 
 
 def _walk_phase(
-    A: np.ndarray,
-    values: np.ndarray,
-    frozen: np.ndarray,
-    seed,
-    col_peaks: np.ndarray | None = None,
+    A: np.ndarray, values: np.ndarray, frozen: np.ndarray, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """One partial-coloring phase of the Gaussian walk, run a block of steps
     at a time. Returns updated (values, frozen).
@@ -425,40 +401,25 @@ def _walk_phase(
     drawn. Block boundaries change neither the draws nor where the phase
     ends, so the result does not depend on them.
 
+    The walk reads only A's width: its steps do not depend on the rows.
     Raises PhaseFailureError when the step budget, MAX_ITERATION_FACTOR
-    steps per free coordinate, runs out, or when the certificate below
-    cannot rule out that some row's shift within the phase reached the
-    activation, _CAP_ACTIVATION times the phase cap. There is no projection
-    away from such rows: full_coloring retries the attempt with a fresh
-    seed.
-
-    col_peaks holds max_i |A_ij| for every column j, as partial_coloring's
-    validation finds them, and is taken from A when omitted. The
-    certificate reads A itself only at steps where the peaks cannot rule
-    out the activation, at the default constants at none.
+    steps per free coordinate, runs out, the only way a phase fails;
+    full_coloring then retries the attempt with a fresh seed, and holds
+    the finished coloring to the Spencer-type bound.
     """
     rng = rng_from(seed)
-    n_rows, k = A.shape
+    k = A.shape[1]
     cols = np.flatnonzero(~frozen)
     free_start = cols.size
     target = (free_start + 1) // 2
-    activation = _CAP_ACTIVATION * _phase_cap(n_rows, free_start)
     max_steps = MAX_ITERATION_FACTOR * free_start
     threshold = 1.0 - FREEZE_TOLERANCE
-    if col_peaks is None:
-        col_peaks = np.abs(A).max(axis=0)
-    free_peaks = col_peaks[cols]
-    A_free = None
-    start = values[cols]
-    x = start
+    x = values[cols]
     free = np.ones(free_start, dtype=bool)
-    # Blocks of steps double up to `widest`; row shifts are taken in chunks
-    # of at most max(n * k, BLOCK_CELLS) entries.
+    # Blocks of steps double up to `widest`.
     widest = max(1, BLOCK_CELLS // k)
     block = min(math.ceil(1.0 / STEP_SIZE**2), widest)
-    chunk = max(k, BLOCK_CELLS // n_rows)
     frozen_count = steps = 0
-    path = peak = 0.0
     while frozen_count < target:
         if steps == max_steps:
             raise PhaseFailureError(
@@ -470,7 +431,6 @@ def _walk_phase(
         traj = rng.standard_normal((drawn, k))[:, cols]
         traj *= STEP_SIZE
         traj[:, ~free] = 0.0
-        lengths = np.abs(traj).sum(axis=1)
         traj[0] += x
         np.cumsum(traj, axis=0, out=traj)
 
@@ -483,50 +443,13 @@ def _walk_phase(
         used = int(done[0]) + 1 if done.size else drawn
         keep = hit_steps < used
         hit_cols, hit_steps = hit_cols[keep], hit_steps[keep]
-        snapped = np.where(traj[hit_steps, hit_cols] >= 0.0, 1.0, -1.0)
-        traj = traj[:used]
-        after = np.arange(used)[:, None] >= hit_steps
-        traj[:, hit_cols] = np.where(after, snapped, traj[:, hit_cols])
+        # The last used step, each column hit by then snapped to the sign
+        # it had at its hit.
+        x = traj[used - 1].copy()
+        x[hit_cols] = np.where(traj[hit_steps, hit_cols] >= 0.0, 1.0, -1.0)
         free[hit_cols] = False
         frozen_count += hit_cols.size
         steps += used
-        path += float(lengths[:used].sum())
-        x = traj[-1].copy()
-
-        # Certificate: the phase is accepted only when no row's running
-        # shift, as a stepwise walk would add it up, can have reached
-        # `activation`. That shift r_s[i] after step s is a float running
-        # sum of the products A @ (x_t - x_{t-1}); here it is A @ (x_s -
-        # x_0). With u = eps / 2, gamma_m = m*u / (1 - m*u), |A_ij| <= 1
-        # and L_j the path length of coordinate j: each difference x_t -
-        # x_{t-1} rounds by u relative, each k-term product by gamma_k
-        # times the l1 norm of its vector, and summing s products adds
-        # gamma_s times their l1 norms, so r_s[i] is within (u + gamma_k +
-        # gamma_s)(1 + O(u)) * sum_j L_j of the exact shift, and the
-        # product here within (u + gamma_k)(1 + O(u)) * sum_j L_j:
-        # together (1 + k + s/2)(1 + O(u)) * eps * sum_j L_j. `path` sums
-        # the drawn lengths of the steps taken; L_j exceeds its share by at
-        # most 2 for the snap and u per step for rounding x, so doubling
-        # the factor and adding 2 per coordinate bounds the gap. The last
-        # term covers the rounding of the sum compared with `activation`.
-        # Every row shift is at most sum_j max_i |A_ij| * |x_sj - x_0j|,
-        # which rounds like the product, so the product is taken, one
-        # chunk of steps at a time, only at the steps where that bound
-        # reaches `activation` less the allowance.
-        allowance = 2.0 * (k + steps + 4) * EPS * (path + 2.0 * free_start)
-        allowance += EPS * activation
-        traj -= start
-        risky = np.flatnonzero(np.abs(traj) @ free_peaks + allowance >= activation)
-        if risky.size and A_free is None:
-            A_free = A[:, cols]
-        for lo in range(0, risky.size, chunk):
-            shifts = traj[risky[lo : lo + chunk]] @ A_free.T
-            peak = max(peak, float(np.abs(shifts, out=shifts).max()))
-        if peak + allowance >= activation:
-            raise PhaseFailureError(
-                f"a row's shift may have reached {activation:.6g} within "
-                f"{steps} steps of the phase"
-            )
 
     out = values.copy()
     out[cols] = x
@@ -540,10 +463,11 @@ def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
 
     Small tails (at most ENDGAME_MAX free coordinates) are finished exactly
     by enumeration; larger phases run the Gaussian walk (_walk_phase)
-    and raise PhaseFailureError when its step budget runs out or its
-    certificate cannot rule out that a row reached the phase cap.
+    and raise PhaseFailureError when its step budget runs out, the only way
+    a phase fails. The phase makes no promise about the rows' sums:
+    full_coloring checks the finished coloring against the bound.
     """
-    arr, col_peaks = _validated_columns(A)
+    arr = _validate_matrix(A)
     if arr.shape[1] != state.values.shape[0]:
         raise ValueError(
             f"matrix has {arr.shape[1]} columns but state has "
@@ -556,7 +480,7 @@ def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
         completed = _enumerate_completion(arr, state.values, state.frozen)
         return PartialColoring(completed, np.ones_like(state.frozen))
 
-    values, frozen = _walk_phase(arr, state.values, state.frozen, seed, col_peaks)
+    values, frozen = _walk_phase(arr, state.values, state.frozen, seed)
     return PartialColoring(values, frozen)
 
 
@@ -698,18 +622,18 @@ def full_coloring(
     For k <= BRUTEFORCE_MAX columns the exact exhaustive optimum is
     returned (deterministic, seed unused). Otherwise the partial-coloring walk
     runs phase by phase and the completed coloring is polished by local
-    flips. An attempt in which a phase fails (PhaseFailureError: out of
-    steps, or a row's shift may have reached the phase cap) is dropped, and
-    the whole attempt restarts with a fresh derived seed until the bound
-    K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise) is met or
-    RETRY_BUDGET attempts are spent; DiscrepancyBoundError then reports inf
-    as the achieved discrepancy if every attempt failed a phase.
+    flips. An attempt in which a phase runs out of steps (PhaseFailureError)
+    is dropped, and the whole attempt restarts with a fresh derived seed
+    until the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise)
+    is met or RETRY_BUDGET attempts are spent; DiscrepancyBoundError then
+    reports inf as the achieved discrepancy if every attempt failed a
+    phase. That check of the finished coloring is the only one the output
+    passes, and its guarantee.
 
     Near-ties in the exhaustive searches and the pair flips go to the first
     candidate in a fixed order (see _best_signs and _refine_flips), so the
     coloring is the same bits under any order of the rows, any repetition
-    or negation of them, and any BLAS thread count, unless the peak row
-    shift of a walk phase's certificate rounds across its threshold.
+    or negation of them, and any BLAS thread count.
     """
     arr = _distinct_rows(_validate_matrix(A))
     n_rows, k = arr.shape

@@ -247,31 +247,25 @@ def enumerate_completion_unblocked(A, values, frozen):
     return out
 
 
-def gaussian_walk_stepwise(
-    A, values, frozen, seed, step_size, freeze_tolerance, max_steps, activation
-):
+def gaussian_walk_stepwise(A, values, frozen, seed, step_size, freeze_tolerance, max_steps):
     """One walk phase, one step at a time: each step draws a standard-normal
-    k-vector from rng_from(seed), moves the free coordinates by step_size
-    times it, and snaps every free coordinate with |x| >= 1 -
-    freeze_tolerance to +-1, where it stays; the phase ends once half of
-    the coordinates free at its start are frozen. Each row's shift is the
-    running sum of A @ (x_new - x).
+    k-vector, k the width of A, from rng_from(seed), moves the free
+    coordinates by step_size times it, and snaps every free coordinate with
+    |x| >= 1 - freeze_tolerance to +-1, where it stays; the phase ends once
+    half of the coordinates free at its start are frozen.
 
-    Returns (outcome, values, frozen, steps), where outcome is "done",
-    "declined" (after the first step at which some row has
-    |shift| >= activation) or "out of steps" (max_steps taken first).
+    Returns (outcome, values, frozen, steps), where outcome is "done" or
+    "out of steps" (max_steps taken first).
     """
     rng = rng_from(seed)
-    A = np.asarray(A, dtype=np.float64)
     x = np.array(values, dtype=np.float64)
     free = ~np.asarray(frozen, dtype=bool)
     target = (int(free.sum()) + 1) // 2
-    row_shift = np.zeros(A.shape[0])
     frozen_count = steps = 0
     while frozen_count < target:
         if steps == max_steps:
             return "out of steps", x, ~free, steps
-        g = rng.standard_normal(A.shape[1])
+        g = rng.standard_normal(np.shape(A)[1])
         g[~free] = 0.0
         x_new = x + step_size * g
         for j in range(x.size):
@@ -279,11 +273,8 @@ def gaussian_walk_stepwise(
                 x_new[j] = 1.0 if x_new[j] >= 0.0 else -1.0
                 free[j] = False
                 frozen_count += 1
-        row_shift += A @ (x_new - x)
         x = x_new
         steps += 1
-        if np.any(np.abs(row_shift) >= activation):
-            return "declined", x, ~free, steps
     return "done", x, ~free, steps
 
 

@@ -409,24 +409,8 @@ class TestFullColoring:
         assert err.achieved > err.bound
         assert err.attempts == 2
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_capped_phases_keep_frozen_signs(self, monkeypatch, seed):
-        # A phase cap of 1 makes rows' shifts reach the cap. Such a phase
-        # fails and its attempt is retried, so full_coloring returns a
-        # coloring within the bound or raises DiscrepancyBoundError; never
-        # ValueError, which PartialColoring raises when a phase moves a
-        # frozen coordinate off +-1. On this matrix every attempt fails.
-        A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
-        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", 1.0)
-        with pytest.raises(DiscrepancyBoundError) as info:
-            full_coloring(A, seed=seed)
-        assert info.value.attempts == coloring.RETRY_BUDGET
-        assert info.value.achieved == math.inf
-
     @pytest.mark.parametrize(
-        "name, value",
-        [("MAX_ITERATION_FACTOR", 1), ("PHASE_CAP_SCALE", 1.0)],
-        ids=["out_of_steps", "capped"],
+        "name, value", [("MAX_ITERATION_FACTOR", 1)], ids=["out_of_steps"]
     )
     def test_every_attempt_failing_a_phase_is_reported(self, monkeypatch, name, value):
         A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
@@ -437,6 +421,20 @@ class TestFullColoring:
             full_coloring(A, seed=0)
         assert info.value.achieved == math.inf
         assert info.value.attempts == 16
+
+    def test_one_wide_row_of_ones_is_balanced(self):
+        # A single all-ones row: a balanced coloring has discrepancy 0,
+        # whatever the rows' shifts were during the walk's phases.
+        A = np.ones((1, 512))
+        x = full_coloring(A, seed=0)
+        assert set(np.unique(x)) <= {-1.0, 1.0}
+        assert discrepancy(A, x) == 0.0
+
+    def test_validated_matrix_is_clipped_and_fortran_ordered(self):
+        A = np.array([[1.0 + 1e-12, -0.5], [0.25, -(1.0 + 1e-12)]])
+        arr = coloring._validate_matrix(A)
+        assert np.array_equal(arr, [[1.0, -0.5], [0.25, -1.0]])
+        assert arr.flags.f_contiguous
 
     def test_seed_determinism(self):
         A = sign_matrix(12, 30, 26)
@@ -534,10 +532,9 @@ def walk_outcome(*args):
 
 
 def stepwise_walk(A, values, frozen, seed):
-    """gaussian_walk_stepwise with _walk_phase's step, step budget and
-    activation, read from the module as they stand."""
+    """gaussian_walk_stepwise with _walk_phase's step and step budget, read
+    from the module as they stand."""
     free_start = int(np.count_nonzero(~frozen))
-    cap = coloring._phase_cap(A.shape[0], free_start)
     return gaussian_walk_stepwise(
         A,
         values,
@@ -546,7 +543,6 @@ def stepwise_walk(A, values, frozen, seed):
         coloring.STEP_SIZE,
         coloring.FREEZE_TOLERANCE,
         coloring.MAX_ITERATION_FACTOR * free_start,
-        coloring._CAP_ACTIVATION * cap,
     )
 
 
@@ -555,14 +551,14 @@ class TestBlockedWalk:
     @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
     def test_matches_stepwise_loop(self, monkeypatch, kind, block_cells):
         # The blocked walk must return the stepwise walk's result bit for
-        # bit, and must fail every phase in which the stepwise walk has a
-        # row reach the activation or runs out of steps; on these inputs
-        # the certificate declines no other phase. With 97 cells a block
-        # holds one to four steps, so coordinates freeze in earlier blocks.
+        # bit, and must fail exactly the phases in which the stepwise walk
+        # runs out of steps: at one or two steps per free coordinate some
+        # of these phases do. With 97 cells a block holds one to four
+        # steps, so coordinates freeze in earlier blocks.
         monkeypatch.setattr(coloring, "BLOCK_CELLS", block_cells)
         accepted = declined = 0
-        for scale in (1.0, 2.0, 4.0, 8.0):
-            monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", scale)
+        for factor in (1, 2, 64):
+            monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", factor)
             for partial in (False, True):
                 for shape_seed, (n, k) in enumerate(WALK_SHAPES):
                     A = WALK_MATRICES[kind](shape_seed + 200, n, k)
@@ -1053,62 +1049,22 @@ class TestRowClasses:
             assert keys[:512].tobytes() == (signs * keys[512:1024]).tobytes()
 
 
-class TestWalkPeaks:
-    """partial_coloring hands _walk_phase the column peaks its validation
-    found; the walk must not depend on where they came from."""
-
-    @pytest.mark.parametrize("scale", [1.0, 8.0])
-    @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
-    def test_passed_peaks_match_recomputed(self, monkeypatch, kind, scale):
-        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", scale)
-        outcomes = set()
-        for partial in (False, True):
-            for shape_seed, (n, k) in enumerate(WALK_SHAPES):
-                A, peaks = coloring._validated_columns(
-                    WALK_MATRICES[kind](shape_seed + 500, n, k)
-                )
-                assert peaks.tobytes() == np.abs(A).max(axis=0).tobytes()
-                values, frozen = walk_start(shape_seed + 600, k, partial)
-                args = (A, values, frozen, split_seed(9, shape_seed))
-                passed = walk_outcome(*args, peaks)
-                assert passed == walk_outcome(*args)
-                outcomes.add(passed[0])
-        # At scale 1 some of these phases fail the certificate; at 8 none.
-        assert ("failed" in outcomes) == (scale == 1.0)
-
-    def test_clipped_entries_clip_the_peaks(self):
-        A = np.array([[1.0 + 1e-12, -0.5], [0.25, -(1.0 + 1e-12)]])
-        arr, peaks = coloring._validated_columns(A)
-        assert np.array_equal(arr, [[1.0, -0.5], [0.25, -1.0]])
-        assert np.array_equal(peaks, [1.0, 1.0])
-        assert arr.flags.f_contiguous
-
-    def test_risky_steps_read_the_matrix(self, monkeypatch):
-        # Peaks of 1 on 0.5-sized entries make every step risky, so the
-        # certificate takes row shifts from A; the result must not change.
-        A = coloring._validate_matrix(0.5 * sign_matrix(3, 40, 30))
-        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", 2.0)
-        values, frozen = walk_start(0, 30, False)
-        args = (A, values, frozen, 4)
-        assert walk_outcome(*args, np.ones(30)) == walk_outcome(*args)
-
-
 class TestPhaseCalls:
     """Every phase of full_coloring goes through partial_coloring, the
     function that tracing counts phases and phase failures on."""
 
-    # Every phase fails at scale 1 on signs, some do at 2 on stumps, none
-    # do at the default 8.
+    # Every walk phase runs out of steps at one step per free coordinate,
+    # some do at two, none do at the default 64.
     @pytest.mark.parametrize(
-        "kind, scale, failures",
+        "kind, factor, failures",
         [
-            ("signs", 1.0, True),
-            ("stumps", 2.0, True),
-            ("hadamard", 8.0, False),
-            ("signs", 8.0, False),
+            ("signs", 1, True),
+            ("stumps", 2, True),
+            ("hadamard", 64, False),
+            ("signs", 64, False),
         ],
     )
-    def test_one_partial_coloring_call_per_phase(self, monkeypatch, kind, scale, failures):
+    def test_one_partial_coloring_call_per_phase(self, monkeypatch, kind, factor, failures):
         calls = {"partial": 0, "walk": 0, "enumerate": 0, "failed": 0, "raised": 0}
 
         def counted(name, key, failures=None):
@@ -1127,7 +1083,7 @@ class TestPhaseCalls:
         counted("partial_coloring", "partial", "raised")
         counted("_walk_phase", "walk", "failed")
         counted("_enumerate_completion", "enumerate")
-        monkeypatch.setattr(coloring, "PHASE_CAP_SCALE", scale)
+        monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", factor)
         A = INVARIANCE_MATRICES[kind](41, 128, 60)
         try:
             full_coloring(A, seed=3)

@@ -189,6 +189,17 @@ class TestSparsify:
         assert report.final_support <= 8
         assert out.values.tobytes() == truncate_top(w, 8).values.tobytes()
 
+    def test_wide_all_ones_matrix_halves_to_target(self):
+        # Three equal rows of 1500 ones: every halving round's coloring
+        # can be balanced, so sparsify halves down to T with no fallback.
+        U = MarginMatrix(np.ones((3, 1500)))
+        w = WeightVector.uniform(1500)
+        out, report = sparsify(U, w, T=16, seed=0)
+        assert report.halving_rounds >= 1
+        assert not report.truncated_fallback
+        assert report.final_support <= 16
+        assert out.support_size <= 16
+
     def test_report_fields(self):
         U, w = random_instance(8, n=12, m=32)
         out, report = sparsify(U, w, T=8, seed=4)
