@@ -380,7 +380,7 @@ def _enumerate_completion(
 
 
 def _walk_phase(
-    A: np.ndarray, values: np.ndarray, frozen: np.ndarray, seed
+    values: np.ndarray, frozen: np.ndarray, seed
 ) -> tuple[np.ndarray, np.ndarray]:
     """One partial-coloring phase of the Gaussian walk, run a block of steps
     at a time. Returns updated (values, frozen).
@@ -401,14 +401,14 @@ def _walk_phase(
     drawn. Block boundaries change neither the draws nor where the phase
     ends, so the result does not depend on them.
 
-    The walk reads only A's width: its steps do not depend on the rows.
-    Raises PhaseFailureError when the step budget, MAX_ITERATION_FACTOR
-    steps per free coordinate, runs out, the only way a phase fails;
-    full_coloring then retries the attempt with a fresh seed, and holds
-    the finished coloring to the Spencer-type bound.
+    The walk needs no matrix: each step draws a k-vector, k the number of
+    coordinates. Raises PhaseFailureError when the step budget,
+    MAX_ITERATION_FACTOR steps per free coordinate, runs out, the only way
+    a phase fails; full_coloring then retries the attempt with a fresh
+    seed, and holds the finished coloring to the Spencer-type bound.
     """
     rng = rng_from(seed)
-    k = A.shape[1]
+    k = values.shape[0]
     cols = np.flatnonzero(~frozen)
     free_start = cols.size
     target = (free_start + 1) // 2
@@ -480,7 +480,7 @@ def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
         completed = _enumerate_completion(arr, state.values, state.frozen)
         return PartialColoring(completed, np.ones_like(state.frozen))
 
-    values, frozen = _walk_phase(arr, state.values, state.frozen, seed)
+    values, frozen = _walk_phase(state.values, state.frozen, seed)
     return PartialColoring(values, frozen)
 
 

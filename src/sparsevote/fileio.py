@@ -14,11 +14,24 @@ Floats are written with repr(), which round-trips doubles bit-exactly, so
 save/load pairs reproduce arrays byte-for-byte. Writers build each file with
 one join per row, and the report and curve writers format each float column
 once (see ``FloatText``).
+
+The text is the format of record. After writing it, ``save_dataset`` and
+``save_margin_matrix`` leave a binary sidecar next to it, at the text's path
+with ``.bin`` appended: the SHA-256 of the text's exact bytes, then the table
+the C pass would return, as little-endian float64 (the label-first table of
+a dataset; a matrix's weights row followed by its rows). Only these writers
+create a sidecar. A loader takes the table from the sidecar only when its
+digest matches the text's bytes and the table fits the text's shape; every
+check after the parse runs on it as on a parsed table. A missing, short,
+corrupt or mismatched sidecar is ignored and the text parsed as above, so
+deleting a sidecar only costs speed.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
 from itertools import chain
 from pathlib import Path
 
@@ -32,15 +45,60 @@ class FileFormatError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
+_DIGEST_BYTES = hashlib.sha256().digest_size
+
+
+def _sidecar_path(path) -> bytes:
+    return os.fsencode(path) + b".bin"
+
+
+def _write_sidecar(path, text: str, tables) -> None:
+    """Write the sidecar of the text just written to ``path``: the SHA-256
+    of ``text``'s bytes, then each table's entries in C order (tofile
+    writes a C-contiguous array in one call, any other entry by entry)."""
+    with open(_sidecar_path(path), "wb") as handle:
+        handle.write(hashlib.sha256(text.encode()).digest())
+        for table in tables:
+            np.ascontiguousarray(table, dtype="<f8").tofile(handle)
+
+
+def _read_sidecar(path) -> tuple[bytes, np.ndarray] | None:
+    """The text's bytes and the sidecar's flat table, or None unless a
+    sidecar holds the SHA-256 of those bytes and whole float64 entries."""
+    try:
+        with open(_sidecar_path(path), "rb") as handle:
+            stored = handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read()
+    except OSError:
+        return None
+    size = len(stored) - _DIGEST_BYTES
+    if size < 0 or size % 8 or stored[:_DIGEST_BYTES] != hashlib.sha256(text).digest():
+        return None
+    return text, np.frombuffer(stored, dtype="<f8", offset=_DIGEST_BYTES)
+
+
 def load_dataset(path) -> Dataset:
     """Parse a label-first CSV: first column -1/+1 (0/1 accepted, 0 mapped
     to -1), remaining columns real features. An optional header row is
-    detected by a non-numeric first cell."""
-    try:
-        with open(path, newline="") as handle:
-            table = _read_dataset_table(handle)
-    except ValueError:  # undecodable text or a row the C pass rejects
-        table = None
+    detected by a non-numeric first cell. A sidecar holding the file's
+    digest stands in for the parse (see the module docstring)."""
+    table = None
+    stored = _read_sidecar(path)
+    if stored is not None:
+        text, flat = stored
+        # The writer's text: one line per row, no header.
+        width = text.partition(b"\n")[0].count(b",") + 1
+        try:
+            table = _label_first(flat.reshape(text.count(b"\n"), width))
+        except ValueError:  # a table that does not fit the text
+            pass
+    if table is None:
+        try:
+            with open(path, newline="") as handle:
+                table = _read_dataset_table(handle)
+        except ValueError:  # undecodable text or a row the C pass rejects
+            table = None
     if table is None:
         return _load_dataset_rows(path)
     labels = table[:, 0]
@@ -72,9 +130,16 @@ def _read_dataset_table(handle) -> np.ndarray | None:
         first = _next_nonblank(rest)
         if first is None:
             return None  # np.loadtxt would warn on no data
-    table = np.loadtxt(chain([first], rest), delimiter=",", comments=None, ndmin=2)
+    return _label_first(
+        np.loadtxt(chain([first], rest), delimiter=",", comments=None, ndmin=2)
+    )
+
+
+def _label_first(table: np.ndarray) -> np.ndarray | None:
+    """``table`` if it has rows, a label and a feature column, and labels
+    -1, 0 or +1 only; else None."""
     labels = table[:, 0]
-    if table.shape[1] < 2 or not np.all(
+    if table.shape[0] < 1 or table.shape[1] < 2 or not np.all(
         (labels == 1.0) | (labels == -1.0) | (labels == 0.0)
     ):
         return None
@@ -152,6 +217,7 @@ def save_dataset(path, dataset: Dataset) -> None:
     )
     with open(path, "w", newline="") as handle:
         handle.write(text)
+    _write_sidecar(path, text, [np.column_stack((dataset.labels, dataset.features))])
 
 
 def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
@@ -159,8 +225,17 @@ def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
 
     Line 1: "n m". Line 2: m weights, renormalized to unit l1 norm on load
     unless already within tolerance (so round-trips are bit-exact). Then n
-    rows of m entries, each within [-1, 1] up to 1e-9.
+    rows of m entries, each within [-1, 1] up to 1e-9. A sidecar holding
+    the file's digest stands in for the parse (see the module docstring).
     """
+    stored = _read_sidecar(path)
+    if stored is not None:
+        text, table = stored
+        try:
+            n, m = map(int, text.partition(b"\n")[0].split())
+            return _margin_matrix(n, m, table[:m], table[m:].reshape(-1, m))
+        except ValueError:  # a table that does not fit the header, or bad values
+            pass
     try:
         with open(path) as handle:
             return _read_margin_matrix(handle)
@@ -184,6 +259,12 @@ def _read_margin_matrix(handle) -> tuple[MarginMatrix, WeightVector]:
     entries = np.loadtxt(
         chain([first_row], handle), dtype=np.float64, comments=None, ndmin=2
     )
+    return _margin_matrix(n, m, weights, entries)
+
+
+def _margin_matrix(n: int, m: int, weights, entries) -> tuple[MarginMatrix, WeightVector]:
+    """The pair from a parsed table; ValueError unless ``entries`` is n x m
+    with n >= 1."""
     if n < 1 or entries.shape != (n, m):
         raise ValueError("shape")
     return MarginMatrix(entries), WeightVector(_normalized_weights(weights))
@@ -269,9 +350,10 @@ def _parse_row(cells: list[str], m: int, path, line_no: int) -> np.ndarray:
 
 def save_margin_matrix(path, U: MarginMatrix, w: WeightVector) -> None:
     rows = chain([_repr_text(w.values)], _repr_text(U.values))
-    text = "".join(" ".join(row) + "\n" for row in rows)
+    text = f"{U.n_points} {U.n_hypotheses}\n" + "".join(" ".join(row) + "\n" for row in rows)
     with open(path, "w") as handle:
-        handle.write(f"{U.n_points} {U.n_hypotheses}\n" + text)
+        handle.write(text)
+    _write_sidecar(path, text, [w.values, U.values])
 
 
 def _repr_text(array: np.ndarray) -> list:

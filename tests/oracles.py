@@ -247,9 +247,9 @@ def enumerate_completion_unblocked(A, values, frozen):
     return out
 
 
-def gaussian_walk_stepwise(A, values, frozen, seed, step_size, freeze_tolerance, max_steps):
+def gaussian_walk_stepwise(values, frozen, seed, step_size, freeze_tolerance, max_steps):
     """One walk phase, one step at a time: each step draws a standard-normal
-    k-vector, k the width of A, from rng_from(seed), moves the free
+    k-vector, k the length of values, from rng_from(seed), moves the free
     coordinates by step_size times it, and snaps every free coordinate with
     |x| >= 1 - freeze_tolerance to +-1, where it stays; the phase ends once
     half of the coordinates free at its start are frozen.
@@ -265,7 +265,7 @@ def gaussian_walk_stepwise(A, values, frozen, seed, step_size, freeze_tolerance,
     while frozen_count < target:
         if steps == max_steps:
             return "out of steps", x, ~free, steps
-        g = rng.standard_normal(np.shape(A)[1])
+        g = rng.standard_normal(x.size)
         g[~free] = 0.0
         x_new = x + step_size * g
         for j in range(x.size):

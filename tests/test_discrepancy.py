@@ -497,15 +497,8 @@ class TestPartialColoring:
             PartialColoring(np.array([0.5]), np.array([True]))
 
 
-def weighted_sign_matrix(seed, n, k):
-    """Signs scaled by column weights in [1/4, 1], as the halver scales the
-    free columns of a weighted ensemble by their largest weight."""
-    rng = rng_from(seed)
-    return rng.choice([-1.0, 1.0], size=(n, k)) * rng.uniform(0.25, 1.0, size=k)
-
-
-WALK_MATRICES = {"signs": sign_matrix, "box": box_matrix, "weighted": weighted_sign_matrix}
-WALK_SHAPES = [(40, 30), (25, 60), (120, 20)]
+# The walk reads no matrix, only the number of coordinates.
+WALK_WIDTHS = [30, 60, 20]
 
 
 def walk_start(seed, k, partial):
@@ -531,12 +524,11 @@ def walk_outcome(*args):
     return values.tobytes(), frozen.tobytes()
 
 
-def stepwise_walk(A, values, frozen, seed):
+def stepwise_walk(values, frozen, seed):
     """gaussian_walk_stepwise with _walk_phase's step and step budget, read
     from the module as they stand."""
     free_start = int(np.count_nonzero(~frozen))
     return gaussian_walk_stepwise(
-        A,
         values,
         frozen,
         seed,
@@ -548,8 +540,7 @@ def stepwise_walk(A, values, frozen, seed):
 
 class TestBlockedWalk:
     @pytest.mark.parametrize("block_cells", [coloring.BLOCK_CELLS, 97])
-    @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
-    def test_matches_stepwise_loop(self, monkeypatch, kind, block_cells):
+    def test_matches_stepwise_loop(self, monkeypatch, block_cells):
         # The blocked walk must return the stepwise walk's result bit for
         # bit, and must fail exactly the phases in which the stepwise walk
         # runs out of steps: at one or two steps per free coordinate some
@@ -560,10 +551,9 @@ class TestBlockedWalk:
         for factor in (1, 2, 64):
             monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", factor)
             for partial in (False, True):
-                for shape_seed, (n, k) in enumerate(WALK_SHAPES):
-                    A = WALK_MATRICES[kind](shape_seed + 200, n, k)
+                for shape_seed, k in enumerate(WALK_WIDTHS):
                     values, frozen = walk_start(shape_seed + 300, k, partial)
-                    args = (A, values, frozen, split_seed(7, shape_seed))
+                    args = (values, frozen, split_seed(7, shape_seed))
                     outcome, x, now_frozen, _ = stepwise_walk(*args)
                     blocked = walk_outcome(*args)
                     if outcome == "done":
@@ -578,10 +568,9 @@ class TestBlockedWalk:
         # One step per free coordinate cannot freeze half of them: the
         # stepwise walk runs out of steps, and the blocked walk raises
         # having frozen as many coordinates.
-        A = sign_matrix(41, 40, 30)
         values, frozen = walk_start(0, 30, False)
         monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", 1)
-        args = (A, values, frozen, 5)
+        args = (values, frozen, 5)
         outcome, _, now_frozen, steps = stepwise_walk(*args)
         assert (outcome, steps) == ("out of steps", 30)
         count = np.count_nonzero(now_frozen)
@@ -710,7 +699,7 @@ class TestWalkDraws:
         state = PartialColoring.initial(A.shape[1])
         phase = 0
         while state.free_count > coloring.ENDGAME_MAX:
-            args = (A, state.values, state.frozen, split_seed(seed, phase))
+            args = (state.values, state.frozen, split_seed(seed, phase))
             # The stepwise walk draws one vector per step it takes.
             outcome, values, frozen, used = stepwise_walk(*args)
             assert outcome == "done"
