@@ -497,8 +497,15 @@ class TestPartialColoring:
             PartialColoring(np.array([0.5]), np.array([True]))
 
 
-# The walk reads no matrix, only the number of coordinates.
-WALK_WIDTHS = [30, 60, 20]
+def weighted_sign_matrix(seed, n, k):
+    """Signs scaled by column weights in [1/4, 1], as the halver scales the
+    free columns of a weighted ensemble by their largest weight."""
+    rng = rng_from(seed)
+    return rng.choice([-1.0, 1.0], size=(n, k)) * rng.uniform(0.25, 1.0, size=k)
+
+
+WALK_MATRICES = {"signs": sign_matrix, "box": box_matrix, "weighted": weighted_sign_matrix}
+WALK_SHAPES = [(40, 30), (25, 60), (120, 20)]
 
 
 def walk_start(seed, k, partial):
@@ -524,6 +531,16 @@ def walk_outcome(*args):
     return values.tobytes(), frozen.tobytes()
 
 
+def phase_outcome(A, values, frozen, seed):
+    """partial_coloring's result on A as bytes, or "failed" and its
+    PhaseFailureError message."""
+    try:
+        state = partial_coloring(A, PartialColoring(values, frozen), seed)
+    except PhaseFailureError as exc:
+        return "failed", str(exc)
+    return state.values.tobytes(), state.frozen.tobytes()
+
+
 def stepwise_walk(values, frozen, seed):
     """gaussian_walk_stepwise with _walk_phase's step and step budget, read
     from the module as they stand."""
@@ -540,22 +557,28 @@ def stepwise_walk(values, frozen, seed):
 
 class TestBlockedWalk:
     @pytest.mark.parametrize("block_cells", [coloring.BLOCK_CELLS, 97])
-    def test_matches_stepwise_loop(self, monkeypatch, block_cells):
+    @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
+    def test_matches_stepwise_loop(self, monkeypatch, kind, block_cells):
         # The blocked walk must return the stepwise walk's result bit for
         # bit, and must fail exactly the phases in which the stepwise walk
         # runs out of steps: at one or two steps per free coordinate some
         # of these phases do. With 97 cells a block holds one to four
-        # steps, so coordinates freeze in earlier blocks.
+        # steps, so coordinates freeze in earlier blocks. A phase that
+        # partial_coloring runs on a matrix of each kind is this walk,
+        # whatever the matrix's entries.
         monkeypatch.setattr(coloring, "BLOCK_CELLS", block_cells)
         accepted = declined = 0
         for factor in (1, 2, 64):
             monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", factor)
             for partial in (False, True):
-                for shape_seed, k in enumerate(WALK_WIDTHS):
+                for shape_seed, (n, k) in enumerate(WALK_SHAPES):
+                    A = WALK_MATRICES[kind](shape_seed + 200, n, k)
                     values, frozen = walk_start(shape_seed + 300, k, partial)
+                    assert np.count_nonzero(~frozen) > coloring.ENDGAME_MAX
                     args = (values, frozen, split_seed(7, shape_seed))
                     outcome, x, now_frozen, _ = stepwise_walk(*args)
                     blocked = walk_outcome(*args)
+                    assert phase_outcome(A, *args) == blocked
                     if outcome == "done":
                         assert blocked == (x.tobytes(), now_frozen.tobytes())
                         accepted += 1
