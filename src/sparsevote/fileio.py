@@ -1,37 +1,34 @@
 """On-disk formats: dataset CSV, margin-matrix text, ensemble JSON, reports.
 
-Inputs are parsed in one pass of numpy's C reader. Where that pass cannot
-take a file whole (a malformed or ragged row, a bad label, a quoted cell, a
-whitespace-only line, an entry out of range), the file is parsed again row
-by row. The row parser gives the same arrays wherever both succeed; it is
-kept for the error message naming the offending line, so no file it rejects
-is accepted. A dataset line longer than the csv module's field size limit
+Inputs are parsed in one pass of numpy's C reader (np.loadtxt). Where that
+pass cannot take a file whole (a malformed or ragged row, a bad label, a
+quoted cell, a whitespace-only line, an entry out of range), the file is
+parsed again row by row. The row parser gives the same arrays wherever both
+succeed; it is kept for the error message naming the offending line, so no
+file it rejects is accepted. A dataset line longer than the csv module's field size limit
 (csv.field_size_limit(), 131072 characters by default) also goes to the
 row parser, which rejects a longer cell with a FileFormatError naming its
 line.
+
+The entries of a margin matrix skip np.loadtxt when all of them are short
+decimals: an optional "-", at most nine digits and at most one "." (1.0,
+-1, 0.25, .5), separated by spaces and newlines. numpy's array operations
+read such an entry's digits as one integer and divide it by a power of ten,
+which gives the correctly rounded double, the one np.loadtxt returns (see
+``_short_decimals``). Any other entry sends the whole file through
+np.loadtxt. A +-1 matrix takes the short path whoever wrote it; a file no
+reader takes whole still goes to the row parser.
 
 Floats are written with repr(), which round-trips doubles bit-exactly, so
 save/load pairs reproduce arrays byte-for-byte. Writers build each file with
 one join per row, and the report and curve writers format each float column
 once (see ``FloatText``).
-
-The text is the format of record. After writing it, ``save_dataset`` and
-``save_margin_matrix`` leave a binary sidecar next to it, at the text's path
-with ``.bin`` appended: the SHA-256 of the text's exact bytes, then the table
-the C pass would return, as little-endian float64 (the label-first table of
-a dataset; a matrix's weights row followed by its rows). Only these writers
-create a sidecar. A loader takes the table from the sidecar only when its
-digest matches the text's bytes and the table fits the text's shape; every
-check after the parse runs on it as on a parsed table. A missing, short,
-corrupt or mismatched sidecar is ignored and the text parsed as above, so
-deleting a sidecar only costs speed.
 """
 from __future__ import annotations
 
 import csv
-import hashlib
+import io
 import json
-import os
 from itertools import chain
 from pathlib import Path
 
@@ -45,60 +42,15 @@ class FileFormatError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-_DIGEST_BYTES = hashlib.sha256().digest_size
-
-
-def _sidecar_path(path) -> bytes:
-    return os.fsencode(path) + b".bin"
-
-
-def _write_sidecar(path, text: str, tables) -> None:
-    """Write the sidecar of the text just written to ``path``: the SHA-256
-    of ``text``'s bytes, then each table's entries in C order (tofile
-    writes a C-contiguous array in one call, any other entry by entry)."""
-    with open(_sidecar_path(path), "wb") as handle:
-        handle.write(hashlib.sha256(text.encode()).digest())
-        for table in tables:
-            np.ascontiguousarray(table, dtype="<f8").tofile(handle)
-
-
-def _read_sidecar(path) -> tuple[bytes, np.ndarray] | None:
-    """The text's bytes and the sidecar's flat table, or None unless a
-    sidecar holds the SHA-256 of those bytes and whole float64 entries."""
-    try:
-        with open(_sidecar_path(path), "rb") as handle:
-            stored = handle.read()
-        with open(path, "rb") as handle:
-            text = handle.read()
-    except OSError:
-        return None
-    size = len(stored) - _DIGEST_BYTES
-    if size < 0 or size % 8 or stored[:_DIGEST_BYTES] != hashlib.sha256(text).digest():
-        return None
-    return text, np.frombuffer(stored, dtype="<f8", offset=_DIGEST_BYTES)
-
-
 def load_dataset(path) -> Dataset:
     """Parse a label-first CSV: first column -1/+1 (0/1 accepted, 0 mapped
     to -1), remaining columns real features. An optional header row is
-    detected by a non-numeric first cell. A sidecar holding the file's
-    digest stands in for the parse (see the module docstring)."""
-    table = None
-    stored = _read_sidecar(path)
-    if stored is not None:
-        text, flat = stored
-        # The writer's text: one line per row, no header.
-        width = text.partition(b"\n")[0].count(b",") + 1
-        try:
-            table = _label_first(flat.reshape(text.count(b"\n"), width))
-        except ValueError:  # a table that does not fit the text
-            pass
-    if table is None:
-        try:
-            with open(path, newline="") as handle:
-                table = _read_dataset_table(handle)
-        except ValueError:  # undecodable text or a row the C pass rejects
-            table = None
+    detected by a non-numeric first cell."""
+    try:
+        with open(path, newline="") as handle:
+            table = _read_dataset_table(handle)
+    except ValueError:  # undecodable text or a row the C pass rejects
+        table = None
     if table is None:
         return _load_dataset_rows(path)
     labels = table[:, 0]
@@ -130,16 +82,9 @@ def _read_dataset_table(handle) -> np.ndarray | None:
         first = _next_nonblank(rest)
         if first is None:
             return None  # np.loadtxt would warn on no data
-    return _label_first(
-        np.loadtxt(chain([first], rest), delimiter=",", comments=None, ndmin=2)
-    )
-
-
-def _label_first(table: np.ndarray) -> np.ndarray | None:
-    """``table`` if it has rows, a label and a feature column, and labels
-    -1, 0 or +1 only; else None."""
+    table = np.loadtxt(chain([first], rest), delimiter=",", comments=None, ndmin=2)
     labels = table[:, 0]
-    if table.shape[0] < 1 or table.shape[1] < 2 or not np.all(
+    if table.shape[1] < 2 or not np.all(
         (labels == 1.0) | (labels == -1.0) | (labels == 0.0)
     ):
         return None
@@ -217,7 +162,6 @@ def save_dataset(path, dataset: Dataset) -> None:
     )
     with open(path, "w", newline="") as handle:
         handle.write(text)
-    _write_sidecar(path, text, [np.column_stack((dataset.labels, dataset.features))])
 
 
 def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
@@ -225,17 +169,8 @@ def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
 
     Line 1: "n m". Line 2: m weights, renormalized to unit l1 norm on load
     unless already within tolerance (so round-trips are bit-exact). Then n
-    rows of m entries, each within [-1, 1] up to 1e-9. A sidecar holding
-    the file's digest stands in for the parse (see the module docstring).
+    rows of m entries, each within [-1, 1] up to 1e-9.
     """
-    stored = _read_sidecar(path)
-    if stored is not None:
-        text, table = stored
-        try:
-            n, m = map(int, text.partition(b"\n")[0].split())
-            return _margin_matrix(n, m, table[:m], table[m:].reshape(-1, m))
-        except ValueError:  # a table that does not fit the header, or bad values
-            pass
     try:
         with open(path) as handle:
             return _read_margin_matrix(handle)
@@ -256,18 +191,96 @@ def _read_margin_matrix(handle) -> tuple[MarginMatrix, WeightVector]:
         raise ValueError("too few lines")  # np.loadtxt would warn on no data
     n, m = map(int, header.split())
     weights = _parse_row(weight_line.split(), m, handle.name, line_no=2)
-    entries = np.loadtxt(
-        chain([first_row], handle), dtype=np.float64, comments=None, ndmin=2
-    )
-    return _margin_matrix(n, m, weights, entries)
-
-
-def _margin_matrix(n: int, m: int, weights, entries) -> tuple[MarginMatrix, WeightVector]:
-    """The pair from a parsed table; ValueError unless ``entries`` is n x m
-    with n >= 1."""
+    rows = first_row + handle.read()
+    entries = _short_decimals(rows, m)
+    if entries is None:
+        entries = np.loadtxt(io.StringIO(rows), dtype=np.float64, comments=None, ndmin=2)
     if n < 1 or entries.shape != (n, m):
         raise ValueError("shape")
     return MarginMatrix(entries), WeightVector(_normalized_weights(weights))
+
+
+# A short decimal is an optional "-", then at most _SHORT_DIGITS digits with
+# at most one "." among them: 1.0, -1, 0.25, .5, 7. Its digits read as one
+# integer and the power of ten that scales them are exact doubles, so one
+# IEEE division gives the correctly rounded double, the one np.loadtxt
+# returns for the same text.
+_SHORT_DIGITS = 9
+# Divisor 2k + negative: 10**k, negated for an entry with a "-" (-0 too).
+_DIVISORS = np.outer(10.0 ** np.arange(_SHORT_DIGITS + 1), [1.0, -1.0]).ravel()
+# Lines are parsed in blocks of about this many bytes, so that the block's
+# temporaries stay in cache.
+_BLOCK_BYTES = 1 << 18
+
+
+def _short_decimals(text: str, m: int) -> np.ndarray | None:
+    """The rows of m entries in ``text``, or None unless every entry is a
+    short decimal, spaces and newlines alone separate them and every line
+    holds m entries or none (np.loadtxt skips a whitespace-only line)."""
+    if m < 1 or not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"  # every block ends with a newline
+    blocks = []
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        block = _short_decimal_block(np.frombuffer(data, np.uint8, end - start, start), m)
+        if block is None:
+            return None
+        blocks.append(block)
+        start = end
+    return np.concatenate(blocks).reshape(-1, m)
+
+
+def _short_decimal_block(text: np.ndarray, m: int) -> np.ndarray | None:
+    """The entries of lines of ASCII bytes ending in a newline, flat, as
+    _short_decimals."""
+    newline = text == ord("\n")
+    blank = newline | (text == ord(" "))
+    first = ~blank
+    first[1:] &= blank[:-1]
+    starts = np.flatnonzero(first)
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(newline)), prepend=0)
+    if np.any((per_line != 0) & (per_line != m)):
+        return None
+    # Column j holds byte j of every entry. Each byte that is not a space or
+    # a newline lies in some entry and is checked in its column.
+    negative = text.take(starts) == ord("-")
+    inside = np.ones(starts.size, dtype=bool)
+    mantissa = np.zeros(starts.size, dtype=np.uint32)
+    digits = np.zeros(starts.size, dtype=np.uint8)
+    scale = np.zeros(starts.size, dtype=np.uint8)
+    dots = np.zeros(starts.size, dtype=np.uint8)
+    for j in range(_SHORT_DIGITS + 3):
+        chars = text[j:].take(starts, mode="clip")
+        inside &= (chars != ord(" ")) & (chars != ord("\n"))
+        if not inside.any():
+            break
+        digit = chars - np.uint8(ord("0"))
+        is_digit = (digit < 10) & inside
+        is_dot = (chars == ord(".")) & inside
+        allowed = is_digit | is_dot
+        if j == 0:
+            allowed |= negative
+        if (allowed ^ inside).any():
+            return None
+        # Booleans as bytes 0 and 1: arithmetic on one dtype is faster.
+        ones = is_digit.view(np.uint8)
+        digit *= ones
+        # Beyond _SHORT_DIGITS digits the product wraps; such an entry is
+        # refused below.
+        mantissa *= ones * np.uint8(9) + np.uint8(1)
+        mantissa += digit
+        digits += ones
+        scale += ones & (dots > 0).view(np.uint8)
+        dots += is_dot.view(np.uint8)
+    if inside.any() or not np.all((digits >= 1) & (digits <= _SHORT_DIGITS) & (dots <= 1)):
+        return None
+    scale *= np.uint8(2)
+    scale += negative
+    return mantissa / _DIVISORS.take(scale)
 
 
 def _next_nonblank(handle) -> str | None:
@@ -350,10 +363,9 @@ def _parse_row(cells: list[str], m: int, path, line_no: int) -> np.ndarray:
 
 def save_margin_matrix(path, U: MarginMatrix, w: WeightVector) -> None:
     rows = chain([_repr_text(w.values)], _repr_text(U.values))
-    text = f"{U.n_points} {U.n_hypotheses}\n" + "".join(" ".join(row) + "\n" for row in rows)
+    text = "".join(" ".join(row) + "\n" for row in rows)
     with open(path, "w") as handle:
-        handle.write(text)
-    _write_sidecar(path, text, [w.values, U.values])
+        handle.write(f"{U.n_points} {U.n_hypotheses}\n" + text)
 
 
 def _repr_text(array: np.ndarray) -> list:

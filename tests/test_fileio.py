@@ -1,6 +1,7 @@
-import hashlib
+import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -178,15 +179,21 @@ def _outcome(load, path):
     return ("ok",) + tuple((a.shape, a.tobytes()) for a in arrays)
 
 
-def _differential(monkeypatch, tmp_path, content, fast, load, rows_name):
-    """load and the row parser it falls back to agree on ``content``; when
-    ``fast``, load must not need the row parser."""
+def _write_input(tmp_path, content):
+    """``content``, text or bytes, written verbatim to a file; its path."""
     path = tmp_path / "input"
     if isinstance(content, bytes):
         path.write_bytes(content)
     else:
         with open(path, "w", newline="") as handle:
             handle.write(content)
+    return path
+
+
+def _differential(monkeypatch, tmp_path, content, fast, load, rows_name):
+    """load and the row parser it falls back to agree on ``content``; when
+    ``fast``, load must not need the row parser."""
+    path = _write_input(tmp_path, content)
     rows = getattr(fileio, rows_name)
     expected = _outcome(rows, path)
     if fast:
@@ -297,6 +304,16 @@ MATRIX_FILES = {
     "comment_marker": ("1 2\n0.5 0.5\n1 -1 # note\n", False),
     "undecodable_bytes": (b"1 2\n0.5 0.5\n1 \xff\n", False),
     "empty_file": ("", False),
+    # Entries near the short-decimal pass's edges (see fileio._short_decimals)
+    "signed_zero_entries": ("1 2\n0.5 0.5\n-0 -0.0\n", True),
+    "bare_dot_entries": ("2 2\n0.5 0.5\n.5 -1.\n-.25 1\n", True),
+    "spaces_around_entries": ("2 2\n0.5 0.5\n  1    -1  \n-1 1 \n", True),
+    "no_final_newline": ("2 2\n0.5 0.5\n1 -1\n-1 1", True),
+    "exponent_entries": ("2 2\n0.5 0.5\n1e0 -1E0\n-1 1\n", True),
+    "plus_sign_entry": ("1 2\n0.5 0.5\n+1 -1\n", True),
+    "ten_digit_entry": ("1 2\n0.5 0.5\n0.123456789 -0.1234567891\n", True),
+    "lone_minus_entry": ("1 2\n0.5 0.5\n- 1\n", False),
+    "two_dots_entry": ("1 2\n0.5 0.5\n1.2.3 1\n", False),
 }
 
 
@@ -356,231 +373,160 @@ class TestWritersMatchCellByCell:
         assert path.read_bytes() == matrix_text_by_cells(U, w).encode()
 
 
-def _sidecar(path: Path) -> Path:
-    """Where the writers leave the binary sidecar of the text at ``path``."""
-    return path.with_name(path.name + ".bin")
-
-
 FLAGS = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
 
 
-def _loaded(load, path):
-    """Every array a loader returns: dtype, shape, flags and bytes."""
-    result = load(path)
-    if isinstance(result, Dataset):
-        loaded = (result.features, result.labels)
-    else:
-        loaded = (result[0].values, result[1].values)
+def _loaded(path):
+    """What load_margin_matrix returns: dtype, shape, flags and bytes of
+    both arrays."""
+    U, w = load_margin_matrix(path)
     return [
         (a.dtype.str, a.shape, [a.flags[name] for name in FLAGS], a.tobytes())
-        for a in loaded
+        for a in (U.values, w.values)
     ]
 
 
-def _parity(save, load, *data):
-    """A load that takes the sidecar (np.loadtxt must not run) returns the
-    same arrays, bit for bit, as a load of the text alone."""
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "input"
-        save(path, *data)
-        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("text parsed")):
-            with_sidecar = _loaded(load, path)
-        _sidecar(path).unlink()
-        assert _loaded(load, path) == with_sidecar
+def _without_short_decimals():
+    """Patch the short-decimal pass to refuse every text, as for a miss."""
+    return mock.patch.object(fileio, "_short_decimals", return_value=None)
 
 
-# Signed zeros, subnormals and the range ends, besides any float.
-SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1.0, 1.0])
-ENTRIES = st.one_of(SPECIAL, st.floats(-1.0, 1.0))
-WEIGHTS = st.one_of(SPECIAL, st.floats(-4.0, 4.0))
-FEATURES = st.one_of(SPECIAL, st.floats(allow_nan=False, allow_infinity=False))
+def _is_short(cell: str) -> bool:
+    """Whether ``cell`` is a short decimal as the fileio module defines it."""
+    digits = sum(char.isdigit() for char in cell)
+    return bool(re.fullmatch(r"-?[0-9]*\.?[0-9]*", cell)) and 1 <= digits <= 9
+
+
+# Entries in the short-decimal alphabet, some of them beyond its digit limit
+# or without a digit; a few other spellings of numbers besides.
+TOKENS = st.one_of(
+    st.from_regex(r"-?[0-9]{0,6}\.?[0-9]{0,5}", fullmatch=True).filter(
+        lambda t: t not in ("", "-")
+    ),
+    st.sampled_from(["-0", "-0.0", ".5", "-.5", "5.", "999999999", "0.000000001", "1e0", "+1"]),
+)
+
+
+class TestShortDecimals:
+    """The short-decimal pass returns np.loadtxt's doubles or refuses."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_doubles_as_loadtxt_or_refused(self, data):
+        m = data.draw(st.integers(1, 4), label="m")
+        lines = []
+        for _ in range(data.draw(st.integers(1, 5), label="rows")):
+            cells = data.draw(st.lists(TOKENS, min_size=m, max_size=m), label="cells")
+            gap = data.draw(st.sampled_from([" ", "  "]), label="gap")
+            lines.append(gap.join(cells) + data.draw(st.sampled_from(["", " "]), label="end"))
+            if data.draw(st.booleans(), label="blank line"):
+                lines.append(data.draw(st.sampled_from(["", "  "]), label="blank"))
+        text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]), label="last")
+        parsed = fileio._short_decimals(text, m)
+        try:
+            expected = np.loadtxt(io.StringIO(text), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            assert parsed is None
+            return
+        assert (parsed is not None) == all(map(_is_short, text.split()))
+        if parsed is not None:
+            assert (parsed.dtype, parsed.shape) == (expected.dtype, expected.shape)
+            assert parsed.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, m, values",
+        [
+            ("-0 -0.0 0\n", 3, [-0.0, -0.0, 0.0]),
+            ("999999999 -.5 5.\n", 3, [999999999.0, -0.5, 5.0]),
+            ("0.1 0.3 -0.7\n0.00000001 1 -1", 3, [0.1, 0.3, -0.7, 1e-8, 1.0, -1.0]),
+        ],
+    )
+    def test_edge_entries(self, text, m, values):
+        parsed = fileio._short_decimals(text, m)
+        assert parsed.tobytes() == np.array(values).reshape(-1, m).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0.0000000001 1\n", "1e0 1\n", "+1 1\n", "1\t1\n", "1 1\r\n", "1.2.3 1\n",
+         "1-2 1\n", "- 1\n", ". 1\n", "1 1 1\n", "nan 1\n", "1 \u00a01\n"],
+    )
+    def test_refused(self, text):
+        assert fileio._short_decimals(text, 2) is None
+
+    def test_blocks_split_at_line_ends(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_BYTES", 5)
+        text = "1.0 -1.0\n\n0.25 0.5\n-0.0 1\n"
+        parsed = fileio._short_decimals(text, 2)
+        assert parsed.tobytes() == np.array([[1.0, -1.0], [0.25, 0.5], [-0.0, 1.0]]).tobytes()
+        assert fileio._short_decimals(text.replace("0.5", "0.5 1"), 2) is None
+
+
+# Entries whose repr is a short decimal, and others whose repr is not.
+SHORT_ENTRIES = st.sampled_from([-1.0, 1.0, -0.0, 0.0, 0.5, -0.25, 0.1, 0.75, -0.3])
+ENTRIES = st.one_of(
+    SHORT_ENTRIES, st.sampled_from([5e-324, -2.5e-310, 1e-05]), st.floats(-1.0, 1.0)
+)
 SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
 
 
-class TestSidecarParity:
+class TestShortDecimalLoads:
+    """A load through the short-decimal pass gives the same arrays, bit for
+    bit, as a load through np.loadtxt."""
+
     @given(
-        arrays(np.float64, SHAPES, elements=ENTRIES),
+        st.one_of(
+            arrays(np.float64, SHAPES, elements=SHORT_ENTRIES),
+            arrays(np.float64, SHAPES, elements=ENTRIES),
+        ),
         st.data(),
     )
-    @example(np.array([[-0.0, 5e-324, -1.0]]), None)  # 1 x m
-    @example(np.array([[-0.0], [2.5e-310], [1.0]]), None)  # n x 1
-    @settings(max_examples=60, deadline=None)
-    def test_margin_matrix(self, U, data):
+    @example(np.array([[-0.0, 5e-324, -1.0]]), None)  # 1 x m, a subnormal
+    @example(np.array([[-0.0, 0.5, -1.0]]), None)  # 1 x m
+    @example(np.array([[-0.0], [0.25], [1.0]]), None)  # n x 1
+    @settings(max_examples=100, deadline=None)
+    def test_same_arrays_as_loadtxt(self, U, data):
         m = U.shape[1]
         if data is None:
             w = np.arange(1.0, m + 1)  # renormalized on load
         else:
-            w = data.draw(arrays(np.float64, m, elements=WEIGHTS))
-        if not np.abs(w).sum() > 0:
-            w[0] = 3.0  # all-zero weights are a load error, not a sidecar hit
-        _parity(save_margin_matrix, load_margin_matrix, MarginMatrix(U), WeightVector(w))
+            w = data.draw(arrays(np.float64, m, elements=st.floats(-4.0, 4.0)))
+            if not np.abs(w).sum() > 0:
+                w[0] = 3.0  # all-zero weights are a load error
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "matrix.txt"
+            save_margin_matrix(path, MarginMatrix(U), WeightVector(w))
+            loaded = _loaded(path)
+            with _without_short_decimals():
+                assert _loaded(path) == loaded
 
-    @given(
-        arrays(np.float64, SHAPES, elements=FEATURES),
-        st.data(),
-    )
-    @example(np.array([[-0.0, 5e-324, 1e300]]), None)  # 1 x d
-    @example(np.array([[-0.0], [-5e-324], [7.5]]), None)  # n x 1
-    @settings(max_examples=60, deadline=None)
-    def test_dataset(self, X, data):
-        n = X.shape[0]
-        if data is None:
-            y = np.resize([1.0, -1.0], n)
-        else:
-            y = data.draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
-        _parity(save_dataset, load_dataset, Dataset(X, y))
-
-
-MATRIX_U = np.array([[0.5, -0.25, 1.0], [-1.0, 0.75, 0.0]])
-MATRIX_W = np.array([0.25, 0.25, 0.5])
-DATASET_X = np.array([[0.5, -2.0], [1.75, 3.0], [-0.0, 4.5]])
-DATASET_Y = np.array([1.0, -1.0, 1.0])
-
-
-def _save_matrix(path, scale=1.0):
-    save_margin_matrix(path, MarginMatrix(scale * MATRIX_U), WeightVector(MATRIX_W))
-    return MATRIX_U.tobytes()
-
-
-def _save_dataset(path, scale=1.0):
-    save_dataset(path, Dataset(scale * DATASET_X, DATASET_Y))
-    return DATASET_X.tobytes()
-
-
-def _replace(path, old: bytes, new: bytes):
-    text = path.read_bytes()
-    assert text.count(old) == 1
-    path.write_bytes(text.replace(old, new))
-
-
-def _digest_with_table(path, table):
-    """A sidecar with the text's own digest in front of ``table``."""
-    digest = hashlib.sha256(path.read_bytes()).digest()
-    _sidecar(path).write_bytes(digest + np.asarray(table, dtype="<f8").tobytes())
-
-
-def _truncate(path, keep):
-    side = _sidecar(path)
-    side.write_bytes(side.read_bytes()[: keep(side.stat().st_size)])
-
-
-def _copy_from_other(path, save):
-    other = path.with_name("other")
-    save(other, scale=-1.0)
-    _sidecar(path).write_bytes(_sidecar(other).read_bytes())
-
-
-# Edits after a save, and what the edited text alone loads as: an error, or
-# arrays "changed" from or equal to the "saved" ones. The text of a matrix
-# is "2 3\n0.25 0.25 0.5\n0.5 -0.25 1.0\n-1.0 0.75 0.0\n", of a dataset
-# "1,0.5,-2.0\n-1,1.75,3.0\n1,-0.0,4.5\n". The last two edits leave the
-# text alone and write a sidecar with its digest but a table of the wrong
-# size: the text's table with a row put in front, or its last entry cut.
-EDITS = {
-    "matrix": {
-        "byte_changed": (lambda p: _replace(p, b"0.75", b"0.65"), "changed"),
-        "row_appended": (
-            lambda p: p.write_bytes(p.read_bytes() + b"0.5 0.5 0.5\n"), "error"
-        ),
-        "row_ragged": (lambda p: _replace(p, b"-1.0 0.75 0.0\n", b"-1.0 0.75\n"), "error"),
-        "extra_row_in_table": (
-            lambda p: _digest_with_table(p, np.vstack([MATRIX_U[:1], MATRIX_W, MATRIX_U])),
-            "saved",
-        ),
-        "entry_missing_from_table": (
-            lambda p: _digest_with_table(p, np.vstack([MATRIX_W, MATRIX_U]).ravel()[:-1]),
-            "saved",
-        ),
-    },
-    "dataset": {
-        "byte_changed": (lambda p: _replace(p, b"1.75", b"1.25"), "changed"),
-        "row_appended": (
-            lambda p: p.write_bytes(p.read_bytes() + b"-1,2.0,2.0\n"), "changed"
-        ),
-        "row_ragged": (lambda p: _replace(p, b"1,-0.0,4.5\n", b"1,-0.0\n"), "error"),
-        "extra_row_in_table": (
-            lambda p: _digest_with_table(
-                p, np.column_stack([DATASET_Y[[2, 0, 1, 2]], DATASET_X[[2, 0, 1, 2]]])
-            ),
-            "saved",
-        ),
-        "entry_missing_from_table": (
-            lambda p: _digest_with_table(p, np.column_stack([DATASET_Y, DATASET_X]).ravel()[:-1]),
-            "saved",
-        ),
-    },
-}
-SIDECAR_FAULTS = {
-    "truncated_by_one_entry": lambda p, save: _truncate(p, lambda size: size - 8),
-    "truncated_mid_entry": lambda p, save: _truncate(p, lambda size: size - 3),
-    "truncated_in_digest": lambda p, save: _truncate(p, lambda size: 10),
-    "emptied": lambda p, save: _truncate(p, lambda size: 0),
-    "copied_from_other_file": _copy_from_other,
-}
-LOADERS = {
-    "matrix": (_save_matrix, load_margin_matrix),
-    "dataset": (_save_dataset, load_dataset),
-}
-
-
-class TestSidecarMiss:
-    """A sidecar never changes an outcome: whatever happened to the text or
-    the sidecar after the save, the load gives what the text alone gives,
-    arrays or error, and warns about nothing."""
-
-    @staticmethod
-    def outcomes(tmp_path, kind, fault):
-        save, load = LOADERS[kind]
-        path = tmp_path / "input"
-        saved = save(path)
+    @pytest.mark.parametrize("name", sorted(MATRIX_FILES))
+    def test_same_outcome_without_warnings(self, tmp_path, name):
+        path = _write_input(tmp_path, MATRIX_FILES[name][0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fault(path, save)
-            with_sidecar = _outcome(load, path)
-            _sidecar(path).unlink()
-            text_alone = _outcome(load, path)
-        return saved, with_sidecar, text_alone
-
-    @pytest.mark.parametrize(
-        "kind, edit", [(kind, edit) for kind in sorted(EDITS) for edit in sorted(EDITS[kind])]
-    )
-    def test_text_or_table_changed(self, tmp_path, kind, edit):
-        change, expected = EDITS[kind][edit]
-        saved, with_sidecar, text_alone = self.outcomes(
-            tmp_path, kind, lambda path, save: change(path)
-        )
-        assert with_sidecar == text_alone
-        if expected == "error":
-            assert text_alone[:2] == ("error", "FileFormatError")
-        else:
-            assert text_alone[0] == "ok"
-            assert (text_alone[1][1] == saved) == (expected == "saved")
-
-    @pytest.mark.parametrize("kind", sorted(LOADERS))
-    @pytest.mark.parametrize("fault", sorted(SIDECAR_FAULTS))
-    def test_sidecar_damaged(self, tmp_path, kind, fault):
-        saved, with_sidecar, text_alone = self.outcomes(tmp_path, kind, SIDECAR_FAULTS[fault])
-        assert with_sidecar == text_alone
-        assert text_alone[0] == "ok" and text_alone[1][1] == saved
+            outcome = _outcome(load_margin_matrix, path)
+            with _without_short_decimals():
+                assert _outcome(load_margin_matrix, path) == outcome
 
 
-class TestSidecarFastPath:
-    @pytest.mark.parametrize("kind", sorted(LOADERS))
-    def test_valid_sidecar_skips_the_parse(self, monkeypatch, tmp_path, kind):
-        save, load = LOADERS[kind]
-        path = tmp_path / "input"
-        saved = save(path)
-        assert _sidecar(path).is_file()
+class TestShortDecimalFastPath:
+    def test_short_entries_skip_loadtxt(self, monkeypatch, tmp_path):
+        rng = rng_from(46)
+        U = rng.choice([-1.0, 1.0], size=(40, 24))
+        w = rng.exponential(size=24)
+        path = tmp_path / "matrix.txt"
+        save_margin_matrix(path, MarginMatrix(U), WeightVector(w / w.sum()))
 
         def no_parse(*args, **kwargs):
             raise AssertionError("np.loadtxt ran")
 
         monkeypatch.setattr(fileio.np, "loadtxt", no_parse)
-        outcome = _outcome(load, path)
-        assert outcome[0] == "ok" and outcome[1][1] == saved
-        _sidecar(path).unlink()
+        loaded, weights = load_margin_matrix(path)
+        assert loaded.values.tobytes() == U.tobytes()
+        assert weights.values.tobytes() == (w / w.sum()).tobytes()
+        path.write_text(path.read_text().replace("-1.0", "-1e0"))
         with pytest.raises(AssertionError, match="np.loadtxt ran"):
-            load(path)
+            load_margin_matrix(path)
 
 
 class TestEnsembleFormat:
