@@ -20,7 +20,6 @@ from .discrepancy import (
     ColoringConfig,
     DiscrepancyBoundError,
     PartialColoring,
-    PhaseFailureError,
     bruteforce_min_discrepancy,
     discrepancy,
     full_coloring,
@@ -78,7 +77,6 @@ __all__ = [
     "FileFormatError",
     "MarginMatrix",
     "PartialColoring",
-    "PhaseFailureError",
     "SparsifyReport",
     "UndefinedMetricError",
     "WeightVector",

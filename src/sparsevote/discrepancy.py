@@ -3,38 +3,34 @@
 Produces sign colorings x of the columns of a matrix A with entries in
 [-1, 1] such that the discrepancy max_i |(Ax)_i| meets a Spencer-type bound,
 plus the minority-sign column subset that inherits a row-sum sandwich from
-the coloring. The constructive engine is a Lovett-Meka-style partial-coloring
-random walk: a discretized Gaussian walk inside the cube [-1,1]^k that
-moves only the coordinates not yet frozen at +-1. Each phase freezes at
-least half of the remaining free coordinates; phases repeat until the
-coloring is complete. A phase runs in blocks of steps, and its result is
-exactly a stepwise walk's. The first block is about as long as a phase
-(the walk's expected exit time from the cube) and each later one twice as
-long, so few drawn steps go unused. A phase fails only when it runs out of
-steps; full_coloring retries a failed attempt with a fresh seed, and its
-check of the Spencer-type bound on the finished coloring is the output's
-guarantee.
+the coloring. The constructive engine has three steps: random signs, an
+exact endgame and a flip polish. The first step freezes all but at most
+ENDGAME_MAX coordinates at i.i.d. uniform +-1 signs, leaving a uniformly
+random subset free; the endgame gives that subset the signs minimizing the
+discrepancy of the completed coloring, by enumeration; the polish then
+makes deterministic single-coordinate (and, for narrow matrices,
+opposite-pair) flips that strictly reduce the discrepancy. On the matrices
+the halver colors this reaches random-coloring quality, not Spencer's
+bound; full_coloring retries an attempt with a fresh seed when it misses
+the Spencer-type bound, and that check of the finished coloring is the
+output's guarantee.
 
-Small instances bypass the walk entirely: an exhaustive search over all sign
-vectors is exact, fast, and deterministic up to k = 16 columns. Phases whose
-free count has shrunk to at most ENDGAME_MAX coordinates are likewise
-finished by enumeration instead of the walk, and completed colorings are
-polished by deterministic single-coordinate (and, for narrow matrices,
-opposite-pair) flips that strictly reduce the discrepancy. The exhaustive
-searches add a block of partial row sums over the low bits of the sign
-vectors' codes, built once, to one vector per block over the high bits,
-so a block of row sums stays in cache. The flip polish first bounds every
-candidate by its maximum over the BOUND_ROWS rows with the largest |row
-sum|, a lower bound on its maximum over all rows, and scores on all rows
-only the candidates that this bound cannot rule out; its moves are those
-of scoring every candidate.
+Small instances skip the random signs: an exhaustive search over all sign
+vectors is exact, fast, and deterministic up to k = 16 columns. The
+exhaustive searches add a block of partial row sums over the low bits of
+the sign vectors' codes, built once, to one vector per block over the high
+bits, so a block of row sums stays in cache. The flip polish first bounds
+every candidate by its maximum over the BOUND_ROWS rows with the largest
+|row sum|, a lower bound on its maximum over all rows, and scores on all
+rows only the candidates that this bound cannot rule out; its moves are
+those of scoring every candidate.
 
 Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
 for both, so full_coloring colors the distinct rows only: the first row of
 each class of rows equal up to sign, with its first nonzero entry made
 positive. The Spencer-type bound counts those rows. The output does not
-depend on the order of the rows or on how often one repeats: the walk's
-steps do not depend on the rows, the row sums that seed the searches are
+depend on the order of the rows or on how often one repeats: the random
+signs do not depend on the rows, the row sums that seed the searches are
 taken row by row (_row_sums), so equal rows get equal bits wherever they
 sit, and the searches break near-ties by a fixed order instead of by BLAS
 rounding. A candidate counts as tied with the best when its maximum is within
@@ -54,26 +50,21 @@ import numpy as np
 from .margins import ENTRY_TOL
 from .seeding import rng_from, split_seed
 
-# Row sums per block in the exact searches and coordinates per block of
-# walk steps: 256 KiB of doubles, small enough that each block's passes
-# run in cache.
+# Row sums per block in the exact searches and the flip polish: 256 KiB of
+# doubles, small enough that each block's passes run in cache.
 BLOCK_CELLS = 1 << 15
 EPS = float(np.finfo(np.float64).eps)
 # The flip polish bounds each candidate on this many rows, those with the
 # largest |row sum|, before it scores all rows.
 BOUND_ROWS = 32
-# The walk's constants: its step, its budget of steps per free coordinate,
-# and how close to +-1 a coordinate must come to freeze.
-STEP_SIZE = 0.1
-MAX_ITERATION_FACTOR = 64
-FREEZE_TOLERANCE = 1e-6
 # Exhaustive search colors matrices of at most BRUTEFORCE_MAX columns and
-# finishes phases with at most ENDGAME_MAX free coordinates; both stay at
-# most 20, the limit of bruteforce_min_discrepancy.
+# finishes colorings with at most ENDGAME_MAX free coordinates; both stay
+# at most 20, the limit of bruteforce_min_discrepancy.
 BRUTEFORCE_MAX = 16
 ENDGAME_MAX = 12
-# Walk attempts full_coloring makes before it gives up; sparsify adds no
-# retry of its own, so this bounds the work of a failing halving round.
+# Attempts (random signs, endgame, polish) full_coloring makes before it
+# gives up; sparsify adds no retry of its own, so this bounds the work of
+# a failing halving round.
 RETRY_BUDGET = 16
 # The flip polish makes at most REFINE_SWEEPS sweeps, and tries pair flips
 # on matrices of at most PAIR_REFINE_MAX columns.
@@ -84,27 +75,18 @@ PAIR_REFINE_MAX = 64
 class DiscrepancyBoundError(RuntimeError):
     """Raised when no attempt met the discrepancy bound within the retry budget.
 
-    achieved is the smallest discrepancy of the attempts that completed a
-    coloring, and inf when every attempt failed a walk phase.
+    Every attempt completes a coloring, so achieved is the smallest
+    discrepancy of the attempts' colorings.
     """
 
     def __init__(self, achieved: float, bound: float, attempts: int):
         self.achieved = achieved
         self.bound = bound
         self.attempts = attempts
-        if math.isinf(achieved):
-            outcome = f"all {attempts} attempts failed a walk phase"
-        else:
-            outcome = f"best discrepancy achieved was {achieved:.6g}"
         super().__init__(
             f"no coloring met the bound {bound:.6g} after {attempts} attempts; "
-            + outcome
+            f"best discrepancy achieved was {achieved:.6g}"
         )
-
-
-class PhaseFailureError(RuntimeError):
-    """Raised when a walk phase runs out of steps before freezing half its
-    free coordinates, the only way a phase fails."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +94,7 @@ class ColoringConfig:
     """The coloring's one parameter: spencer_constant, the K_S of the bound
     that full_coloring enforces. It must be positive and finite: at zero or
     below no coloring meets the bound, and at inf every one does. The
-    walk's and the searches' constants are module constants."""
+    searches' and the polish's constants are module constants."""
 
     spencer_constant: float = 12.0
 
@@ -128,10 +110,11 @@ DEFAULT_CONFIG = ColoringConfig()
 
 @dataclass(frozen=True)
 class PartialColoring:
-    """Walk state: fractional values in the cube plus a frozen mask.
+    """Coloring state: values in the cube plus a frozen mask.
 
-    Frozen coordinates sit exactly at +-1 and never move again; a completed
-    state (everything frozen) is a valid coloring.
+    Frozen coordinates sit exactly at +-1 and never move again; the values
+    of free ones are not read. A completed state (everything frozen) is a
+    valid coloring.
     """
 
     values: np.ndarray
@@ -379,93 +362,17 @@ def _enumerate_completion(
     return out
 
 
-def _walk_phase(
-    values: np.ndarray, frozen: np.ndarray, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """One partial-coloring phase of the Gaussian walk, run a block of steps
-    at a time. Returns updated (values, frozen).
-
-    Each step adds STEP_SIZE times a standard-normal vector to the free
-    coordinates. A coordinate snaps to +-1 at its first step with |x| >=
-    1 - FREEZE_TOLERANCE and stays there; the phase ends at the first step
-    where half of its free coordinates are frozen. Each block draws its
-    steps as one (steps, k) standard-normal array, which yields the numbers
-    of that many successive k-vector draws, and accumulates them with
-    cumsum over the step axis, which performs a stepwise walk's additions
-    in its order. Only the columns free at the start of the phase move.
-
-    The first block holds ceil(1 / STEP_SIZE^2) steps, the walk's expected
-    exit time from the cube, and each later block twice as many as the one
-    before, up to BLOCK_CELLS // k. The steps drawn past the phase's end
-    are discarded, so at most 2 * used + ceil(1 / STEP_SIZE^2) steps are
-    drawn. Block boundaries change neither the draws nor where the phase
-    ends, so the result does not depend on them.
-
-    The walk needs no matrix: each step draws a k-vector, k the number of
-    coordinates. Raises PhaseFailureError when the step budget,
-    MAX_ITERATION_FACTOR steps per free coordinate, runs out, the only way
-    a phase fails; full_coloring then retries the attempt with a fresh
-    seed, and holds the finished coloring to the Spencer-type bound.
-    """
-    rng = rng_from(seed)
-    k = values.shape[0]
-    cols = np.flatnonzero(~frozen)
-    free_start = cols.size
-    target = (free_start + 1) // 2
-    max_steps = MAX_ITERATION_FACTOR * free_start
-    threshold = 1.0 - FREEZE_TOLERANCE
-    x = values[cols]
-    free = np.ones(free_start, dtype=bool)
-    # Blocks of steps double up to `widest`.
-    widest = max(1, BLOCK_CELLS // k)
-    block = min(math.ceil(1.0 / STEP_SIZE**2), widest)
-    frozen_count = steps = 0
-    while frozen_count < target:
-        if steps == max_steps:
-            raise PhaseFailureError(
-                f"froze {frozen_count} of {free_start} free coordinates in "
-                f"{max_steps} steps (needed {target})"
-            )
-        drawn = min(block, max_steps - steps)
-        block = min(2 * block, widest)
-        traj = rng.standard_normal((drawn, k))[:, cols]
-        traj *= STEP_SIZE
-        traj[:, ~free] = 0.0
-        traj[0] += x
-        np.cumsum(traj, axis=0, out=traj)
-
-        hits = np.abs(traj) >= threshold
-        hits[:, ~free] = False
-        hit_cols = np.flatnonzero(hits.any(axis=0))
-        hit_steps = np.argmax(hits[:, hit_cols], axis=0)
-        reached = frozen_count + np.cumsum(np.bincount(hit_steps, minlength=drawn))
-        done = np.flatnonzero(reached >= target)
-        used = int(done[0]) + 1 if done.size else drawn
-        keep = hit_steps < used
-        hit_cols, hit_steps = hit_cols[keep], hit_steps[keep]
-        # The last used step, each column hit by then snapped to the sign
-        # it had at its hit.
-        x = traj[used - 1].copy()
-        x[hit_cols] = np.where(traj[hit_steps, hit_cols] >= 0.0, 1.0, -1.0)
-        free[hit_cols] = False
-        frozen_count += hit_cols.size
-        steps += used
-
-    out = values.copy()
-    out[cols] = x
-    now_frozen = frozen.copy()
-    now_frozen[cols] = ~free
-    return out, now_frozen
-
-
 def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
-    """Advance one phase: freeze at least half of the currently free entries.
+    """Freeze free coordinates of state: all of them when at most
+    ENDGAME_MAX are free, otherwise all but r of them.
 
-    Small tails (at most ENDGAME_MAX free coordinates) are finished exactly
-    by enumeration; larger phases run the Gaussian walk (_walk_phase)
-    and raise PhaseFailureError when its step budget runs out, the only way
-    a phase fails. The phase makes no promise about the rows' sums:
-    full_coloring checks the finished coloring against the bound.
+    At most ENDGAME_MAX free coordinates are finished exactly by
+    enumeration (_enumerate_completion). With more, r is the count that
+    halving the free count leaves once it is at most ENDGAME_MAX, and a
+    uniformly random subset of all but r free coordinates is frozen at
+    i.i.d. uniform +-1 signs, both drawn from rng_from(seed); the matrix is
+    not read. The call makes no promise about the rows' sums: full_coloring
+    checks the finished coloring against the bound.
     """
     arr = _validate_matrix(A)
     if arr.shape[1] != state.values.shape[0]:
@@ -480,7 +387,15 @@ def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
         completed = _enumerate_completion(arr, state.values, state.frozen)
         return PartialColoring(completed, np.ones_like(state.frozen))
 
-    values, frozen = _walk_phase(state.values, state.frozen, seed)
+    left = state.free_count
+    while left > ENDGAME_MAX:
+        left //= 2
+    rng = rng_from(seed)
+    drawn = rng.permutation(np.flatnonzero(~state.frozen))[left:]
+    values = state.values.copy()
+    values[drawn] = rng.choice([-1.0, 1.0], size=drawn.size)
+    frozen = state.frozen.copy()
+    frozen[drawn] = True
     return PartialColoring(values, frozen)
 
 
@@ -620,15 +535,15 @@ def full_coloring(
     runs on them, and n counts them.
 
     For k <= BRUTEFORCE_MAX columns the exact exhaustive optimum is
-    returned (deterministic, seed unused). Otherwise the partial-coloring walk
-    runs phase by phase and the completed coloring is polished by local
-    flips. An attempt in which a phase runs out of steps (PhaseFailureError)
-    is dropped, and the whole attempt restarts with a fresh derived seed
-    until the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise)
-    is met or RETRY_BUDGET attempts are spent; DiscrepancyBoundError then
-    reports inf as the achieved discrepancy if every attempt failed a
-    phase. That check of the finished coloring is the only one the output
-    passes, and its guarantee.
+    returned (deterministic, seed unused). Otherwise an attempt makes two
+    partial_coloring calls, random signs on all but at most ENDGAME_MAX
+    coordinates and then the exact endgame on the rest, and polishes the
+    completed coloring by local flips. Attempts restart with a fresh
+    derived seed until the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n)
+    otherwise) is met or RETRY_BUDGET attempts are spent, and then
+    DiscrepancyBoundError reports the best discrepancy achieved. That check
+    of the finished coloring is the only one the output passes, and its
+    guarantee.
 
     Near-ties in the exhaustive searches and the pair flips go to the first
     candidate in a fixed order (see _best_signs and _refine_flips), so the
@@ -647,15 +562,9 @@ def full_coloring(
 
     best_val = math.inf
     for attempt in range(RETRY_BUDGET):
-        attempt_seed = split_seed(seed, attempt)
-        state = PartialColoring.initial(k)
-        phase = 0
-        try:
-            while not state.is_complete:
-                state = partial_coloring(arr, state, split_seed(attempt_seed, phase))
-                phase += 1
-        except PhaseFailureError:
-            continue
+        start = PartialColoring.initial(k)
+        state = partial_coloring(arr, start, split_seed(seed, attempt, 0))
+        state = partial_coloring(arr, state)
         x = _refine_flips(arr, state.values)
         val = discrepancy(arr, x)
         best_val = min(best_val, val)

@@ -3,16 +3,13 @@
 Everything here is written the slow, obvious way (explicit loops,
 exhaustive enumeration) on purpose: these are the yardsticks the fast
 implementations are measured against, so they must not share code or
-algorithmic shortcuts with the package. The one exception is the seed
-derivation, rng_from, which the walk oracle draws from so that its steps
-are the package walk's.
+algorithmic shortcuts with the package.
 """
 import itertools
 import math
 
 import numpy as np
 
-from sparsevote.seeding import rng_from
 
 
 def margins_double_loop(U_values, w_values):
@@ -245,37 +242,6 @@ def enumerate_completion_unblocked(A, values, frozen):
     out = np.where(frozen, values, 0.0)
     out[free_idx] = patterns[best]
     return out
-
-
-def gaussian_walk_stepwise(values, frozen, seed, step_size, freeze_tolerance, max_steps):
-    """One walk phase, one step at a time: each step draws a standard-normal
-    k-vector, k the length of values, from rng_from(seed), moves the free
-    coordinates by step_size times it, and snaps every free coordinate with
-    |x| >= 1 - freeze_tolerance to +-1, where it stays; the phase ends once
-    half of the coordinates free at its start are frozen.
-
-    Returns (outcome, values, frozen, steps), where outcome is "done" or
-    "out of steps" (max_steps taken first).
-    """
-    rng = rng_from(seed)
-    x = np.array(values, dtype=np.float64)
-    free = ~np.asarray(frozen, dtype=bool)
-    target = (int(free.sum()) + 1) // 2
-    frozen_count = steps = 0
-    while frozen_count < target:
-        if steps == max_steps:
-            return "out of steps", x, ~free, steps
-        g = rng.standard_normal(x.size)
-        g[~free] = 0.0
-        x_new = x + step_size * g
-        for j in range(x.size):
-            if free[j] and abs(x_new[j]) >= 1.0 - freeze_tolerance:
-                x_new[j] = 1.0 if x_new[j] >= 0.0 else -1.0
-                free[j] = False
-                frozen_count += 1
-        x = x_new
-        steps += 1
-    return "done", x, ~free, steps
 
 
 def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max, tolerance=0.0):

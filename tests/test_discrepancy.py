@@ -17,7 +17,6 @@ from sparsevote import (
     DiscrepancyBoundError,
     MarginMatrix,
     PartialColoring,
-    PhaseFailureError,
     WeightVector,
     bruteforce_min_discrepancy,
     discrepancy,
@@ -37,7 +36,6 @@ from oracles import (
     bruteforce_unblocked,
     distinct_rows_by_dict,
     enumerate_completion_unblocked,
-    gaussian_walk_stepwise,
     min_discrepancy_exhaustive,
     refine_flips_one_at_a_time,
 )
@@ -297,19 +295,19 @@ def frozen_coloring_input(name):
     return rng.choice([-1.0, 1.0], size=128)[:, None] * H[:, rng.permutation(64)], 4
 
 
-# full_coloring outputs ("+" is +1) recorded before the exact searches were
-# blocked: the exhaustive path (k = 14), walk plus accepted pair flips
-# (k = 40), walk on a square sign matrix (k = 170), and a Hadamard block at
-# the pair-flip cutoff (k = 64).
+# full_coloring outputs ("+" is +1): the exhaustive path (k = 14, recorded
+# before the exact searches were blocked), random signs plus accepted pair
+# flips (k = 40), random signs on a square sign matrix (k = 170), and a
+# Hadamard block at the pair-flip cutoff (k = 64).
 FROZEN_COLORINGS = {
     "tall_bruteforce": "+-++--+-+++--+",
-    "tall_pairs": "++--+--++-+---++---++---------++--++-++-",
+    "tall_pairs": "--+-++-+++-+-+--++-++-+-----++----++-+++",
     "square_signs": (
-        "-++++++----+----+--++-+-----+-+-+-----+---++-++--+----+-+--++--+++++-"
-        "---+-+++-+-++++-++----+-++---------+-+-++-+-+--+-+---++++-++--+----+-"
-        "-+-++++-+-++++++-++--++---+-++--"
+        "-++-+++--+--+---+--+++-++------+-----++-+--++-+-+++-++++----+-+------"
+        "++---++++-+---++-+-++-+-++++---+--+------+++----+-----+----+--+-++-++"
+        "---++---++--+-+++-+-+-+++++-----"
     ),
-    "hadamard": "-++--+++--+-+-+-++++++-++-+---++-+++++---++-++------+-++++---+--",
+    "hadamard": "----+-+--++-++--+++-+-++-+++++++-+-+++-+-++-+++---+++++-++-++-++",
 }
 
 
@@ -380,7 +378,8 @@ class TestFullColoring:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_walk_meets_bound_and_signs(self, seed):
-        # k = 24 exceeds the exhaustive cutoff, forcing the walk path
+        # k = 24 exceeds the exhaustive cutoff, forcing the random signs
+        # and the endgame
         A = sign_matrix(seed, 24, 24)
         x = full_coloring(A, seed=split_seed(1000, seed))
         assert x.shape == (24,)
@@ -409,22 +408,9 @@ class TestFullColoring:
         assert err.achieved > err.bound
         assert err.attempts == 2
 
-    @pytest.mark.parametrize(
-        "name, value", [("MAX_ITERATION_FACTOR", 1)], ids=["out_of_steps"]
-    )
-    def test_every_attempt_failing_a_phase_is_reported(self, monkeypatch, name, value):
-        A = np.random.default_rng(3).choice([-1.0, 1.0], size=(40, 80))
-        monkeypatch.setattr(coloring, name, value)
-        with pytest.raises(
-            DiscrepancyBoundError, match="all 16 attempts failed a walk phase$"
-        ) as info:
-            full_coloring(A, seed=0)
-        assert info.value.achieved == math.inf
-        assert info.value.attempts == 16
-
     def test_one_wide_row_of_ones_is_balanced(self):
         # A single all-ones row: a balanced coloring has discrepancy 0,
-        # whatever the rows' shifts were during the walk's phases.
+        # whatever the random signs were before the endgame and the polish.
         A = np.ones((1, 512))
         x = full_coloring(A, seed=0)
         assert set(np.unique(x)) <= {-1.0, 1.0}
@@ -473,134 +459,52 @@ class TestPartialColoring:
         assert np.all(np.abs(out.values) <= 1.0)
         assert np.all(out.values[out.frozen] ** 2 == 1.0)
 
-    def test_walk_phase_freezes_half_and_grows_frozen(self):
-        # 40 free coordinates exceed the endgame cutoff, so this runs the
-        # random walk rather than enumeration.
-        A = sign_matrix(31, 40, 40)
-        state = PartialColoring.initial(40)
-        for attempt in range(8):
-            try:
-                out = partial_coloring(A, state, seed=split_seed(64, attempt))
-                break
-            except PhaseFailureError:
-                continue
-        else:
-            pytest.fail("walk phase failed for every seed")
-        assert np.count_nonzero(out.frozen) >= 20
-        assert np.all(out.frozen >= state.frozen)
-        assert np.all(np.abs(out.values) <= 1.0)
+    @pytest.mark.parametrize(
+        "free, left", [(13, 6), (17, 8), (24, 12), (25, 12), (40, 10), (341, 10)]
+    )
+    def test_draw_leaves_what_halving_would(self, free, left):
+        # One call with more than ENDGAME_MAX free coordinates freezes all
+        # but the count that halving the free count leaves once it is at
+        # most ENDGAME_MAX. Coordinates frozen before keep their values.
+        rng = rng_from(free)
+        k = free + 7
+        frozen = np.zeros(k, dtype=bool)
+        frozen[rng.permutation(k)[:7]] = True
+        values = np.where(
+            frozen, rng.choice([-1.0, 1.0], size=k), rng.uniform(-0.9, 0.9, size=k)
+        )
+        state = PartialColoring(values, frozen)
+        A = box_matrix(free, 5, k)
+        out = partial_coloring(A, state, seed=free)
+        assert out.free_count == left
+        assert np.all(out.frozen[frozen])
+        assert out.values[frozen].tobytes() == values[frozen].tobytes()
+        assert np.all(np.abs(out.values[out.frozen & ~frozen]) == 1.0)
+        again = partial_coloring(A, state, seed=free)
+        assert again.values.tobytes() == out.values.tobytes()
+        assert again.frozen.tobytes() == out.frozen.tobytes()
+
+    def test_draw_is_uniform(self):
+        # Over 2000 seeds at k = 40, each coordinate is left free in 1/4 of
+        # the draws and frozen at +1 in half of those that freeze it, within
+        # 4 binomial standard deviations.
+        k, draws = 40, 2000
+        A = np.zeros((1, k))
+        free = np.zeros(k)
+        plus = np.zeros(k)
+        for seed in range(draws):
+            out = partial_coloring(A, PartialColoring.initial(k), seed=seed)
+            free += ~out.frozen
+            plus += out.frozen & (out.values == 1.0)
+        assert np.all(np.abs(free - draws / 4) <= 4.0 * math.sqrt(draws * 3 / 16))
+        frozen = draws - free
+        assert np.all(np.abs(plus - frozen / 2) <= 4.0 * np.sqrt(frozen / 4))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PartialColoring(np.array([1.5]), np.array([False]))
         with pytest.raises(ValueError):
             PartialColoring(np.array([0.5]), np.array([True]))
-
-
-def weighted_sign_matrix(seed, n, k):
-    """Signs scaled by column weights in [1/4, 1], as the halver scales the
-    free columns of a weighted ensemble by their largest weight."""
-    rng = rng_from(seed)
-    return rng.choice([-1.0, 1.0], size=(n, k)) * rng.uniform(0.25, 1.0, size=k)
-
-
-WALK_MATRICES = {"signs": sign_matrix, "box": box_matrix, "weighted": weighted_sign_matrix}
-WALK_SHAPES = [(40, 30), (25, 60), (120, 20)]
-
-
-def walk_start(seed, k, partial):
-    """A zero start, or one with about a third of the coordinates frozen at
-    +-1 and the others strictly inside the cube."""
-    if not partial:
-        return np.zeros(k), np.zeros(k, dtype=bool)
-    rng = rng_from(seed)
-    frozen = rng.random(k) < 1.0 / 3.0
-    values = np.where(
-        frozen, rng.choice([-1.0, 1.0], size=k), rng.uniform(-0.9, 0.9, size=k)
-    )
-    return values, frozen
-
-
-def walk_outcome(*args):
-    """_walk_phase's result as bytes, or "failed" and its PhaseFailureError
-    message."""
-    try:
-        values, frozen = coloring._walk_phase(*args)
-    except PhaseFailureError as exc:
-        return "failed", str(exc)
-    return values.tobytes(), frozen.tobytes()
-
-
-def phase_outcome(A, values, frozen, seed):
-    """partial_coloring's result on A as bytes, or "failed" and its
-    PhaseFailureError message."""
-    try:
-        state = partial_coloring(A, PartialColoring(values, frozen), seed)
-    except PhaseFailureError as exc:
-        return "failed", str(exc)
-    return state.values.tobytes(), state.frozen.tobytes()
-
-
-def stepwise_walk(values, frozen, seed):
-    """gaussian_walk_stepwise with _walk_phase's step and step budget, read
-    from the module as they stand."""
-    free_start = int(np.count_nonzero(~frozen))
-    return gaussian_walk_stepwise(
-        values,
-        frozen,
-        seed,
-        coloring.STEP_SIZE,
-        coloring.FREEZE_TOLERANCE,
-        coloring.MAX_ITERATION_FACTOR * free_start,
-    )
-
-
-class TestBlockedWalk:
-    @pytest.mark.parametrize("block_cells", [coloring.BLOCK_CELLS, 97])
-    @pytest.mark.parametrize("kind", sorted(WALK_MATRICES))
-    def test_matches_stepwise_loop(self, monkeypatch, kind, block_cells):
-        # The blocked walk must return the stepwise walk's result bit for
-        # bit, and must fail exactly the phases in which the stepwise walk
-        # runs out of steps: at one or two steps per free coordinate some
-        # of these phases do. With 97 cells a block holds one to four
-        # steps, so coordinates freeze in earlier blocks. A phase that
-        # partial_coloring runs on a matrix of each kind is this walk,
-        # whatever the matrix's entries.
-        monkeypatch.setattr(coloring, "BLOCK_CELLS", block_cells)
-        accepted = declined = 0
-        for factor in (1, 2, 64):
-            monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", factor)
-            for partial in (False, True):
-                for shape_seed, (n, k) in enumerate(WALK_SHAPES):
-                    A = WALK_MATRICES[kind](shape_seed + 200, n, k)
-                    values, frozen = walk_start(shape_seed + 300, k, partial)
-                    assert np.count_nonzero(~frozen) > coloring.ENDGAME_MAX
-                    args = (values, frozen, split_seed(7, shape_seed))
-                    outcome, x, now_frozen, _ = stepwise_walk(*args)
-                    blocked = walk_outcome(*args)
-                    assert phase_outcome(A, *args) == blocked
-                    if outcome == "done":
-                        assert blocked == (x.tobytes(), now_frozen.tobytes())
-                        accepted += 1
-                    else:
-                        assert blocked[0] == "failed"
-                        declined += 1
-        assert accepted > 0 and declined > 0
-
-    def test_phase_failure_matches_stepwise_loop(self, monkeypatch):
-        # One step per free coordinate cannot freeze half of them: the
-        # stepwise walk runs out of steps, and the blocked walk raises
-        # having frozen as many coordinates.
-        values, frozen = walk_start(0, 30, False)
-        monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", 1)
-        args = (values, frozen, 5)
-        outcome, _, now_frozen, steps = stepwise_walk(*args)
-        assert (outcome, steps) == ("out of steps", 30)
-        count = np.count_nonzero(now_frozen)
-        with pytest.raises(
-            PhaseFailureError, match=f"^froze {count} of 30 free coordinates in 30 steps"
-        ):
-            coloring._walk_phase(*args)
 
 
 class TestHalveColumns:
@@ -686,59 +590,6 @@ def stump_matrix(seed, n, k):
     return y[:, None] * h * rng.uniform(0.25, 1.0, size=k)
 
 
-class CountingGenerator:
-    """A generator from rng_from that counts the standard-normal vectors
-    drawn from it: one per row of a 2-D draw, one for a 1-D draw."""
-
-    def __init__(self, seed):
-        self._rng = rng_from(seed)
-        self.vectors = 0
-
-    def standard_normal(self, size):
-        self.vectors += size[0] if isinstance(size, tuple) else 1
-        return self._rng.standard_normal(size)
-
-
-class TestWalkDraws:
-    """The blocked walk draws few more steps than its phase takes, and
-    where its blocks end does not change its result."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize(
-        "make, n, k",
-        [(sign_matrix, 128, 96), (hadamard_block, 256, 64), (stump_matrix, 400, 60)],
-        ids=["signs", "hadamard", "stumps"],
-    )
-    def test_drawn_steps_track_used_steps(self, monkeypatch, make, n, k, seed):
-        A = coloring._distinct_rows(coloring._validate_matrix(make(60 + seed, n, k)))
-        first = math.ceil(1.0 / coloring.STEP_SIZE**2)
-        generators = []
-
-        def counting_rng(phase_seed):
-            generators.append(CountingGenerator(phase_seed))
-            return generators[-1]
-
-        monkeypatch.setattr(coloring, "rng_from", counting_rng)
-        state = PartialColoring.initial(A.shape[1])
-        phase = 0
-        while state.free_count > coloring.ENDGAME_MAX:
-            args = (state.values, state.frozen, split_seed(seed, phase))
-            # The stepwise walk draws one vector per step it takes.
-            outcome, values, frozen, used = stepwise_walk(*args)
-            assert outcome == "done"
-            for cells in (97, coloring.BLOCK_CELLS, 1 << 20):
-                generators.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(coloring, "BLOCK_CELLS", cells)
-                    blocked = coloring._walk_phase(*args)
-                assert generators[0].vectors <= 2 * used + first
-                assert blocked[0].tobytes() == values.tobytes()
-                assert blocked[1].tobytes() == frozen.tobytes()
-            state = PartialColoring(values, frozen)
-            phase += 1
-        assert phase > 0
-
-
 INVARIANCE_MATRICES = {
     "signs": sign_matrix,
     "grid": grid_matrix,
@@ -746,7 +597,8 @@ INVARIANCE_MATRICES = {
     "hadamard": hadamard_block,
     "stumps": stump_matrix,
 }
-# The exhaustive path, the walk with pair flips, and the walk without them.
+# The exhaustive path, random signs with pair flips, and random signs
+# without them.
 INVARIANCE_SHAPES = [(64, 12), (128, 40), (256, 90)]
 
 
@@ -764,18 +616,18 @@ def reordered(A, seed):
 
 @functools.lru_cache(maxsize=1)
 def hadamard_seed_one_search():
-    """(C, base) of the 1025 x 14 exhaustive search that the hadamard
-    benchmark workload at seed 1 runs first (matrix 0, T = 16, compare seed
-    1000000): the first coloring of the fifth halving round, last sign
-    pinned at +1. Its sign vectors with codes 32 and 33 tie exactly, and
-    OpenBLAS rounds their maxima apart in a 4096-candidate block but not in
-    32-candidate blocks."""
-    rng = np.random.default_rng([1, 3, 0])
+    """(C, base) of the 1025 x 14 exhaustive search that sparsify reaches
+    on matrix 3 of the hadamard benchmark workload at seed 2, with T = 16
+    and compare seed 2024219: the first coloring of the fifth halving round,
+    last sign pinned at +1. Its sign vectors with codes 32 and 33 tie
+    exactly, and OpenBLAS rounds their maxima apart in a 4096-candidate
+    block but not in 32-candidate blocks."""
+    rng = np.random.default_rng([2, 3, 3])
     H = sylvester(1024)[:, :512]
     U = rng.choice([-1.0, 1.0], size=1024)[:, None] * H[:, rng.permutation(512)]
     weights = rng.exponential(size=512)
     w = WeightVector(weights / weights.sum())
-    seed = split_seed(1000000, 2)
+    seed = split_seed(2024219, 2)
     for halving in range(4):
         w = halve(MarginMatrix(U), w, split_seed(seed, halving, 0))
     values = w.values.copy()
@@ -1062,46 +914,52 @@ class TestRowClasses:
 
 
 class TestPhaseCalls:
-    """Every phase of full_coloring goes through partial_coloring, the
-    function that tracing counts phases and phase failures on."""
+    """A full_coloring attempt on more than BRUTEFORCE_MAX columns makes two
+    partial_coloring calls, the random signs and then the exact endgame,
+    and the exhaustive path makes none: tracing counts them there."""
 
-    # Every walk phase runs out of steps at one step per free coordinate,
-    # some do at two, none do at the default 64.
     @pytest.mark.parametrize(
-        "kind, factor, failures",
+        "kind, k, constant",
         [
-            ("signs", 1, True),
-            ("stumps", 2, True),
-            ("hadamard", 64, False),
-            ("signs", 64, False),
+            ("signs", 60, 12.0),
+            ("stumps", 40, 12.0),
+            ("hadamard", 60, 1e-3),
+            ("signs", 17, 1e-3),
+            ("signs", 12, 12.0),
+            ("hadamard", 16, 1e-3),
         ],
     )
-    def test_one_partial_coloring_call_per_phase(self, monkeypatch, kind, factor, failures):
-        calls = {"partial": 0, "walk": 0, "enumerate": 0, "failed": 0, "raised": 0}
+    def test_two_partial_coloring_calls_per_attempt(self, monkeypatch, kind, k, constant):
+        monkeypatch.setattr(coloring, "RETRY_BUDGET", 3)
+        calls, enumerations, polishes = [], [], []
 
-        def counted(name, key, failures=None):
+        def spy(name, log):
             real = getattr(coloring, name)
+            monkeypatch.setattr(coloring, name, lambda *args: log.append(args) or real(*args))
 
-            def spy(*args, **kwargs):
-                calls[key] += 1
-                try:
-                    return real(*args, **kwargs)
-                except PhaseFailureError:
-                    calls[failures] += 1 if failures else 0
-                    raise
+        spy("_enumerate_completion", enumerations)
+        spy("_refine_flips", polishes)
+        real = coloring.partial_coloring
 
-            monkeypatch.setattr(coloring, name, spy)
+        def partial(A, state, *seed):
+            before = len(enumerations)
+            out = real(A, state, *seed)
+            calls.append((state.free_count, len(enumerations) - before, out.free_count))
+            return out
 
-        counted("partial_coloring", "partial", "raised")
-        counted("_walk_phase", "walk", "failed")
-        counted("_enumerate_completion", "enumerate")
-        monkeypatch.setattr(coloring, "MAX_ITERATION_FACTOR", factor)
-        A = INVARIANCE_MATRICES[kind](41, 128, 60)
-        try:
+        monkeypatch.setattr(coloring, "partial_coloring", partial)
+        A = INVARIANCE_MATRICES[kind](41, 128, k)
+        if constant == 12.0:
             full_coloring(A, seed=3)
-        except DiscrepancyBoundError:
-            pass
-        assert calls["partial"] > 0
-        assert calls["partial"] == calls["walk"] + calls["enumerate"]
-        assert calls["raised"] == calls["failed"]
-        assert (calls["failed"] > 0) == failures
+        else:
+            with pytest.raises(DiscrepancyBoundError) as info:
+                full_coloring(A, seed=3, config=ColoringConfig(constant))
+            assert info.value.attempts == (1 if k <= coloring.BRUTEFORCE_MAX else 3)
+        if k <= coloring.BRUTEFORCE_MAX:
+            assert calls == enumerations == polishes == []
+            return
+        assert len(polishes) == (1 if constant == 12.0 else 3)
+        draw, endgame = calls[0], calls[1]
+        assert draw[:2] == (k, 0) and 0 < draw[2] <= coloring.ENDGAME_MAX
+        assert endgame == (draw[2], 1, 0)
+        assert calls == [draw, endgame] * len(polishes)

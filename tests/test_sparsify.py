@@ -171,7 +171,7 @@ class TestSparsify:
     def test_failed_coloring_truncates_after_one_halve(self, monkeypatch):
         # 21 of the 32 weights are free, too many for the exhaustive search,
         # and no coloring of them meets a bound of K_S = 1e-3: the first
-        # round's walk spends its retry budget, and sparsify truncates
+        # round's coloring spends its retry budget, and sparsify truncates
         # without trying that round again.
         U, w = random_instance(10, n=64, m=32)
         calls = []
