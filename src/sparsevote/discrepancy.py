@@ -3,17 +3,14 @@
 Produces sign colorings x of the columns of a matrix A with entries in
 [-1, 1] such that the discrepancy max_i |(Ax)_i| meets a Spencer-type bound,
 plus the minority-sign column subset that inherits a row-sum sandwich from
-the coloring. The constructive engine has three steps: random signs, an
-exact endgame and a flip polish. The first step freezes all but at most
-ENDGAME_MAX coordinates at i.i.d. uniform +-1 signs, leaving a uniformly
-random subset free; the endgame gives that subset the signs minimizing the
-discrepancy of the completed coloring, by enumeration; the polish then
-makes deterministic single-coordinate (and, for narrow matrices,
-opposite-pair) flips that strictly reduce the discrepancy. On the matrices
-the halver colors this reaches random-coloring quality, not Spencer's
-bound; full_coloring retries an attempt with a fresh seed when it misses
-the Spencer-type bound, and that check of the finished coloring is the
-output's guarantee.
+the coloring. The constructive engine has two steps: random signs and a
+flip polish. The first step gives every coordinate an i.i.d. uniform +-1
+sign; the polish then makes deterministic single-coordinate (and, for
+narrow matrices, opposite-pair) flips that strictly reduce the
+discrepancy. On the matrices the halver colors this reaches
+random-coloring quality, not Spencer's bound; full_coloring retries an
+attempt with a fresh seed when it misses the Spencer-type bound, and that
+check of the finished coloring is the output's guarantee.
 
 Small instances skip the random signs: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. The
@@ -57,12 +54,10 @@ EPS = float(np.finfo(np.float64).eps)
 # The flip polish bounds each candidate on this many rows, those with the
 # largest |row sum|, before it scores all rows.
 BOUND_ROWS = 32
-# Exhaustive search colors matrices of at most BRUTEFORCE_MAX columns and
-# finishes colorings with at most ENDGAME_MAX free coordinates; both stay
-# at most 20, the limit of bruteforce_min_discrepancy.
+# Exhaustive search colors matrices of at most BRUTEFORCE_MAX columns; it
+# stays at most 20, the limit of bruteforce_min_discrepancy.
 BRUTEFORCE_MAX = 16
-ENDGAME_MAX = 12
-# Attempts (random signs, endgame, polish) full_coloring makes before it
+# Attempts (random signs, then the polish) full_coloring makes before it
 # gives up; sparsify adds no retry of its own, so this bounds the work of
 # a failing halving round.
 RETRY_BUDGET = 16
@@ -350,29 +345,13 @@ def minority_sign(x) -> int:
     return -1 if minus <= plus else +1
 
 
-def _enumerate_completion(
-    A: np.ndarray, values: np.ndarray, frozen: np.ndarray
-) -> np.ndarray:
-    """Freeze every remaining coordinate at the sign pattern minimizing the
-    discrepancy of the completed coloring (exhaustive over the free set)."""
-    free_idx = np.flatnonzero(~frozen)
-    out = np.where(frozen, values, 0.0)
-    _, signs = _best_signs(A[:, free_idx], _row_sums(A, out))
-    out[free_idx] = signs
-    return out
-
-
 def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
-    """Freeze free coordinates of state: all of them when at most
-    ENDGAME_MAX are free, otherwise all but r of them.
+    """Freeze every free coordinate of state at i.i.d. uniform +-1 signs
+    drawn from rng_from(seed); coordinates frozen before keep their values.
 
-    At most ENDGAME_MAX free coordinates are finished exactly by
-    enumeration (_enumerate_completion). With more, r is the count that
-    halving the free count leaves once it is at most ENDGAME_MAX, and a
-    uniformly random subset of all but r free coordinates is frozen at
-    i.i.d. uniform +-1 signs, both drawn from rng_from(seed); the matrix is
-    not read. The call makes no promise about the rows' sums: full_coloring
-    checks the finished coloring against the bound.
+    The matrix only fixes the width: its entries are not read. The call
+    makes no promise about the rows' sums: full_coloring polishes the
+    coloring and checks it against the bound.
     """
     arr = _validate_matrix(A)
     if arr.shape[1] != state.values.shape[0]:
@@ -383,20 +362,10 @@ def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
     if state.free_count == 0:
         raise ValueError("no free coordinates left to color")
 
-    if state.free_count <= ENDGAME_MAX:
-        completed = _enumerate_completion(arr, state.values, state.frozen)
-        return PartialColoring(completed, np.ones_like(state.frozen))
-
-    left = state.free_count
-    while left > ENDGAME_MAX:
-        left //= 2
-    rng = rng_from(seed)
-    drawn = rng.permutation(np.flatnonzero(~state.frozen))[left:]
+    free = np.flatnonzero(~state.frozen)
     values = state.values.copy()
-    values[drawn] = rng.choice([-1.0, 1.0], size=drawn.size)
-    frozen = state.frozen.copy()
-    frozen[drawn] = True
-    return PartialColoring(values, frozen)
+    values[free] = rng_from(seed).choice([-1.0, 1.0], size=free.size)
+    return PartialColoring(values, np.ones_like(state.frozen))
 
 
 def _top_rows(sums: np.ndarray) -> np.ndarray:
@@ -535,12 +504,11 @@ def full_coloring(
     runs on them, and n counts them.
 
     For k <= BRUTEFORCE_MAX columns the exact exhaustive optimum is
-    returned (deterministic, seed unused). Otherwise an attempt makes two
-    partial_coloring calls, random signs on all but at most ENDGAME_MAX
-    coordinates and then the exact endgame on the rest, and polishes the
-    completed coloring by local flips. Attempts restart with a fresh
-    derived seed until the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n)
-    otherwise) is met or RETRY_BUDGET attempts are spent, and then
+    returned (deterministic, seed unused). Otherwise an attempt makes one
+    partial_coloring call, random signs on every column, and polishes that
+    coloring by local flips. Attempts restart with a fresh derived seed
+    until the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise)
+    is met or RETRY_BUDGET attempts are spent, and then
     DiscrepancyBoundError reports the best discrepancy achieved. That check
     of the finished coloring is the only one the output passes, and its
     guarantee.
@@ -564,7 +532,6 @@ def full_coloring(
     for attempt in range(RETRY_BUDGET):
         start = PartialColoring.initial(k)
         state = partial_coloring(arr, start, split_seed(seed, attempt, 0))
-        state = partial_coloring(arr, state)
         x = _refine_flips(arr, state.values)
         val = discrepancy(arr, x)
         best_val = min(best_val, val)

@@ -140,12 +140,12 @@ def sparsify(
     """Repeated halving until the support is at most T.
 
     Each round calls halve once, with seed split_seed(seed, round, 0); its
-    colorings make up to RETRY_BUDGET attempts each (random signs, an exact
-    endgame and a flip polish). A round that succeeds at least halves the
-    support. When a coloring still misses its bound (DiscrepancyBoundError),
-    halving stops; then, or when the support is still above T once halving
-    can no longer run, the remainder is truncated to the top T weights and
-    the report is flagged.
+    colorings make up to RETRY_BUDGET attempts each (random signs, then a
+    flip polish). A round that succeeds at least halves the support. When
+    a coloring still misses its bound (DiscrepancyBoundError), halving
+    stops; then, or when the support is still above T once halving can no
+    longer run, the remainder is truncated to the top T weights and the
+    report is flagged.
 
     The rounds halve on U's distinct rows up to sign (the first of each
     class, found once here), in Fortran order: rows equal up to sign are

@@ -231,19 +231,6 @@ def bruteforce_unblocked(A):
     return float(vals[best]), np.concatenate([patterns[best], [1.0]])
 
 
-def enumerate_completion_unblocked(A, values, frozen):
-    """Complete a partial coloring exhaustively over its free coordinates,
-    all 2^free candidates in one block (the pre-blocking kernel)."""
-    free_idx = np.flatnonzero(~frozen)
-    base = A @ np.where(frozen, values, 0.0)
-    patterns = sign_patterns_all(free_idx.size)
-    sums = patterns @ A[:, free_idx].T + base
-    best = int(np.argmin(np.max(np.abs(sums), axis=1)))
-    out = np.where(frozen, values, 0.0)
-    out[free_idx] = patterns[best]
-    return out
-
-
 def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max, tolerance=0.0):
     """Flip polish scoring one column (and all opposite-sign pairs at once)
     per step: first-improvement single flips in column order, then repeated
