@@ -16,11 +16,23 @@ Small instances skip the random signs: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. The
 exhaustive searches add a block of partial row sums over the low bits of
 the sign vectors' codes, built once, to one vector per block over the high
-bits, so a block of row sums stays in cache. The flip polish first bounds
-every candidate by its maximum over the BOUND_ROWS rows with the largest
-|row sum|, a lower bound on its maximum over all rows, and scores on all
-rows only the candidates that this bound cannot rule out; its moves are
-those of scoring every candidate.
+bits, so a block of row sums stays in cache. The search first screens
+every code in int16: the matrix and base are scaled by a power of two and
+rounded so that a row sum's k + 1 terms add to at most 32767 and never
+wrap. Each integer maximum is then within E = (k + 1) / 2 of the scaled
+exact maximum, and each float64 maximum within rho = (k + 2)(eps / 2) *
+scale of the exact one, so every code whose float64 maximum lies within
+the tie tolerance of the smallest has an integer maximum within 2E plus
+the scaled tolerance and 2 rho of the smallest integer one. Only the codes
+the screen keeps are scored in float64, each with the same additions as a
+float64 search over every code; they hold every code that search could
+pick and its smallest maximum, so the winner and its value keep their
+bits.
+
+The flip polish first bounds every candidate by its maximum over the
+BOUND_ROWS rows with the largest |row sum|, a lower bound on its maximum
+over all rows, and scores on all rows only the candidates that this bound
+cannot rule out; its moves are those of scoring every candidate.
 
 Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
 for both, so full_coloring colors the distinct rows only: the first row of
@@ -47,8 +59,9 @@ import numpy as np
 from .margins import ENTRY_TOL
 from .seeding import rng_from, split_seed
 
-# Row sums per block in the exact searches and the flip polish: 256 KiB of
-# doubles, small enough that each block's passes run in cache.
+# Blocks of the exact searches and the flip polish hold 256 KiB, small
+# enough that each block's passes run in cache: BLOCK_CELLS float64 row
+# sums, or 4 * BLOCK_CELLS int16 ones in the exhaustive search's screen.
 BLOCK_CELLS = 1 << 15
 EPS = float(np.finfo(np.float64).eps)
 # The flip polish bounds each candidate on this many rows, those with the
@@ -278,40 +291,112 @@ def _signed_sums(C: np.ndarray, start: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _best_signs(C: np.ndarray, base: np.ndarray) -> tuple[float, np.ndarray]:
-    """A minimizer of max_i |(Cs)_i + base_i| over all 2^k sign vectors s,
-    with its value.
+def _split(n: int, cells: int) -> int:
+    """Bits of the candidates' codes per block: as many as put about
+    `cells` row sums in a block, and at least one."""
+    return max(1, round(math.log2(cells / n)))
 
-    Every candidate's maximum is kept, and the lowest binary code whose
-    maximum is within _tie_tolerance(k, max_i(sum_j |C_ij| + |base_i|)) of
-    the smallest wins, so exact ties do not fall to the order in which the
-    row sums are added up. The value is the winner's, from _row_sums.
 
-    The candidates' row sums form an outer sum. The low bits, as many as
-    put about BLOCK_CELLS row sums in a block (at least one), give a block
-    of partial sums built once; the high bits and base give one n-vector
-    per block, built in chunks of as many vectors. Each block of 2^low
-    candidates is then that block plus its vector, and abs/max run in place
-    on it in cache.
+def _screen(C: np.ndarray, base: np.ndarray, tol: float) -> np.ndarray:
+    """The codes, in increasing order, whose maximum of |(Cs)_i + base_i|
+    can lie within tol of the smallest maximum as the float64 search
+    computes them (_rescore).
+
+    C and base are scaled by 2^e, the largest power of two that keeps every
+    entry within q = 32767 // (k + 1), and rounded to int16. A candidate's
+    row sum then has k + 1 terms of at most q, so every partial sum is an
+    exact integer that cannot wrap, and each integer maximum is within
+    E = (k + 1) / 2 of 2^e times the exact maximum. The float64 search's
+    maxima are within rho = (k + 2)(eps / 2) * scale of the exact ones
+    (_tie_tolerance), so a code within tol of its smallest maximum has an
+    integer maximum at most the smallest plus 2E + 2^e(tol + 2 rho); the
+    screen keeps those codes and one integer more for the rounding of that
+    bound. The integer search runs in blocks of the float64 search's bytes,
+    4 * BLOCK_CELLS cells.
     """
     n, k = C.shape
-    bits = max(1, round(math.log2(BLOCK_CELLS / n)))
+    q = 32767 // (k + 1)
+    peak = max(float(np.max(np.abs(C), initial=0.0)), float(np.max(np.abs(base))))
+    # 2^e * peak < 2^(bit_length(q) - 1) <= q, computed on exponents alone,
+    # so a subnormal peak gives a finite scale.
+    e = q.bit_length() - 1 - math.frexp(peak)[1] if peak > 0.0 else 0
+    Cq = np.rint(np.ldexp(C, e)).astype(np.int16)
+    bq = np.rint(np.ldexp(base, e)).astype(np.int16)
+    bits = _split(n, 4 * BLOCK_CELLS)
     low = min(k, bits)
     chunk = min(k - low, bits)
-    low_sums = _signed_sums(C[:, :low], np.zeros(n))
+    low_sums = _signed_sums(Cq[:, :low], np.zeros(n, dtype=np.int16))
     block = np.empty_like(low_sums)
-    vals = np.empty((1 << (k - low), 1 << low))
+    vals = np.empty((1 << (k - low), 1 << low), dtype=np.int16)
     for first in range(0, 1 << (k - low), 1 << chunk):
-        top = _code_signs(first >> chunk, k - low - chunk)
-        start = _row_sums(C[:, low + chunk :], top) + base
-        highs = _signed_sums(C[:, low : low + chunk], start)
+        top = _code_signs(first >> chunk, k - low - chunk).astype(np.int16)
+        start = Cq[:, low + chunk :] @ top + bq
+        highs = _signed_sums(Cq[:, low : low + chunk], start)
         for code, high in enumerate(highs, first):
             np.add(low_sums, high, out=block)
             np.abs(block, out=block)
             block.max(axis=1, out=vals[code])
     vals = vals.ravel()
+    # 2 rho = tol / 2, so 2^e(tol + 2 rho) = 2^e * 1.5 tol, rounded up.
+    limit = int(vals.min()) + (k + 1) + 1 + np.ceil(np.ldexp(1.5 * tol, e))
+    return np.flatnonzero(vals <= limit)
+
+
+def _rescore(C: np.ndarray, base: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """max_i |(Cs)_i + base_i| in float64 for each code s of `codes`, in
+    increasing order, with the bits of a blocked search over every code.
+
+    That search splits each code into low bits, as many as put about
+    BLOCK_CELLS row sums in a block, and high bits: a block of low-bit
+    partial sums, built once by doubling, plus one high-bit vector. The
+    high vectors come in chunks of as many bits, built by doubling from the
+    row sums of the remaining columns plus base. Here only the chunks that
+    hold a code are built, and each code's row sums are its low-bit row
+    plus its high vector, the same two floats added as in the full search.
+    """
+    n, k = C.shape
+    bits = _split(n, BLOCK_CELLS)
+    low = min(k, bits)
+    chunk = min(k - low, bits)
+    low_sums = _signed_sums(C[:, :low], np.zeros(n))
+    width = max(1, BLOCK_CELLS // n)
+    groups, starts = np.unique(codes >> (low + chunk), return_index=True)
+    ends = np.append(starts[1:], codes.size)
+    out = np.empty(codes.size)
+    for group, lo, hi in zip(groups.tolist(), starts, ends):
+        top = _code_signs(group, k - low - chunk)
+        start = _row_sums(C[:, low + chunk :], top) + base
+        highs = _signed_sums(C[:, low : low + chunk], start)
+        for first in range(lo, hi, width):
+            part = codes[first : min(first + width, hi)]
+            cand = low_sums[part & ((1 << low) - 1)]
+            cand += highs[(part >> low) & ((1 << chunk) - 1)]
+            np.abs(cand, out=cand).max(axis=1, out=out[first : first + part.size])
+    return out
+
+
+def _best_signs(C: np.ndarray, base: np.ndarray) -> tuple[float, np.ndarray]:
+    """A minimizer of max_i |(Cs)_i + base_i| over all 2^k sign vectors s,
+    with its value.
+
+    Each candidate's maximum is scored in float64 (_rescore), and the
+    lowest binary code whose maximum is within _tie_tolerance(k,
+    max_i(sum_j |C_ij| + |base_i|)) of the smallest wins, so exact ties do
+    not fall to the order in which the row sums are added up. The value is
+    the winner's, from _row_sums.
+
+    Only the codes that an exact int16 search over every code keeps
+    (_screen) are scored in float64. That screen keeps every code within
+    the tolerance of the smallest float64 maximum, the code of that maximum
+    among them, so the winner and its value are those of scoring every
+    code in float64.
+    """
+    k = C.shape[1]
     scale = float(np.max(np.abs(C).sum(axis=1) + np.abs(base)))
-    code = int(np.argmax(vals <= vals.min() + _tie_tolerance(k, scale)))
+    tol = _tie_tolerance(k, scale)
+    codes = _screen(C, base, tol)
+    vals = _rescore(C, base, codes)
+    code = int(codes[np.argmax(vals <= vals.min() + tol)])
     signs = _code_signs(code, k)
     return float(np.max(np.abs(_row_sums(C, signs) + base))), signs
 
@@ -329,6 +414,8 @@ def bruteforce_min_discrepancy(A) -> tuple[float, np.ndarray]:
     n, k = arr.shape
     if k > 20:
         raise ValueError(f"exhaustive search over 2^{k} colorings refused (k > 20)")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix contains non-finite entries")
     value, signs = _best_signs(arr[:, : k - 1], arr[:, k - 1])
     return value, np.append(signs, 1.0)
 
@@ -349,14 +436,17 @@ def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
     """Freeze every free coordinate of state at i.i.d. uniform +-1 signs
     drawn from rng_from(seed); coordinates frozen before keep their values.
 
-    The matrix only fixes the width: its entries are not read. The call
-    makes no promise about the rows' sums: full_coloring polishes the
-    coloring and checks it against the bound.
+    The matrix only fixes the width: only its shape is read, not its
+    entries, which full_coloring has validated. The call makes no promise
+    about the rows' sums: full_coloring polishes the coloring and checks it
+    against the bound.
     """
-    arr = _validate_matrix(A)
-    if arr.shape[1] != state.values.shape[0]:
+    shape = np.shape(A)
+    if len(shape) != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {shape}")
+    if shape[1] != state.values.shape[0]:
         raise ValueError(
-            f"matrix has {arr.shape[1]} columns but state has "
+            f"matrix has {shape[1]} columns but state has "
             f"{state.values.shape[0]} coordinates"
         )
     if state.free_count == 0:

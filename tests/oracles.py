@@ -231,6 +231,64 @@ def bruteforce_unblocked(A):
     return float(vals[best]), np.concatenate([patterns[best], [1.0]])
 
 
+def float_search_maxima(C, base, block_cells):
+    """max_i |(Cs)_i + base_i| in float64 for every sign vector s of C's
+    columns, in code order (bit j of the code is coordinate j, 1 -> +1):
+    the blocked search that scored every code before the int16 screen.
+
+    Codes split into low bits, as many as put about block_cells row sums
+    in a block (at least one), and high bits, in chunks of as many bits.
+    Each block is a fixed array of low-bit partial sums, built by doubling
+    from zero, plus one high-bit vector, built by doubling from the row
+    sums (einsum, in column order) of the remaining columns plus base.
+    """
+    C = np.asfortranarray(C, dtype=np.float64)
+    n, k = C.shape
+
+    def doubled(columns, start):
+        sums = start[None, :]
+        for column in columns.T:
+            sums = np.concatenate((sums - column, sums + column))
+        return sums
+
+    def signs_of(code, bits):
+        return np.array([1.0 if (code >> j) & 1 else -1.0 for j in range(bits)])
+
+    bits = max(1, round(math.log2(block_cells / n)))
+    low = min(k, bits)
+    chunk = min(k - low, bits)
+    low_sums = doubled(C[:, :low], np.zeros(n))
+    vals = []
+    for first in range(0, 1 << (k - low), 1 << chunk):
+        top = signs_of(first >> chunk, k - low - chunk)
+        start = np.einsum("ij,j->i", C[:, low + chunk :], top) + base
+        for high in doubled(C[:, low : low + chunk], start):
+            vals.extend(np.max(np.abs(low_sums + high), axis=1))
+    return np.array(vals)
+
+
+def best_signs_float_search(C, base, block_cells):
+    """The float64 blocked search's winner: the lowest code whose maximum
+    is within 2(k + 2) * eps * max_i(sum_j |C_ij| + |base_i|) of the
+    smallest, with its maximum recomputed from its own row sums."""
+    C = np.asfortranarray(C, dtype=np.float64)
+    k = C.shape[1]
+    vals = float_search_maxima(C, base, block_cells)
+    scale = float(np.max(np.abs(C).sum(axis=1) + np.abs(base)))
+    tolerance = 2.0 * (k + 2) * np.finfo(np.float64).eps * scale
+    code = int(np.argmax(vals <= vals.min() + tolerance))
+    signs = np.array([1.0 if (code >> j) & 1 else -1.0 for j in range(k)])
+    value = float(np.max(np.abs(np.einsum("ij,j->i", C, signs) + base)))
+    return value, signs
+
+
+def bruteforce_float_search(A, block_cells):
+    """best_signs_float_search with the last sign pinned at +1."""
+    A = np.asarray(A, dtype=np.float64)
+    value, signs = best_signs_float_search(A[:, :-1], A[:, -1], block_cells)
+    return value, np.append(signs, 1.0)
+
+
 def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max, tolerance=0.0):
     """Flip polish scoring one column (and all opposite-sign pairs at once)
     per step: first-improvement single flips in column order, then repeated

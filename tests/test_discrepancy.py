@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +33,12 @@ from sparsevote.seeding import rng_from, split_seed
 from sparsevote.sparsify import _build_halving_matrix, _split_support
 
 from oracles import (
+    best_signs_float_search,
     best_subset_row_sum_error,
+    bruteforce_float_search,
     bruteforce_unblocked,
     distinct_rows_by_dict,
+    float_search_maxima,
     min_discrepancy_exhaustive,
     refine_flips_one_at_a_time,
 )
@@ -195,6 +199,45 @@ def ternary_matrix(seed, n, k):
 
 
 SPLIT_MATRICES = {"signs": sign_matrix, "ternary": ternary_matrix, "fine": fine_grid_matrix}
+
+
+def near_tie_case(m):
+    """C and base whose codes 1 and 2 have maxima 0.5 + d/2 and 0.5 - d/2,
+    d = m * eps, with a tie tolerance of 16 eps (k = 2, scale 2)."""
+    d = m * np.finfo(np.float64).eps
+    return np.array([[1.0, 1.0], [d / 2.0, 0.0]]), np.array([0.0, 0.5])
+
+
+def _pinned(A):
+    """A's last column as the base of the search over the others."""
+    return np.asfortranarray(A[:, :-1]), A[:, -1].copy()
+
+
+# (C, base) of the exhaustive search: exact ties (the zero matrix, equal
+# columns, a Hadamard block with 448 codes at the minimum, a tie that
+# rounding to int16 splits), sign, ternary, dyadic and real entries, a
+# near-tie, one row, no columns, and more rows than the default BLOCK_CELLS.
+SEARCH_CASES = {
+    "zero": lambda: (np.zeros((5, 6)), np.zeros(5)),
+    "equal_columns": lambda: _pinned(np.repeat(box_matrix(3, 7, 1), 9, axis=1)),
+    "hadamard": lambda: _pinned(sylvester(512)[:, :16]),
+    "signs": lambda: _pinned(sign_matrix(11, 40, 12)),
+    "ternary": lambda: _pinned(ternary_matrix(12, 40, 12)),
+    "dyadic": lambda: _pinned(grid_matrix(13, 40, 12)),
+    "real": lambda: _pinned(box_matrix(14, 40, 12)),
+    "near_ties": lambda: near_tie_case(16),
+    # Codes 0 and 1 tie exactly at 0.3 = 2 * 0.15, on different rows;
+    # scaled by 2^14 and rounded, code 0's maximum is one more than code 1's.
+    "split_tie": lambda: (np.array([[-0.15], [0.0]]), np.array([0.15, 0.3])),
+    "one_row": lambda: _pinned(box_matrix(15, 1, 10)),
+    "no_columns": lambda: (np.zeros((3, 0)), np.array([0.5, -2.0, 1.5])),
+    "tall": lambda: _pinned(ternary_matrix(16, (1 << 15) + 4093, 4)),
+}
+# Entries that stress the screen's scaling and the tie rule.
+ADVERSARIAL_ENTRIES = [
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1.0 - 2.0**-53, 2.0**-30, -(2.0**-30),
+    1e-300, 2.0**-1074, 1.0 / 3.0, -2.0 / 3.0,
+]
 # One low bit per block, the default split, and all candidates in one block.
 SPLIT_CELLS = [5, coloring.BLOCK_CELLS, 1 << 22]
 
@@ -248,6 +291,128 @@ class TestSplitSearch:
         # Two equal columns: codes 1 (+, -) and 2 (-, +) tie at 0.
         _, signs = coloring._best_signs(np.ones((5, 2)), np.zeros(5))
         assert np.array_equal(signs, [1.0, -1.0])
+
+    @pytest.mark.parametrize("cells", SPLIT_CELLS)
+    @pytest.mark.parametrize("name", sorted(SEARCH_CASES))
+    def test_matches_float_search(self, monkeypatch, cells, name):
+        C, base = SEARCH_CASES[name]()
+        monkeypatch.setattr(coloring, "BLOCK_CELLS", cells)
+        value, signs = coloring._best_signs(C, base)
+        ref_value, ref_signs = best_signs_float_search(C, base, cells)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert signs.tobytes() == ref_signs.tobytes()
+
+    @pytest.mark.parametrize("cells", SPLIT_CELLS)
+    def test_near_ties_at_the_tolerance(self, monkeypatch, cells):
+        # Codes 1 and 2 score 0.5 + d/2 and 0.5 - d/2 with d = m * eps, and
+        # the tolerance is 16 eps: code 1 wins up to m = 16, code 2 beyond.
+        monkeypatch.setattr(coloring, "BLOCK_CELLS", cells)
+        winners = set()
+        for m in range(12, 21):
+            C, base = near_tie_case(m)
+            value, signs = coloring._best_signs(C, base)
+            ref_value, ref_signs = best_signs_float_search(C, base, cells)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert signs.tobytes() == ref_signs.tobytes()
+            winners.add((m <= 16, tuple(signs)))
+        assert winners == {(True, (1.0, -1.0)), (False, (-1.0, 1.0))}
+
+    def test_split_decides_a_near_tie(self, monkeypatch):
+        # Codes 1 and 2 differ by about the tie tolerance. One low bit adds
+        # c0 + (base - c1); two low bits add (c0 - c1) + base, which rounds
+        # the other way across the tolerance. The search keeps each split's
+        # winner, as the float64 search over every code does.
+        C = np.zeros((3, 2))
+        C[0] = [0.5813820962704611, 0.5813820962704599]
+        base = np.array([0.17869400213255487, 0.0, 0.0])
+        winners = []
+        for cells in (5, coloring.BLOCK_CELLS):
+            monkeypatch.setattr(coloring, "BLOCK_CELLS", cells)
+            value, signs = coloring._best_signs(C, base)
+            ref_value, ref_signs = best_signs_float_search(C, base, cells)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert signs.tobytes() == ref_signs.tobytes()
+            winners.append(tuple(signs))
+        assert winners == [(1.0, -1.0), (-1.0, 1.0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.data())
+    def test_matches_float_search_on_adversarial_matrices(self, n, k, data):
+        entries = st.sampled_from(ADVERSARIAL_ENTRIES) | st.floats(-1.0, 1.0)
+        cells = data.draw(st.sampled_from(SPLIT_CELLS))
+        A = np.array(data.draw(st.lists(entries, min_size=n * k, max_size=n * k)))
+        A = A.reshape(n, k)
+        saved = coloring.BLOCK_CELLS
+        coloring.BLOCK_CELLS = cells
+        try:
+            value, x = bruteforce_min_discrepancy(A)
+        finally:
+            coloring.BLOCK_CELLS = saved
+        ref_value, ref_x = bruteforce_float_search(A, cells)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert x.tobytes() == ref_x.tobytes()
+
+
+class TestScreen:
+    """_best_signs scores in float64 only the codes an exact int16 search
+    keeps; the kept codes must hold every code the float64 search ties
+    with its minimum."""
+
+    @pytest.mark.parametrize(
+        "name", ["hadamard", "near_ties", "real", "split_tie", "ternary", "zero"]
+    )
+    def test_rescored_codes_cover_the_tie_set(self, monkeypatch, name):
+        C, base = SEARCH_CASES[name]()
+        rescored = []
+        real = coloring._rescore
+        monkeypatch.setattr(
+            coloring, "_rescore", lambda C, base, codes: rescored.append(codes) or real(C, base, codes)
+        )
+        coloring._best_signs(C, base)
+        codes = rescored[0]
+        assert np.all(np.diff(codes) > 0)
+        vals = float_search_maxima(C, base, coloring.BLOCK_CELLS)
+        scale = float(np.max(np.abs(C).sum(axis=1) + np.abs(base)))
+        tol = coloring._tie_tolerance(C.shape[1], scale)
+        tied = np.flatnonzero(vals <= vals.min() + tol)
+        assert np.isin(tied, codes).all()
+        # The screen rules out most codes, unless most of them tie.
+        assert codes.size <= max(tied.size, vals.size // 4)
+
+    @pytest.mark.parametrize("scale", [1e-300, 2.0**-1074])
+    def test_tiny_peaks(self, scale):
+        # A subnormal peak needs a scale of 2^1083 to reach the int16
+        # range, beyond float64; the screen scales by exponent instead.
+        A = ternary_matrix(7, 9, 8) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, x = bruteforce_min_discrepancy(A)
+        ref_value, ref_x = bruteforce_float_search(A, coloring.BLOCK_CELLS)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert x.tobytes() == ref_x.tobytes()
+        if scale == 2.0**-1074:
+            # Integer multiples of 2^-1074: every sum is exact, as unscaled.
+            assert np.array_equal(x, bruteforce_min_discrepancy(A / scale)[1])
+
+    def test_int16_sums_reach_their_bound(self):
+        # k = 20 leaves 19 columns and a base: 20 terms of q = 32767 // 20
+        # each, and the all-plus code's first row sums to 20q = 32760.
+        q = 32767 // 20
+        signs = np.ones((3, 20))
+        signs[1] = sign_matrix(5, 1, 20)
+        signs[2, ::2] = -1.0
+        A = signs * (q / 2048.0)
+        value, x = bruteforce_min_discrepancy(A)
+        ref_value, ref_x = bruteforce_float_search(A, coloring.BLOCK_CELLS)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert x.tobytes() == ref_x.tobytes()
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (math.nan, math.inf):
+            A = np.ones((2, 3))
+            A[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                bruteforce_min_discrepancy(A)
 
 
 def frozen_coloring_input(name):
@@ -459,6 +624,17 @@ class TestPartialColoring:
             out = partial_coloring(A, PartialColoring.initial(k), seed=seed)
             plus += out.values == 1.0
         assert np.all(np.abs(plus - draws / 2) <= 4.0 * math.sqrt(draws / 4))
+
+    def test_reads_only_the_shape(self):
+        # full_coloring validates the matrix; the draw checks its shape and
+        # never reads an entry, so a NaN matrix draws the same signs.
+        out = partial_coloring(np.full((4, 6), np.nan), PartialColoring.initial(6), seed=3)
+        ref = partial_coloring(np.zeros((4, 6)), PartialColoring.initial(6), seed=3)
+        assert out.values.tobytes() == ref.values.tobytes()
+        with pytest.raises(ValueError, match="2-D"):
+            partial_coloring(np.zeros(6), PartialColoring.initial(6), seed=3)
+        with pytest.raises(ValueError, match="columns"):
+            partial_coloring(np.zeros((4, 5)), PartialColoring.initial(6), seed=3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
