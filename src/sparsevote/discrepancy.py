@@ -302,8 +302,8 @@ def _screen(C: np.ndarray, base: np.ndarray, tol: float) -> np.ndarray:
     can lie within tol of the smallest maximum as the float64 search
     computes them (_rescore).
 
-    C and base are scaled by 2^e, the largest power of two that keeps every
-    entry within q = 32767 // (k + 1), and rounded to int16. A candidate's
+    C and base are scaled by 2^e, a power of two that puts the largest
+    entry within q = 32767 // (k + 1) and above q / 4, and rounded to int16. A candidate's
     row sum then has k + 1 terms of at most q, so every partial sum is an
     exact integer that cannot wrap, and each integer maximum is within
     E = (k + 1) / 2 of 2^e times the exact maximum. The float64 search's
