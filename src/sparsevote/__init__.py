@@ -19,7 +19,6 @@ from .discrepancy import (
     DEFAULT_CONFIG,
     ColoringConfig,
     DiscrepancyBoundError,
-    PartialColoring,
     bruteforce_min_discrepancy,
     discrepancy,
     full_coloring,
@@ -76,7 +75,6 @@ __all__ = [
     "Ensemble",
     "FileFormatError",
     "MarginMatrix",
-    "PartialColoring",
     "SparsifyReport",
     "UndefinedMetricError",
     "WeightVector",

@@ -3,14 +3,14 @@
 Produces sign colorings x of the columns of a matrix A with entries in
 [-1, 1] such that the discrepancy max_i |(Ax)_i| meets a Spencer-type bound,
 plus the minority-sign column subset that inherits a row-sum sandwich from
-the coloring. The constructive engine has two steps: random signs and a
-flip polish. The first step gives every coordinate an i.i.d. uniform +-1
-sign; the polish then makes deterministic single-coordinate (and, for
-narrow matrices, opposite-pair) flips that strictly reduce the
-discrepancy. On the matrices the halver colors this reaches
-random-coloring quality, not Spencer's bound; full_coloring retries an
-attempt with a fresh seed when it misses the Spencer-type bound, and that
-check of the finished coloring is the output's guarantee.
+the coloring. A coloring attempt is a sign vector in two steps:
+partial_coloring draws one i.i.d. uniform +-1 sign per column, without
+reading the entries, and the flip polish then makes deterministic
+single-coordinate (and, for narrow matrices, opposite-pair) flips that
+strictly reduce the discrepancy. On the matrices the halver colors this
+reaches random-coloring quality, not Spencer's bound; full_coloring
+retries an attempt with a fresh seed when it misses the Spencer-type
+bound, and that check of the finished coloring is the output's guarantee.
 
 Small instances skip the random signs: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. The
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .margins import ENTRY_TOL
+from .margins import _checked_entries
 from .seeding import rng_from, split_seed
 
 # Blocks of the exact searches and the flip polish hold 256 KiB, small
@@ -116,66 +116,13 @@ class ColoringConfig:
 DEFAULT_CONFIG = ColoringConfig()
 
 
-@dataclass(frozen=True)
-class PartialColoring:
-    """Coloring state: values in the cube plus a frozen mask.
-
-    Frozen coordinates sit exactly at +-1 and never move again; the values
-    of free ones are not read. A completed state (everything frozen) is a
-    valid coloring.
-    """
-
-    values: np.ndarray
-    frozen: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).copy()
-        frozen = np.asarray(self.frozen, dtype=bool).copy()
-        if values.ndim != 1 or frozen.shape != values.shape:
-            raise ValueError("values and frozen mask must be 1-D with equal length")
-        if values.size == 0:
-            raise ValueError("empty partial coloring")
-        if np.max(np.abs(values)) > 1.0 + ENTRY_TOL:
-            raise ValueError("partial coloring values must lie in [-1, 1]")
-        if frozen.any() and not np.all(np.abs(values[frozen]) == 1.0):
-            raise ValueError("frozen coordinates must sit exactly at +-1")
-        values.setflags(write=False)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "frozen", frozen)
-
-    @classmethod
-    def initial(cls, k: int) -> "PartialColoring":
-        return cls(np.zeros(k), np.zeros(k, dtype=bool))
-
-    @property
-    def free_count(self) -> int:
-        return int(np.count_nonzero(~self.frozen))
-
-    @property
-    def is_complete(self) -> bool:
-        return bool(self.frozen.all())
-
-
 def _validate_matrix(A) -> np.ndarray:
-    """A as a checked Fortran-ordered float matrix, with entries within
-    ENTRY_TOL of [-1, 1] clipped into it."""
+    """A as a Fortran-ordered float64 matrix, checked and clipped as a
+    MarginMatrix's entries are; A itself when it is one already and needs
+    no clipping."""
     # Fortran order, the halver's own layout: _row_sums then needs no copy,
     # and _signed_sums reads each column contiguously.
-    arr = np.asfortranarray(A, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    # A min and a max give the peak with no |A| temporary; NaN and inf
-    # propagate through both, so these passes check them too.
-    low, high = float(arr.min()), float(arr.max())
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ValueError("matrix contains non-finite entries")
-    peak = max(high, -low)
-    if peak > 1.0 + ENTRY_TOL:
-        raise ValueError(f"matrix entry out of [-1, 1]: magnitude {peak}")
-    if peak > 1.0:
-        return np.clip(arr, -1.0, 1.0)
-    return arr
+    return _checked_entries(np.asfortranarray(A, dtype=np.float64), "matrix")
 
 
 def spencer_bound(n_rows: int, k: int, constant: float) -> float:
@@ -432,9 +379,9 @@ def minority_sign(x) -> int:
     return -1 if minus <= plus else +1
 
 
-def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
-    """Freeze every free coordinate of state at i.i.d. uniform +-1 signs
-    drawn from rng_from(seed); coordinates frozen before keep their values.
+def partial_coloring(A, seed=None) -> np.ndarray:
+    """i.i.d. uniform +-1 signs, one per column of A, drawn from
+    rng_from(seed): the first step of a coloring attempt.
 
     The matrix only fixes the width: only its shape is read, not its
     entries, which full_coloring has validated. The call makes no promise
@@ -444,18 +391,7 @@ def partial_coloring(A, state: PartialColoring, seed=None) -> PartialColoring:
     shape = np.shape(A)
     if len(shape) != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {shape}")
-    if shape[1] != state.values.shape[0]:
-        raise ValueError(
-            f"matrix has {shape[1]} columns but state has "
-            f"{state.values.shape[0]} coordinates"
-        )
-    if state.free_count == 0:
-        raise ValueError("no free coordinates left to color")
-
-    free = np.flatnonzero(~state.frozen)
-    values = state.values.copy()
-    values[free] = rng_from(seed).choice([-1.0, 1.0], size=free.size)
-    return PartialColoring(values, np.ones_like(state.frozen))
+    return rng_from(seed).choice([-1.0, 1.0], size=shape[1])
 
 
 def _top_rows(sums: np.ndarray) -> np.ndarray:
@@ -594,14 +530,13 @@ def full_coloring(
     runs on them, and n counts them.
 
     For k <= BRUTEFORCE_MAX columns the exact exhaustive optimum is
-    returned (deterministic, seed unused). Otherwise an attempt makes one
-    partial_coloring call, random signs on every column, and polishes that
-    coloring by local flips. Attempts restart with a fresh derived seed
-    until the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise)
-    is met or RETRY_BUDGET attempts are spent, and then
-    DiscrepancyBoundError reports the best discrepancy achieved. That check
-    of the finished coloring is the only one the output passes, and its
-    guarantee.
+    returned (deterministic, seed unused). Otherwise an attempt is one
+    partial_coloring call, a uniform +-1 sign per column, polished by local
+    flips (_refine_flips). Attempts restart with a fresh derived seed until
+    the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise) is met
+    or RETRY_BUDGET attempts are spent, and then DiscrepancyBoundError
+    reports the best discrepancy achieved. That check of the finished
+    coloring is the only one the output passes, and its guarantee.
 
     Near-ties in the exhaustive searches and the pair flips go to the first
     candidate in a fixed order (see _best_signs and _refine_flips), so the
@@ -620,9 +555,7 @@ def full_coloring(
 
     best_val = math.inf
     for attempt in range(RETRY_BUDGET):
-        start = PartialColoring.initial(k)
-        state = partial_coloring(arr, start, split_seed(seed, attempt, 0))
-        x = _refine_flips(arr, state.values)
+        x = _refine_flips(arr, partial_coloring(arr, split_seed(seed, attempt, 0)))
         val = discrepancy(arr, x)
         best_val = min(best_val, val)
         if val <= bound:
@@ -635,11 +568,12 @@ def halve_columns(
     seed=None,
     config: ColoringConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """Indices of at most ceil(T/2) columns whose row sums track half the
-    full row sums to within K_S*sqrt(T*log(2+n/T)) per row.
+    """Indices of at most floor(k/2) of A's k columns whose row sums track
+    half the full row sums to within half the coloring's discrepancy.
 
-    Colors the columns and keeps the minority sign: the kept subset's row sum
-    is (full sum + sigma*(Ax)_i)/2, so the coloring bound transfers directly.
+    Colors the columns and keeps the minority sign sigma: the kept subset's
+    row sum is (full sum + sigma*(Ax)_i)/2, so the coloring's Spencer-type
+    bound, halved, bounds each row's error.
     """
     x = full_coloring(A, seed, config)
     sigma = minority_sign(x)

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import Dataset, DecisionStump, Ensemble
-from .margins import L1_TOL, MarginMatrix, WeightVector
+from .margins import ENTRY_TOL, L1_TOL, MarginMatrix, WeightVector
 
 
 class FileFormatError(ValueError):
@@ -169,7 +169,7 @@ def load_margin_matrix(path) -> tuple[MarginMatrix, WeightVector]:
 
     Line 1: "n m". Line 2: m weights, renormalized to unit l1 norm on load
     unless already within tolerance (so round-trips are bit-exact). Then n
-    rows of m entries, each within [-1, 1] up to 1e-9.
+    rows of m entries, each within ENTRY_TOL of [-1, 1].
     """
     try:
         with open(path) as handle:
@@ -340,8 +340,8 @@ def _load_margin_matrix_rows(path) -> tuple[MarginMatrix, WeightVector]:
 
 def _check_entry_range(entries: np.ndarray, path) -> None:
     """Reject the first matrix row (file line 3 onward) with an entry beyond
-    [-1, 1] + 1e-9; a NaN entry passes, as MarginMatrix rejects it."""
-    out_of_range = np.flatnonzero(np.max(np.abs(entries), axis=1) > 1.0 + 1e-9)
+    [-1, 1] + ENTRY_TOL; a NaN entry passes, as MarginMatrix rejects it."""
+    out_of_range = np.flatnonzero(np.max(np.abs(entries), axis=1) > 1.0 + ENTRY_TOL)
     if out_of_range.size:
         raise FileFormatError(
             f"{path}: line {3 + out_of_range[0]}: matrix entry out of [-1, 1]"

@@ -30,6 +30,28 @@ def _as_float_array(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _checked_entries(arr: np.ndarray, name: str) -> np.ndarray:
+    """The float64 array arr, checked to be a nonempty 2-D matrix of finite
+    entries within ENTRY_TOL of [-1, 1]. Entries beyond [-1, 1] are clipped
+    into it, in a new array of the same layout, so downstream range
+    guarantees hold exactly; otherwise arr itself is returned."""
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    # Two reductions: min and max carry any NaN or infinity, and give the
+    # peak magnitude with no |arr| temporary.
+    low, high = float(arr.min()), float(arr.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(f"{name} contains non-finite entries")
+    peak = max(high, -low)
+    if peak > 1.0 + ENTRY_TOL:
+        raise ValueError(f"{name} entry out of [-1, 1]: magnitude {peak}")
+    if peak > 1.0:
+        return np.clip(arr, -1.0, 1.0)
+    return arr
+
+
 @dataclass(frozen=True)
 class MarginMatrix:
     """n x m matrix of per-point, per-hypothesis margins, entries in [-1, 1]."""
@@ -37,23 +59,7 @@ class MarginMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        # A private copy, checked with two reductions: min and max carry any
-        # NaN or infinity, and give the peak magnitude.
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"margin matrix must be 2-dimensional, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("margin matrix must be nonempty")
-        low, high = float(arr.min()), float(arr.max())
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise ValueError("margin matrix contains non-finite entries")
-        peak = max(high, -low)
-        if peak > 1.0 + ENTRY_TOL:
-            raise ValueError(f"margin matrix entry out of [-1, 1]: magnitude {peak}")
-        # Entries within tolerance of the boundary are clipped so downstream
-        # range guarantees hold exactly.
-        if peak > 1.0:
-            np.clip(arr, -1.0, 1.0, out=arr)
+        arr = _checked_entries(np.array(self.values, dtype=np.float64), "margin matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

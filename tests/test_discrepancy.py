@@ -17,7 +17,6 @@ from sparsevote import (
     ColoringConfig,
     DiscrepancyBoundError,
     MarginMatrix,
-    PartialColoring,
     WeightVector,
     bruteforce_min_discrepancy,
     discrepancy,
@@ -563,56 +562,38 @@ class TestFullColoring:
 
 class TestPartialColoring:
     def test_zero_matrix_freezes_every_coordinate(self):
-        state = PartialColoring.initial(8)
-        out = partial_coloring(np.zeros((3, 8)), state, seed=0)
-        assert out.is_complete
-        assert np.all(np.abs(out.values) == 1.0)
-
-    def test_single_free_coordinate_completes(self):
-        values = np.ones(5)
-        values[2] = 0.0
-        frozen = np.array([True, True, False, True, True])
-        state = PartialColoring(values, frozen)
-        out = partial_coloring(box_matrix(1, 4, 5), state, seed=1)
-        assert out.is_complete
-        assert np.array_equal(out.values[[0, 1, 3, 4]], np.ones(4))
-
-    def test_no_free_coordinates_rejected(self):
-        state = PartialColoring(np.ones(3), np.ones(3, dtype=bool))
-        with pytest.raises(ValueError):
-            partial_coloring(np.zeros((2, 3)), state, seed=0)
+        out = partial_coloring(np.zeros((3, 8)), seed=0)
+        assert out.dtype == np.float64
+        assert out.shape == (8,)
+        assert np.all(np.abs(out) == 1.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_postconditions_on_random_instance(self, seed):
-        A = box_matrix(seed + 20, 6, 6)
-        state = PartialColoring.initial(6)
-        out = partial_coloring(A, state, seed=seed)
-        assert out.is_complete
-        assert np.all(out.values ** 2 == 1.0)
+        out = partial_coloring(box_matrix(seed + 20, 6, 6), seed=seed)
+        assert out.dtype == np.float64
+        assert out.shape == (6,)
+        assert np.all(out ** 2 == 1.0)
 
     @pytest.mark.parametrize("free", [1, 13, 40, 341])
     def test_draw_freezes_every_free_coordinate(self, free):
-        # One call freezes every free coordinate at +-1 and keeps the bytes
-        # of those frozen before. The draw depends on the seed and the
-        # width only: the matrix is not read.
-        rng = rng_from(free)
+        # The draw depends on the seed and the width only: the matrix's
+        # entries and its row count are not read.
         k = free + 7
-        frozen = np.zeros(k, dtype=bool)
-        frozen[rng.permutation(k)[:7]] = True
-        values = np.where(
-            frozen, rng.choice([-1.0, 1.0], size=k), rng.uniform(-0.9, 0.9, size=k)
-        )
-        state = PartialColoring(values, frozen)
-        out = partial_coloring(box_matrix(free, 5, k), state, seed=free)
-        assert out.free_count == 0
-        assert out.values[frozen].tobytes() == values[frozen].tobytes()
-        assert np.all(np.abs(out.values[~frozen]) == 1.0)
-        again = partial_coloring(box_matrix(free, 5, k), state, seed=free)
-        assert again.values.tobytes() == out.values.tobytes()
-        assert again.frozen.tobytes() == out.frozen.tobytes()
-        other = partial_coloring(sign_matrix(free + 1, 9, k), state, seed=free)
-        assert other.values.tobytes() == out.values.tobytes()
-        assert other.frozen.tobytes() == out.frozen.tobytes()
+        out = partial_coloring(box_matrix(free, 5, k), seed=free)
+        assert np.all(np.abs(out) == 1.0)
+        again = partial_coloring(box_matrix(free, 5, k), seed=free)
+        assert again.tobytes() == out.tobytes()
+        other = partial_coloring(sign_matrix(free + 1, 9, k), seed=free)
+        assert other.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40, split_seed(5, 2, 0)])
+    def test_draw_is_one_rng_choice(self, seed):
+        # The exact draw: another generator call would change every coloring
+        # of more than BRUTEFORCE_MAX columns, and fails here.
+        for k in (1, 17, 300):
+            out = partial_coloring(np.zeros((2, k)), seed=seed)
+            ref = rng_from(seed).choice([-1.0, 1.0], size=k)
+            assert out.tobytes() == ref.tobytes()
 
     def test_draw_is_uniform(self):
         # Over 2000 seeds at k = 40, each coordinate is +1 in half of the
@@ -621,26 +602,17 @@ class TestPartialColoring:
         A = np.zeros((1, k))
         plus = np.zeros(k)
         for seed in range(draws):
-            out = partial_coloring(A, PartialColoring.initial(k), seed=seed)
-            plus += out.values == 1.0
+            plus += partial_coloring(A, seed=seed) == 1.0
         assert np.all(np.abs(plus - draws / 2) <= 4.0 * math.sqrt(draws / 4))
 
     def test_reads_only_the_shape(self):
         # full_coloring validates the matrix; the draw checks its shape and
         # never reads an entry, so a NaN matrix draws the same signs.
-        out = partial_coloring(np.full((4, 6), np.nan), PartialColoring.initial(6), seed=3)
-        ref = partial_coloring(np.zeros((4, 6)), PartialColoring.initial(6), seed=3)
-        assert out.values.tobytes() == ref.values.tobytes()
+        out = partial_coloring(np.full((4, 6), np.nan), seed=3)
+        ref = partial_coloring(np.zeros((4, 6)), seed=3)
+        assert out.tobytes() == ref.tobytes()
         with pytest.raises(ValueError, match="2-D"):
-            partial_coloring(np.zeros(6), PartialColoring.initial(6), seed=3)
-        with pytest.raises(ValueError, match="columns"):
-            partial_coloring(np.zeros((4, 5)), PartialColoring.initial(6), seed=3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PartialColoring(np.array([1.5]), np.array([False]))
-        with pytest.raises(ValueError):
-            PartialColoring(np.array([0.5]), np.array([True]))
+            partial_coloring(np.zeros(6), seed=3)
 
 
 class TestHalveColumns:
@@ -1074,9 +1046,9 @@ class TestPhaseCalls:
         )
         real = coloring.partial_coloring
 
-        def partial(A, state, *seed):
-            out = real(A, state, *seed)
-            calls.append((state.free_count, out.free_count))
+        def partial(A, seed):
+            out = real(A, seed)
+            calls.append((A.shape[1], out.shape))
             return out
 
         monkeypatch.setattr(coloring, "partial_coloring", partial)
@@ -1091,4 +1063,4 @@ class TestPhaseCalls:
             assert calls == polishes == []
             return
         assert len(polishes) == (1 if constant == 12.0 else 3)
-        assert calls == [(k, 0)] * len(polishes)
+        assert calls == [(k, (k,))] * len(polishes)

@@ -287,6 +287,7 @@ MATRIX_FILES = {
     "crlf": ("2 2\r\n0.5 0.5\r\n1 -1\r\n-1 1\r\n", True),
     "unnormalized_weights": ("2 2\n3 1\n1 -1\n-1 1\n", True),
     "entry_within_tolerance": ("1 2\n0.5 0.5\n1.0000000001 -1\n", True),
+    "entry_beyond_tolerance": ("1 2\n0.5 0.5\n1.000000002 -1\n", False),
     "short_row": ("2 2\n0.5 0.5\n1\n-1 1\n", False),
     "long_row": ("2 2\n0.5 0.5\n1 -1 0\n-1 1\n", False),
     "out_of_range_entry": ("2 2\n0.5 0.5\n1 -1\n-1 1.5\n", False),
@@ -328,7 +329,12 @@ class TestMatrixFastPathMatchesRows:
 
     @pytest.mark.parametrize(
         "name, line",
-        [("short_row", 3), ("out_of_range_entry", 4), ("out_of_range_before_bad_row", 3)],
+        [
+            ("short_row", 3),
+            ("out_of_range_entry", 4),
+            ("out_of_range_before_bad_row", 3),
+            ("entry_beyond_tolerance", 3),
+        ],
     )
     def test_errors_name_the_line(self, monkeypatch, tmp_path, name, line):
         content, _ = MATRIX_FILES[name]

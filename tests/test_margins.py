@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sparsevote import (
     WeightVector,
     build_margin_matrix,
     cumulative_margin_curve,
+    full_coloring,
     margins,
     min_margin,
     sup_norm_diff,
@@ -24,6 +27,10 @@ from oracles import (
     min_margin_sort,
     sup_norm_elementwise,
 )
+
+# The package re-exports the function `discrepancy`, which shadows the
+# submodule as an attribute; import_module returns the module itself.
+coloring = importlib.import_module("sparsevote.discrepancy")
 
 # Frozen 5x4 instance (seed 416) with oracle margins computed by explicit
 # double summation.
@@ -98,6 +105,42 @@ class TestMarginMatrix:
         assert A.flags.writeable and not np.shares_memory(U.values, A)
         A[1, 1] = 0.25
         assert U.values.tobytes() == expected.tobytes()
+
+
+class TestSharedEntryCheck:
+    """MarginMatrix and full_coloring check a matrix's entries with one
+    helper: they reject the same matrices, with the same message after
+    their own name, and clip the same tolerance overshoot."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[0.5, np.nan]],
+            [[np.inf, 0.0]],
+            [[0.0, -np.inf]],
+            [[1.0 + 2e-9, 0.0]],
+            [[0.0], [-(1.0 + 2e-9)]],
+            [0.5, -0.5, 0.0],
+            np.zeros((0, 3)),
+        ],
+        ids=["nan", "inf", "minus_inf", "beyond_tol", "minus_beyond_tol", "one_d", "empty"],
+    )
+    def test_same_rejections(self, bad):
+        bad = np.array(bad, dtype=np.float64)
+        with pytest.raises(ValueError) as margin_error:
+            MarginMatrix(bad)
+        with pytest.raises(ValueError) as coloring_error:
+            full_coloring(bad, seed=0)
+        assert str(margin_error.value) == f"margin {coloring_error.value}"
+
+    def test_same_clip_and_no_copy(self):
+        A = np.array([[1.0 + 1e-12, -0.5], [0.25, -(1.0 + 1e-12)]])
+        clipped = np.array([[1.0, -0.5], [0.25, -1.0]])
+        assert MarginMatrix(A).values.tobytes() == clipped.tobytes()
+        assert coloring._validate_matrix(A).tobytes() == clipped.tobytes()
+        F = np.asfortranarray(rng_from(13).uniform(-1.0, 1.0, size=(9, 5)))
+        F[0, :2] = [1.0, -1.0]
+        assert coloring._validate_matrix(F) is F
 
 
 class TestWeightVector:
