@@ -70,7 +70,7 @@ class RunConfig:
     seed: int = 0
     target: int = 16
     rounds: int | None = None
-    spencer_constant: float = 12.0
+    spencer_constant: float = DEFAULT_CONFIG.spencer_constant
     train_path: str | None = None
     test_path: str | None = None
     matrix_path: str | None = None

@@ -36,17 +36,18 @@ cannot rule out; its moves are those of scoring every candidate.
 
 Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
 for both, so full_coloring colors the distinct rows only: the first row of
-each class of rows equal up to sign, with its first nonzero entry made
-positive. The Spencer-type bound counts those rows. The output does not
-depend on the order of the rows or on how often one repeats: the random
-signs do not depend on the rows, the row sums that seed the searches are
-taken row by row (_row_sums), so equal rows get equal bits wherever they
-sit, and the searches break near-ties by a fixed order instead of by BLAS
-rounding. A candidate counts as tied with the best when its maximum is within
-_tie_tolerance, 2(k + 2) * eps * max_i(sum_j |C_ij| + |base_i|), of the
-smallest: twice the widest gap that rounding, in any summation order, can
-open between two exactly equal maxima of k products and a base, so every
-exact minimizer counts as tied.
+each class of rows equal up to sign, as it stands. Its sign cannot matter:
+negating a row negates each of its products and sums exactly, and every
+step reads a row sum only through its magnitude. The Spencer-type bound
+counts those rows. The output does not depend on the order of the rows or
+on how often one repeats: the random signs do not depend on the rows, the
+row sums that seed the searches are taken row by row (_row_sums), so equal
+rows get equal bits wherever they sit, and the searches break near-ties by
+a fixed order instead of by BLAS rounding. A candidate counts as tied with
+the best when its maximum is within _tie_tolerance, 2(k + 2) * eps *
+max_i(sum_j |C_ij| + |base_i|), of the smallest: twice the widest gap that
+rounding, in any summation order, can open between two exactly equal
+maxima of k products and a base, so every exact minimizer counts as tied.
 """
 from __future__ import annotations
 
@@ -214,12 +215,12 @@ def _row_classes(A: np.ndarray) -> np.ndarray | None:
 
 def _distinct_rows(A: np.ndarray) -> np.ndarray:
     """The first row of each class of rows of A equal up to sign
-    (_row_classes), in their order in A and in canonical sign
-    (_canonical_rows); A itself when no two rows are equal up to sign."""
+    (_row_classes), as it stands and in its order in A, in Fortran order;
+    A itself when no two rows are equal up to sign."""
     leads = _row_classes(A)
     if leads is None:
         return A
-    return np.asfortranarray(_canonical_rows(A[leads]))
+    return np.asfortranarray(A[leads])
 
 
 def _code_signs(code: int, bits: int) -> np.ndarray:
@@ -525,9 +526,10 @@ def full_coloring(
 ) -> np.ndarray:
     """Complete sign coloring with discrepancy within the Spencer-type bound.
 
-    Only the distinct rows up to sign are colored (_distinct_rows): a row
-    repeated, or repeated negated, is the same constraint. Everything below
-    runs on them, and n counts them.
+    Only the distinct rows up to sign are colored (_distinct_rows), the
+    first of each class as it stands: a row repeated, or repeated negated,
+    is the same constraint. Everything below runs on them, and n counts
+    them.
 
     For k <= BRUTEFORCE_MAX columns the exact exhaustive optimum is
     returned (deterministic, seed unused). Otherwise an attempt is one

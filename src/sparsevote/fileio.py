@@ -2,10 +2,11 @@
 
 Inputs are parsed in one pass of numpy's C reader (np.loadtxt). Where that
 pass cannot take a file whole (a malformed or ragged row, a bad label, a
-quoted cell, a whitespace-only line, an entry out of range), the file is
-parsed again row by row. The row parser gives the same arrays wherever both
-succeed; it is kept for the error message naming the offending line, so no
-file it rejects is accepted. A dataset line longer than the csv module's field size limit
+quoted cell, a whitespace-only line, an entry out of range, a non-finite
+entry, weight or feature), the file is parsed again row by row. The row
+parser gives the same arrays wherever both succeed; it is kept for the
+error message naming the offending line, so no file it rejects is
+accepted. A dataset line longer than the csv module's field size limit
 (csv.field_size_limit(), 131072 characters by default) also goes to the
 row parser, which rejects a longer cell with a FileFormatError naming its
 line.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -66,8 +68,9 @@ def _read_dataset_table(handle) -> np.ndarray | None:
     that goes to the row parser. The header test reads the first cell of
     the first nonblank line; a quote or NUL there could make the csv module
     split it otherwise, so that goes to the row parser too. In the lines
-    after it, a quote, NUL, blank cell, bad label, ragged row or
-    whitespace-only line makes the C pass fail or return None.
+    after it, a quote, NUL, blank cell, bad label, ragged row,
+    whitespace-only line or non-finite feature makes the C pass fail or
+    return None.
     """
     lines = handle.readlines()
     if max(map(len, lines), default=0) > csv.field_size_limit():
@@ -87,6 +90,8 @@ def _read_dataset_table(handle) -> np.ndarray | None:
     if table.shape[1] < 2 or not np.all(
         (labels == 1.0) | (labels == -1.0) | (labels == 0.0)
     ):
+        return None
+    if not np.isfinite(table).all():
         return None
     return table
 
@@ -118,11 +123,14 @@ def _load_dataset_rows(path) -> Dataset:
                 )
             labels.append(_parse_label(row[0], path, line_no))
             try:
-                rows.append([float(cell) for cell in row[1:]])
+                features = [float(cell) for cell in row[1:]]
             except ValueError:
                 raise FileFormatError(
                     f"{path}: line {line_no}: non-numeric feature value"
                 ) from None
+            if not all(map(math.isfinite, features)):
+                raise FileFormatError(f"{path}: line {line_no}: non-finite feature value")
+            rows.append(features)
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels))
@@ -292,6 +300,8 @@ def _next_nonblank(handle) -> str | None:
 
 def _normalized_weights(weights: np.ndarray) -> np.ndarray:
     total = float(np.sum(np.abs(weights)))
+    if not math.isfinite(total):
+        raise ValueError("weights are not finite or their l1 norm overflows")
     if total == 0.0:
         raise ValueError("weights are all zero")
     if abs(total - 1.0) > L1_TOL:
@@ -323,8 +333,8 @@ def _load_margin_matrix_rows(path) -> tuple[MarginMatrix, WeightVector]:
     weights = _parse_row(lines[1].split(), m, path, line_no=2)
     try:
         weights = _normalized_weights(weights)
-    except ValueError:
-        raise FileFormatError(f"{path}: line 2: weights are all zero") from None
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: line 2: {exc}") from None
     rows = []
     for i, line in enumerate(lines[2:]):
         try:
@@ -340,8 +350,9 @@ def _load_margin_matrix_rows(path) -> tuple[MarginMatrix, WeightVector]:
 
 def _check_entry_range(entries: np.ndarray, path) -> None:
     """Reject the first matrix row (file line 3 onward) with an entry beyond
-    [-1, 1] + ENTRY_TOL; a NaN entry passes, as MarginMatrix rejects it."""
-    out_of_range = np.flatnonzero(np.max(np.abs(entries), axis=1) > 1.0 + ENTRY_TOL)
+    [-1, 1] + ENTRY_TOL or a NaN entry."""
+    peaks = np.max(np.abs(entries), axis=1)
+    out_of_range = np.flatnonzero(~(peaks <= 1.0 + ENTRY_TOL))
     if out_of_range.size:
         raise FileFormatError(
             f"{path}: line {3 + out_of_range[0]}: matrix entry out of [-1, 1]"

@@ -20,7 +20,7 @@ from .discrepancy import (
     DEFAULT_CONFIG,
     ColoringConfig,
     DiscrepancyBoundError,
-    _row_classes,
+    _distinct_rows,
     halve_columns,
 )
 from .margins import (
@@ -148,18 +148,17 @@ def sparsify(
     report is flagged.
 
     The rounds halve on U's distinct rows up to sign (the first of each
-    class, found once here), in Fortran order: rows equal up to sign are
-    one constraint, and the coloring of a halving round does not depend on
-    their repetition, so the weights are those that halving on U gives.
-    Every error is still measured on U itself.
+    class as it stands, found once here by _distinct_rows), in Fortran
+    order: rows equal up to sign are one constraint, and the coloring of a
+    halving round does not depend on their repetition, so the weights are
+    those that halving on U gives. Every error is still measured on U
+    itself.
     """
     require_normalized(w)
     _check_dims(U, w)
     if not 1 <= T <= len(w):
         raise ValueError(f"target support T={T} must be in [1, {len(w)}]")
-    leads = _row_classes(U.values)
-    rows = U.values if leads is None else U.values[leads]
-    distinct = MarginMatrix(np.asfortranarray(rows))
+    distinct = MarginMatrix(np.asfortranarray(_distinct_rows(U.values)))
 
     current = w
     per_round: list[float] = []

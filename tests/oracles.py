@@ -336,19 +336,25 @@ def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max, tolerance=0
     return x
 
 
-def distinct_rows_by_dict(A):
-    """The first row of each class of rows equal up to sign, each negated
-    when its first nonzero entry is negative and with -0.0 written as 0.0,
-    found one row at a time with a dict over the rows' bytes."""
+def class_leads_by_dict(A):
+    """The index of the first row of each class of rows equal up to sign,
+    found one row at a time with a dict keyed by the bytes of each row
+    negated when its first nonzero entry is negative, -0.0 written as 0.0."""
     seen = {}
-    for row in np.asarray(A, dtype=np.float64):
-        row = row.copy()
-        nonzero = np.flatnonzero(row)
-        if nonzero.size and row[nonzero[0]] < 0.0:
-            row = -row
-        row[row == 0.0] = 0.0
-        seen.setdefault(row.tobytes(), row)
-    return np.array(list(seen.values()))
+    for index, row in enumerate(np.asarray(A, dtype=np.float64)):
+        key = row.copy()
+        nonzero = np.flatnonzero(key)
+        if nonzero.size and key[nonzero[0]] < 0.0:
+            key = -key
+        key[key == 0.0] = 0.0
+        seen.setdefault(key.tobytes(), index)
+    return np.array(list(seen.values()), dtype=np.intp)
+
+
+def distinct_rows_by_dict(A):
+    """The first row of each class of rows equal up to sign, as it stands,
+    in its order in A (class_leads_by_dict)."""
+    return np.asarray(A, dtype=np.float64)[class_leads_by_dict(A)]
 
 
 def dataset_text_by_cells(features, labels):

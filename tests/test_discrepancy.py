@@ -36,6 +36,7 @@ from oracles import (
     best_subset_row_sum_error,
     bruteforce_float_search,
     bruteforce_unblocked,
+    class_leads_by_dict,
     distinct_rows_by_dict,
     float_search_maxima,
     min_discrepancy_exhaustive,
@@ -711,15 +712,18 @@ INVARIANCE_SHAPES = [(64, 12), (128, 40), (256, 90)]
 
 
 def reordered(A, seed):
-    """A's rows in a random order, and A with every row once plus about as
-    many drawn again, each row negated at random, in a random order."""
+    """A's rows in a random order; A with every row once plus about as many
+    drawn again, each row negated at random, in a random order; and A with
+    exactly the first row of each class of rows equal up to sign negated."""
     rng = rng_from(seed)
     n = A.shape[0]
     permuted = A[rng.permutation(n)]
     rows = np.concatenate([np.arange(n), rng.integers(0, n, size=n)])
     rng.shuffle(rows)
     repeated = rng.choice([-1.0, 1.0], size=rows.size)[:, None] * A[rows]
-    return permuted, repeated
+    negated = A.copy()
+    negated[class_leads_by_dict(A)] *= -1.0
+    return permuted, repeated, negated
 
 
 @functools.lru_cache(maxsize=1)
@@ -801,17 +805,26 @@ class TestRowInvariance:
         A = coloring._validate_matrix(box_matrix(8, 50, 9))
         assert coloring._distinct_rows(A) is A
 
+    def test_distinct_rows_keep_each_first_row_as_it_stands(self):
+        A = coloring._validate_matrix([[-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+        got = coloring._distinct_rows(A)
+        assert got.flags.f_contiguous
+        assert got.tobytes() == np.array([[-1.0, 1.0], [1.0, 1.0]]).tobytes()
+
     @pytest.mark.parametrize("k", [12, 40])
     def test_full_coloring_colors_the_distinct_rows(self, monkeypatch, k):
-        repeated = reordered(stump_matrix(11, 200, k), 4)[1]
-        expected = distinct_rows_by_dict(repeated)
+        _, repeated, negated = reordered(stump_matrix(11, 200, k), 4)
         seen = []
         for name in ("bruteforce_min_discrepancy", "partial_coloring", "_refine_flips"):
             real = getattr(coloring, name)
             spy = lambda M, *args, real=real: seen.append(M.tobytes()) or real(M, *args)
             monkeypatch.setattr(coloring, name, spy)
-        full_coloring(repeated, seed=1)
-        assert seen and set(seen) == {expected.tobytes()}
+        colorings = set()
+        for variant in (repeated, negated):
+            seen.clear()
+            colorings.add(full_coloring(variant, seed=1).tobytes())
+            assert seen and set(seen) == {distinct_rows_by_dict(variant).tobytes()}
+        assert len(colorings) == 1
 
     def test_bound_counts_distinct_rows(self):
         # One distinct row up to sign: its bound 0.5 * sqrt(1) is below the
@@ -992,7 +1005,7 @@ class TestRowClasses:
             expected = distinct_rows_by_dict(variant)
             leads = coloring._row_classes(variant)
             got = variant if leads is None else variant[leads]
-            assert coloring._canonical_rows(got).tobytes() == expected.tobytes()
+            assert got.tobytes() == expected.tobytes()
             with monkeypatch.context() as patch:
                 # Every key collides: rows are merged only when they are equal.
                 patch.setattr(coloring, "_row_keys", lambda M: np.zeros(M.shape[0]))

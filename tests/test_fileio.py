@@ -224,7 +224,7 @@ DATASET_FILES = {
     "spaces_around_cells": (" 1 , 0.5 ,2\n-1,  1.5,3 \n", True),
     "single_feature_column": ("1,0.5\n-1,1.5\n1,2.5\n", True),
     "label_only_rows": ("1\n-1\n", False),
-    "nan_inf_features": ("1,nan\n-1,inf\n", True),
+    "nan_inf_features": ("1,nan\n-1,inf\n", False),
     "ragged_row": ("1,0.5,2.0\n-1,1.5\n", False),
     "trailing_comma": ("1,0.5,\n-1,1.5,\n", False),
     "bad_label_last_line": ("1,0.5\n-1,1.5\n2,2.5\n", False),
@@ -260,6 +260,14 @@ class TestDatasetFastPathMatchesRows:
         )
         assert outcome[:2] == ("error", "FileFormatError") and "line 3" in outcome[2]
 
+    def test_non_finite_feature_names_the_line(self, monkeypatch, tmp_path):
+        content, _ = DATASET_FILES["nan_inf_features"]
+        outcome = _differential(
+            monkeypatch, tmp_path, content, False, load_dataset, "_load_dataset_rows"
+        )
+        assert outcome[:2] == ("error", "FileFormatError")
+        assert f"{tmp_path / 'input'}: line 1: non-finite feature value" == outcome[2]
+
     @pytest.mark.parametrize("name", ["cell_over_field_limit", "quoted_cell_over_field_limit"])
     def test_cell_over_field_limit_names_the_line(self, monkeypatch, tmp_path, name):
         content, _ = DATASET_FILES[name]
@@ -293,6 +301,8 @@ MATRIX_FILES = {
     "out_of_range_entry": ("2 2\n0.5 0.5\n1 -1\n-1 1.5\n", False),
     "out_of_range_before_bad_row": ("3 2\n0.5 0.5\n1 2\nx 1\n1 1\n", False),
     "nan_entry": ("1 2\n0.5 0.5\nnan 1\n", False),
+    "nan_weight": ("1 2\n0.5 nan\n1 1\n", False),
+    "inf_weight": ("1 2\n0.5 inf\n1 1\n", False),
     "non_numeric_entry": ("2 2\n0.5 0.5\n1 -1\n-1 y\n", False),
     "too_many_rows": ("1 2\n0.5 0.5\n1 -1\n-1 1\n", False),
     "too_few_rows": ("3 2\n0.5 0.5\n1 -1\n-1 1\n", False),
@@ -334,6 +344,9 @@ class TestMatrixFastPathMatchesRows:
             ("out_of_range_entry", 4),
             ("out_of_range_before_bad_row", 3),
             ("entry_beyond_tolerance", 3),
+            ("nan_entry", 3),
+            ("nan_weight", 2),
+            ("inf_weight", 2),
         ],
     )
     def test_errors_name_the_line(self, monkeypatch, tmp_path, name, line):
@@ -343,7 +356,7 @@ class TestMatrixFastPathMatchesRows:
             "_load_margin_matrix_rows",
         )
         assert outcome[:2] == ("error", "FileFormatError")
-        assert f"line {line}:" in outcome[2]
+        assert outcome[2].startswith(f"{tmp_path / 'input'}: line {line}:")
 
     def test_benchmark_shaped_file_is_bit_exact(self, monkeypatch, tmp_path):
         rng = rng_from(43)

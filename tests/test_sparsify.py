@@ -21,7 +21,7 @@ from sparsevote import (
 from sparsevote.sparsify import MIN_HALVING_SUPPORT, _build_halving_matrix, _split_support
 from sparsevote.seeding import rng_from, split_seed
 
-from oracles import distinct_rows_by_dict
+from oracles import class_leads_by_dict, distinct_rows_by_dict
 
 sparsify_module = importlib.import_module("sparsevote.sparsify")
 
@@ -298,6 +298,34 @@ class TestDistinctRowHalving:
         assert set(seen) == {(True, classes + 1)}
         if kind != "uniform":
             assert classes < U.n_points
+
+    @pytest.mark.parametrize("kind", sorted(DISTINCT_ROW_INSTANCES))
+    def test_halve_gets_each_first_row_as_it_stands(self, monkeypatch, kind):
+        U, w = DISTINCT_ROW_INSTANCES[kind]()
+        expected = distinct_rows_by_dict(U.values).tobytes()
+        seen = []
+        real = sparsify_module.halve
+
+        def spy(distinct, *args, **kwargs):
+            seen.append((distinct.values.flags.f_contiguous, distinct.values.tobytes()))
+            return real(distinct, *args, **kwargs)
+
+        monkeypatch.setattr(sparsify_module, "halve", spy)
+        sparsify(U, w, T=8, seed=5)
+        assert seen and set(seen) == {(True, expected)}
+
+    @pytest.mark.parametrize("kind", sorted(DISTINCT_ROW_INSTANCES))
+    def test_negating_each_first_row_keeps_the_rounds(self, kind):
+        # Rows equal up to sign are one constraint whichever sign the first
+        # of them has, so the weights keep their bits. The errors do too:
+        # in the same layout, a negated row's margins are negated exactly.
+        U, w = DISTINCT_ROW_INSTANCES[kind]()
+        negated = U.values.copy(order="K")
+        negated[class_leads_by_dict(U.values)] *= -1.0
+        out, report = sparsify(U, w, T=8, seed=7)
+        out_negated, report_negated = sparsify(MarginMatrix(negated), w, T=8, seed=7)
+        assert out_negated.values.tobytes() == out.values.tobytes()
+        assert report_negated == report
 
     @pytest.mark.parametrize("kind", sorted(DISTINCT_ROW_INSTANCES))
     def test_rounds_are_halving_on_all_rows(self, kind):
