@@ -17,7 +17,6 @@ import numpy as np
 
 from .discrepancy import DEFAULT_CONFIG, ColoringConfig
 from .margins import MarginMatrix, WeightVector, build_margin_matrix
-from .seeding import split_seed
 from .sparsify import SparsifyReport, sparsify
 
 EDGE_CAP = 1.0 - 1e-10
@@ -298,7 +297,8 @@ def sparsiboost(
     rounds: int | None = None,
 ) -> tuple[Ensemble, Ensemble, SparsifyReport]:
     """Train ``rounds`` stumps (default c*T), then sparsify the ensemble down
-    to T of them, seeding the sparsifier with component 2 of ``seed``.
+    to T of them. Training and halving are deterministic, so ``seed`` is
+    not read.
 
     Returns the full ensemble, the pruned one (the surviving hypotheses with
     their renormalized weights, summing to 1), and the halving's report.
@@ -311,7 +311,7 @@ def sparsiboost(
     U = build_margin_matrix(dataset, full)
     w = full.weights.normalized()
     target = min(T, len(full))
-    sparse_w, report = sparsify(U, w, target, split_seed(seed, 2), coloring)
+    sparse_w, report = sparsify(U, w, target, config=coloring)
     return full, prune_ensemble(full, sparse_w), report
 
 

@@ -267,7 +267,7 @@ def _compare_matrix(config: RunConfig, payload: dict) -> None:
     U, w = load_margin_matrix(config.matrix_path)
     T = min(config.target, len(w))
     coloring = _coloring(config.spencer_constant)
-    sparse_w, report = sparsify(U, w, T, split_seed(config.seed, 2), coloring)
+    sparse_w, report = sparsify(U, w, T, config=coloring)
     sampled_w = importance_sample(w, T, split_seed(config.seed, 3))
     records = payload["methods"]
     records.append(_matrix_record("full", U, w, w))
@@ -377,7 +377,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     coloring = _coloring(args.ks)
     U, w, ensemble = _load_matrix_or_model(args)
     T = min(args.target, len(w))
-    sparse_w, report = sparsify(U, w, T, split_seed(args.seed or 0, 2), coloring)
+    sparse_w, report = sparsify(U, w, T, config=coloring)
     _write_weights_output(args.out, sparse_w, ensemble)
     print(json.dumps(_report_payload(report), indent=2, sort_keys=True))
     return 0
@@ -481,10 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", default=None, help="dataset CSV for the model")
         p.add_argument("--target", "-T", type=int, required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None, help="root RNG seed")
         p.add_argument("--config", default=None, help="key=value config file")
         if func is _cmd_sparsify:
             p.add_argument("--ks", type=float, default=None, help="coloring bound constant")
+        else:
+            p.add_argument("--seed", type=int, default=None, help="root RNG seed")
         p.set_defaults(func=func)
 
     p_eval = sub.add_parser("eval", help="score a model on a dataset")

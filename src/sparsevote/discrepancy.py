@@ -3,16 +3,24 @@
 Produces sign colorings x of the columns of a matrix A with entries in
 [-1, 1] such that the discrepancy max_i |(Ax)_i| meets a Spencer-type bound,
 plus the minority-sign column subset that inherits a row-sum sandwich from
-the coloring. A coloring attempt is a sign vector in two steps:
-partial_coloring draws one i.i.d. uniform +-1 sign per column, without
-reading the entries, and the flip polish then makes deterministic
-single-coordinate (and, for narrow matrices, opposite-pair) flips that
-strictly reduce the discrepancy. On the matrices the halver colors this
-reaches random-coloring quality, not Spencer's bound; full_coloring
-retries an attempt with a fresh seed when it misses the Spencer-type
-bound, and that check of the finished coloring is the output's guarantee.
+the coloring. A coloring may start from a base b, the drift that earlier
+colorings left on the rows, and then steers the sums b + Ax. No step reads
+a seed.
 
-Small instances skip the random signs: an exhaustive search over all sign
+partial_coloring is Spencer's hyperbolic-cosine balancing game, derandomized
+by Raghavan's pessimistic estimator: one pass that signs the columns in
+order, x_j = -1 when sum_i sinh(s_i) * a_ij > 0 and +1 otherwise, with
+s = lambda * (b + the row sums of the columns signed so far) and
+lambda = sqrt(2 ln(2n) / k). For t in [-1, 1] the chord bound
+e^(lambda t) <= cosh(lambda) + t sinh(lambda) shows that each choice keeps
+sum_i cosh(s_i) within a factor cosh(lambda) <= e^(lambda^2 / 2) of its
+value before, so from a zero base max_i |(Ax)_i| <= sqrt(2k ln(2n)).
+full_coloring checks the pass's own max_i |(Ax)_i| against the
+Spencer-type bound; a coloring from a nonzero base that misses it is made
+once more from a zero base, and only that one's miss raises
+DiscrepancyBoundError.
+
+Small instances skip the signing: an exhaustive search over all sign
 vectors is exact, fast, and deterministic up to k = 16 columns. The
 exhaustive searches add a block of partial row sums over the low bits of
 the sign vectors' codes, built once, to one vector per block over the high
@@ -29,25 +37,19 @@ float64 search over every code; they hold every code that search could
 pick and its smallest maximum, so the winner and its value keep their
 bits.
 
-The flip polish first bounds every candidate by its maximum over the
-BOUND_ROWS rows with the largest |row sum|, a lower bound on its maximum
-over all rows, and scores on all rows only the candidates that this bound
-cannot rule out; its moves are those of scoring every candidate.
-
-Two rows equal up to sign are one constraint, since |(Ax)_i| is the same
-for both, so full_coloring colors the distinct rows only: the first row of
-each class of rows equal up to sign, as it stands. Its sign cannot matter:
-negating a row negates each of its products and sums exactly, and every
-step reads a row sum only through its magnitude. The Spencer-type bound
-counts those rows. The output does not depend on the order of the rows or
-on how often one repeats: the random signs do not depend on the rows, the
-row sums that seed the searches are taken row by row (_row_sums), so equal
-rows get equal bits wherever they sit, and the searches break near-ties by
-a fixed order instead of by BLAS rounding. A candidate counts as tied with
-the best when its maximum is within _tie_tolerance, 2(k + 2) * eps *
-max_i(sum_j |C_ij| + |base_i|), of the smallest: twice the widest gap that
-rounding, in any summation order, can open between two exactly equal
-maxima of k products and a base, so every exact minimizer counts as tied.
+Two rows of [A | b] equal up to sign are one constraint, since |b_i +
+(Ax)_i| is the same for both, so full_coloring colors the distinct rows
+only, and the Spencer-type bound counts them. They are taken in one fixed
+order, by the magnitude of a key (_row_classes), each oriented by its
+key's sign, and every sum is einsum's, added in a fixed order rather than
+by BLAS. So the coloring is the same bits under any order of the rows, any
+repetition or negation of a row together with its base, and any BLAS
+thread count. The exhaustive searches break near-ties by a fixed order: a
+candidate counts as tied with the best when its maximum is within
+_tie_tolerance, 2(k + 2) * eps * max_i(sum_j |C_ij| + |base_i|), of the
+smallest: twice the widest gap that rounding, in any summation order, can
+open between two exactly equal maxima of k products and a base, so every
+exact minimizer counts as tied.
 """
 from __future__ import annotations
 
@@ -58,42 +60,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .margins import _checked_entries
-from .seeding import rng_from, split_seed
 
-# Blocks of the exact searches and the flip polish hold 256 KiB, small
-# enough that each block's passes run in cache: BLOCK_CELLS float64 row
-# sums, or 4 * BLOCK_CELLS int16 ones in the exhaustive search's screen.
+# Blocks of the exact searches hold 256 KiB, small enough that each
+# block's passes run in cache: BLOCK_CELLS float64 row sums, or
+# 4 * BLOCK_CELLS int16 ones in the exhaustive search's screen.
 BLOCK_CELLS = 1 << 15
 EPS = float(np.finfo(np.float64).eps)
-# The flip polish bounds each candidate on this many rows, those with the
-# largest |row sum|, before it scores all rows.
-BOUND_ROWS = 32
 # Exhaustive search colors matrices of at most BRUTEFORCE_MAX columns; it
 # stays at most 20, the limit of bruteforce_min_discrepancy.
 BRUTEFORCE_MAX = 16
-# Attempts (random signs, then the polish) full_coloring makes before it
-# gives up; sparsify adds no retry of its own, so this bounds the work of
-# a failing halving round.
-RETRY_BUDGET = 16
-# The flip polish makes at most REFINE_SWEEPS sweeps, and tries pair flips
-# on matrices of at most PAIR_REFINE_MAX columns.
-REFINE_SWEEPS = 32
-PAIR_REFINE_MAX = 64
 
 
 class DiscrepancyBoundError(RuntimeError):
-    """Raised when no attempt met the discrepancy bound within the retry budget.
+    """A coloring from a zero base missed the bound by its discrepancy
+    achieved."""
 
-    Every attempt completes a coloring, so achieved is the smallest
-    discrepancy of the attempts' colorings.
-    """
-
-    def __init__(self, achieved: float, bound: float, attempts: int):
+    def __init__(self, achieved: float, bound: float):
         self.achieved = achieved
         self.bound = bound
-        self.attempts = attempts
         super().__init__(
-            f"no coloring met the bound {bound:.6g} after {attempts} attempts; "
+            f"no coloring met the bound {bound:.6g}; "
             f"best discrepancy achieved was {achieved:.6g}"
         )
 
@@ -103,7 +89,7 @@ class ColoringConfig:
     """The coloring's one parameter: spencer_constant, the K_S of the bound
     that full_coloring enforces. It must be positive and finite: at zero or
     below no coloring meets the bound, and at inf every one does. The
-    searches' and the polish's constants are module constants."""
+    searches' constants are module constants."""
 
     spencer_constant: float = 12.0
 
@@ -122,8 +108,18 @@ def _validate_matrix(A) -> np.ndarray:
     MarginMatrix's entries are; A itself when it is one already and needs
     no clipping."""
     # Fortran order, the halver's own layout: _row_sums then needs no copy,
-    # and _signed_sums reads each column contiguously.
+    # and the signing and _signed_sums read each column contiguously.
     return _checked_entries(np.asfortranarray(A, dtype=np.float64), "matrix")
+
+
+def _validate_base(base, n_rows: int) -> np.ndarray | None:
+    """base as n_rows finite floats; None for None or a zero base."""
+    if base is None:
+        return None
+    arr = np.asarray(base, dtype=np.float64)
+    if arr.shape != (n_rows,) or not np.isfinite(arr).all():
+        raise ValueError(f"base must be {n_rows} finite entries, got shape {arr.shape}")
+    return arr if arr.any() else None
 
 
 def spencer_bound(n_rows: int, k: int, constant: float) -> float:
@@ -166,14 +162,16 @@ def _key_weights(k: int) -> np.ndarray:
     return weights
 
 
-def _row_keys(A: np.ndarray) -> np.ndarray:
-    """One key per row: its sum against fixed pseudo-random weights. Equal
-    rows get equal keys and negated rows negated keys; unequal rows almost
-    never collide, and _row_classes checks the rows of equal keys. einsum
-    adds every row's products in one order in either layout (down the
-    columns on a Fortran-ordered matrix, along each row on a C-ordered
-    one), so A is not copied into Fortran order as _row_sums would."""
-    return np.einsum("ij,j->i", A, _key_weights(A.shape[1]))
+def _row_keys(A: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+    """One key per row of [A | base], not stacked: its sum against fixed
+    pseudo-random weights. Equal rows get equal keys and negated rows
+    negated keys; unequal ones can collide (bases one bit apart do), so
+    _row_classes checks them. einsum adds every row's products in one order
+    in either layout, so A is not copied into Fortran order."""
+    k = A.shape[1]
+    weights = _key_weights(k + 1)
+    keys = np.einsum("ij,j->i", A, weights[:k])
+    return keys if base is None else keys + weights[k] * base
 
 
 def _canonical_rows(A: np.ndarray) -> np.ndarray:
@@ -186,41 +184,53 @@ def _canonical_rows(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_classes(A: np.ndarray) -> np.ndarray | None:
-    """The index of the first row of each class of rows of A equal up to
-    sign, in increasing order; None when no two rows are equal up to sign.
+def _row_classes(
+    A: np.ndarray, base: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first (lowest) row index of each class of rows of [A | base]
+    equal up to sign, in the signing's order, and every row's key.
 
-    Rows are sorted by the magnitude of their keys, and only neighbours
-    with equal magnitudes are compared, entry by entry after orienting each
-    by its key's sign. When every such pair holds equal rows, each run of
-    equal magnitudes is one class; a pair that differs is a key collision,
-    and then the rows are grouped by exact comparison of their canonical
-    forms instead.
+    Rows are stably sorted by |key|, and neighbours with equal |key| are
+    compared after orienting each by its key's sign. A run of equal |key|
+    holding two unequal neighbours, a collision, is sorted by canonical
+    form (_canonical_rows) instead. So the order depends on the rows up to
+    sign alone, not on where they sit.
     """
-    keys = _row_keys(A)
+    keys = _row_keys(A, base)
+    base = np.zeros(A.shape[0]) if base is None else base
     order = np.argsort(np.abs(keys), kind="stable")
     mags = np.abs(keys[order])
-    same = np.flatnonzero(mags[1:] == mags[:-1])
-    if same.size == 0:
-        return None
-    signs = np.where(keys < 0.0, -1.0, 1.0)[:, None]
-    first, second = order[same], order[same + 1]
-    if (A[first] * signs[first] == A[second] * signs[second]).all():
-        leads = np.ones(order.size, dtype=bool)
-        leads[same + 1] = False
-        return np.sort(order[leads])
-    _, leads = np.unique(_canonical_rows(A), axis=0, return_index=True)
-    return np.sort(leads)
+    tied = mags[1:] == mags[:-1]
+    same = np.flatnonzero(tied)
+    leads = np.ones(order.size, dtype=bool)
+    if same.size:
+        first, second = order[same], order[same + 1]
+        flip = np.where((keys[first] < 0.0) == (keys[second] < 0.0), 1.0, -1.0)
+        equal = (A[first] == flip[:, None] * A[second]).all(axis=1)
+        equal &= base[first] == flip * base[second]
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        collided = np.isin(run, run[same[~equal]])
+        leads[same[~collided[same]] + 1] = False
+        spots = np.flatnonzero(collided)
+        if spots.size:
+            rows = order[spots]
+            canon = _canonical_rows(np.column_stack((A[rows], base[rows])))
+            resort = np.lexsort((*canon.T[::-1], run[spots]))
+            order[spots] = rows[resort]
+            canon = canon[resort]
+            repeat = (run[spots[1:]] == run[spots[:-1]]) & (canon[1:] == canon[:-1]).all(axis=1)
+            leads[spots[1:][repeat]] = False
+    return order[leads], keys
 
 
 def _distinct_rows(A: np.ndarray) -> np.ndarray:
     """The first row of each class of rows of A equal up to sign
     (_row_classes), as it stands and in its order in A, in Fortran order;
     A itself when no two rows are equal up to sign."""
-    leads = _row_classes(A)
-    if leads is None:
+    leads, _ = _row_classes(A)
+    if leads.size == A.shape[0]:
         return A
-    return np.asfortranarray(A[leads])
+    return np.asfortranarray(A[np.sort(leads)])
 
 
 def _code_signs(code: int, bits: int) -> np.ndarray:
@@ -380,189 +390,85 @@ def minority_sign(x) -> int:
     return -1 if minus <= plus else +1
 
 
-def partial_coloring(A, seed=None) -> np.ndarray:
-    """i.i.d. uniform +-1 signs, one per column of A, drawn from
-    rng_from(seed): the first step of a coloring attempt.
+def partial_coloring(A, seed=None, base=None) -> np.ndarray:
+    """The hyperbolic-cosine signing of A's columns from base (the module
+    docstring); the seed is not read.
 
-    The matrix only fixes the width: only its shape is read, not its
-    entries, which full_coloring has validated. The call makes no promise
-    about the rows' sums: full_coloring polishes the coloring and checks it
-    against the bound.
+    A decision sum within its rounding bound of zero is a tie and gives
+    +1, so exact ties, frequent on Hadamard matrices, do not fall to the
+    last bits of sinh or of the sum. lambda * base is clipped once to
+    +-354, half the exponent range: the potential sum_i cosh(s_i) then
+    starts below e^354 * n and grows at most 2n-fold, so nothing overflows.
     """
-    shape = np.shape(A)
-    if len(shape) != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {shape}")
-    return rng_from(seed).choice([-1.0, 1.0], size=shape[1])
-
-
-def _top_rows(sums: np.ndarray) -> np.ndarray:
-    """The BOUND_ROWS rows with the largest |row sum|, or every row when
-    there are no more."""
-    cut = sums.size - BOUND_ROWS
-    if cut <= 0:
-        return np.arange(sums.size)
-    return np.argpartition(np.abs(sums), cut)[cut:]
-
-
-def _pair_maxima(
-    sums: np.ndarray, plus_2: np.ndarray, minus_2: np.ndarray, pairs: np.ndarray
-) -> np.ndarray:
-    """max_i |sums_i - plus_2[a, i] + minus_2[b, i]| for each flat pair
-    index a * len(minus_2) + b, in blocks of about BLOCK_CELLS row sums."""
-    a, b = np.divmod(pairs, minus_2.shape[0])
-    width = max(1, BLOCK_CELLS // sums.size)
-    out = np.empty(pairs.size)
-    for lo in range(0, pairs.size, width):
-        cand = (sums - plus_2[a[lo : lo + width]]) + minus_2[b[lo : lo + width]]
-        np.abs(cand, out=cand).max(axis=1, out=out[lo : lo + width])
-    return out
-
-
-def _refine_flips(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Deterministic local search: accept single-coordinate flips (and, for
-    narrow matrices, opposite-sign pair flips) that strictly reduce the
-    discrepancy. Each accepted move recomputes exact row sums, so the result
-    never degrades the coloring.
-
-    Single flips are taken first-improvement in column order. A pair flip
-    takes the first (plus, minus) pair, in row-major order, whose maximum is
-    within _tie_tolerance(k, max_i sum_j |A_ij|) of the best pair's, and
-    only when that maximum improves on the current one by more than 1e-12.
-
-    A candidate's maximum over a subset of the rows, with each row sum
-    computed as for all rows, is a lower bound on its maximum. So every
-    candidate is first bounded on the BOUND_ROWS rows with the largest
-    |row sum| (_top_rows), and only the candidates whose bound does not
-    rule out the move are scored on all rows, in blocks of about
-    BLOCK_CELLS row sums: single flips whose bound is below the current
-    maximum less 1e-12, until one improves; pairs whose bound is below it,
-    which fixes the best pair's maximum, then those whose bound lies within
-    the tie tolerance of that maximum, since one of them may come first.
-    The moves are therefore those of a one-at-a-time scan of every
-    candidate on all rows. The row sums start from _row_sums and change
-    only by elementwise updates, so every move is the same whatever the
-    order of the rows and however often one repeats.
-    """
-    x = x.copy()
-    sums = _row_sums(A, x)
-    current = float(np.max(np.abs(sums)))
-    n, k = A.shape
-    width = max(1, BLOCK_CELLS // n)
-    pairs = k <= PAIR_REFINE_MAX
-    if pairs:
-        tolerance = _tie_tolerance(k, float(np.abs(A).sum(axis=1).max()))
-    for _ in range(REFINE_SWEEPS):
-        improved = False
-        j = 0
-        while j < k:
-            limit = current - 1e-12
-            stop = min(j + width, k)
-            top = _top_rows(sums)
-            cand = sums[top, None] - (2.0 * x[j:stop]) * A[top, j:stop]
-            bound = np.abs(cand, out=cand).max(axis=0)
-            candidates = j + np.flatnonzero(bound < limit)
-            j = stop
-            # Blocks of 1, 2, 4, ... candidates: the first one the bound
-            # leaves open usually improves.
-            lo = 0
-            size = 1
-            while lo < candidates.size:
-                cols = candidates[lo : lo + size]
-                lo += size
-                size = min(2 * size, width)
-                cand = sums[:, None] - (2.0 * x[cols]) * A[:, cols]
-                vals = np.abs(cand, out=cand).max(axis=0)
-                better = np.flatnonzero(vals < limit)
-                if better.size:
-                    j = int(cols[better[0]])
-                    sums = sums - 2.0 * x[j] * A[:, j]
-                    x[j] = -x[j]
-                    current = float(vals[better[0]])
-                    improved = True
-                    j += 1
-                    break
-        if pairs:
-            while True:
-                plus = np.flatnonzero(x > 0)
-                minus = np.flatnonzero(x < 0)
-                if plus.size == 0 or minus.size == 0:
-                    break
-                plus_2 = 2.0 * A[:, plus].T
-                minus_2 = 2.0 * A[:, minus].T
-                limit = current - 1e-12
-                top = _top_rows(sums)
-                cand = (sums[top] - plus_2[:, top])[:, None, :] + minus_2[:, top]
-                bound = np.abs(cand, out=cand).max(axis=2).ravel()
-                scored = np.flatnonzero(bound < limit)
-                maxima = _pair_maxima(sums, plus_2, minus_2, scored)
-                if scored.size == 0 or maxima.min() >= limit:
-                    break
-                best = maxima.min()
-                near = np.flatnonzero((bound >= limit) & (bound <= best + tolerance))
-                if near.size:
-                    scored = np.concatenate((scored, near))
-                    near_maxima = _pair_maxima(sums, plus_2, minus_2, near)
-                    maxima = np.concatenate((maxima, near_maxima))
-                    order = np.argsort(scored)
-                    scored, maxima = scored[order], maxima[order]
-                pick = int(np.argmax(maxima <= best + tolerance))
-                if maxima[pick] >= limit:
-                    break
-                a, b = divmod(int(scored[pick]), minus.size)
-                sums = sums - plus_2[a] + minus_2[b]
-                x[plus[a]] = -1.0
-                x[minus[b]] = 1.0
-                current = float(maxima[pick])
-                improved = True
-        if not improved:
-            break
+    arr = _validate_matrix(A)
+    n, k = arr.shape
+    b = _validate_base(base, n)
+    lam = math.sqrt(2.0 * math.log(2.0 * n) / k)
+    s = np.zeros(n) if b is None else np.clip(lam * b, -354.0, 354.0)
+    # Before column j the potential is at most phi_0 * cosh(lambda)^j and
+    # a decision sum at most lambda times that, so its rounding is below
+    # tie = 2(n + 2) * eps * lambda * phi_0 * cosh(lambda)^j.
+    tie = 2.0 * (n + 2) * EPS * lam * float(np.cosh(s).sum())
+    growth = math.cosh(lam)
+    x = np.ones(k)
+    sinh = np.empty(n)
+    # The columns scaled by lambda > 0 once: s moves by one of them per
+    # column, and the decision sums keep their signs.
+    for j, column in enumerate((lam * arr).T):
+        np.sinh(s, out=sinh)
+        if np.einsum("i,i->", sinh, column) > tie:
+            x[j] = -1.0
+            s -= column
+        else:
+            s += column
+        tie *= growth
     return x
+
+
+def _color(A: np.ndarray, base: np.ndarray | None, config: ColoringConfig):
+    """(discrepancy, bound, x) of one coloring of the distinct rows of
+    [A | base], each oriented by its key's sign: the exact minimizer of
+    max_i |(Ax)_i + base_i| up to BRUTEFORCE_MAX columns, else the signing."""
+    leads, keys = _row_classes(A, base)
+    signs = np.where(keys[leads] < 0.0, -1.0, 1.0)
+    # Gathered as the rows of A.T's transpose, so C is Fortran-ordered.
+    C = A.T.take(leads, axis=1)
+    C *= signs
+    C = C.T
+    b = None if base is None else base[leads] * signs
+    if C.shape[1] > BRUTEFORCE_MAX:
+        x = partial_coloring(C, base=b)
+    elif b is None:
+        x = bruteforce_min_discrepancy(C)[1]
+    else:
+        x = _best_signs(C, b)[1]
+    return discrepancy(C, x), spencer_bound(*C.shape, config.spencer_constant), x
 
 
 def full_coloring(
     A,
     seed=None,
     config: ColoringConfig = DEFAULT_CONFIG,
+    base=None,
 ) -> np.ndarray:
     """Complete sign coloring with discrepancy within the Spencer-type bound.
 
-    Only the distinct rows up to sign are colored (_distinct_rows), the
-    first of each class as it stands: a row repeated, or repeated negated,
-    is the same constraint. Everything below runs on them, and n counts
-    them.
-
-    For k <= BRUTEFORCE_MAX columns the exact exhaustive optimum is
-    returned (deterministic, seed unused). Otherwise an attempt is one
-    partial_coloring call, a uniform +-1 sign per column, polished by local
-    flips (_refine_flips). Attempts restart with a fresh derived seed until
-    the bound K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n) otherwise) is met
-    or RETRY_BUDGET attempts are spent, and then DiscrepancyBoundError
-    reports the best discrepancy achieved. That check of the finished
-    coloring is the only one the output passes, and its guarantee.
-
-    Near-ties in the exhaustive searches and the pair flips go to the first
-    candidate in a fixed order (see _best_signs and _refine_flips), so the
-    coloring is the same bits under any order of the rows, any repetition
-    or negation of them, and any BLAS thread count.
+    Colors the distinct rows of [A | base] once (_color). The pass's own
+    max_i |(Ax)_i| must meet K_S*sqrt(k*ln(e*n/k)) (k <= n; K_S*sqrt(n)
+    otherwise), n counting the distinct rows: that check is the output's
+    guarantee. On a miss from a nonzero base the rows are colored once
+    more from a zero base, and DiscrepancyBoundError reports that one's
+    miss. The seed is not read; the bits do not depend on the rows' order,
+    repetition or negation with their base, nor on BLAS threads.
     """
-    arr = _distinct_rows(_validate_matrix(A))
-    n_rows, k = arr.shape
-    bound = spencer_bound(n_rows, k, config.spencer_constant)
-
-    if k <= BRUTEFORCE_MAX:
-        achieved, x = bruteforce_min_discrepancy(arr)
-        if achieved > bound:
-            raise DiscrepancyBoundError(achieved, bound, attempts=1)
-        return x
-
-    best_val = math.inf
-    for attempt in range(RETRY_BUDGET):
-        x = _refine_flips(arr, partial_coloring(arr, split_seed(seed, attempt, 0)))
-        val = discrepancy(arr, x)
-        best_val = min(best_val, val)
-        if val <= bound:
-            return x
-    raise DiscrepancyBoundError(best_val, bound, attempts=RETRY_BUDGET)
+    arr = _validate_matrix(A)
+    b = _validate_base(base, arr.shape[0])
+    achieved, bound, x = _color(arr, b, config)
+    if achieved > bound and b is not None:
+        achieved, bound, x = _color(arr, None, config)
+    if achieved > bound:
+        raise DiscrepancyBoundError(achieved, bound)
+    return x
 
 
 def halve_columns(

@@ -2,12 +2,14 @@
 
 One halving round protects the top third of the support by absolute value,
 rescales the remaining free columns of the margin matrix by the largest free
-weight, and twice colors the scaled columns (with an extra row carrying the
-l1 mass) to decide which half of the free support to zero and which to
-double. The minority-sign choice keeps row sums, hence every margin, within
-omega times the coloring discrepancy of their pre-halving values. Repeating
-rounds until the support reaches the target T yields a T-sparse weight vector
-whose margin perturbation is dominated by the final round.
+weight, and twice colors the scaled columns, with a row carrying the l1 mass
+and a count row of ones, to decide which half of the free support to zero
+and which to double. Each coloring starts from the drift that earlier
+rounds and passes left on the margins and the l1 mass, so it steers them
+back toward those of the weights sparsify began from, and it moves every
+margin by at most omega times its discrepancy. Repeating rounds until the
+support reaches the target T yields a T-sparse weight vector whose margin
+perturbation is dominated by the final round.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from .discrepancy import (
     ColoringConfig,
     DiscrepancyBoundError,
     _distinct_rows,
-    halve_columns,
+    _row_sums,
+    full_coloring,
 )
 from .margins import (
     MarginMatrix,
@@ -30,7 +33,7 @@ from .margins import (
     require_normalized,
     sup_norm_diff,
 )
-from .seeding import rng_from, split_seed
+from .seeding import rng_from
 
 MIN_HALVING_SUPPORT = 6
 
@@ -44,7 +47,6 @@ class SparsifyReport:
     halving_rounds: int
     achieved_error: float
     per_round_errors: tuple[float, ...]
-    seed: object
     truncated_fallback: bool = False
 
 
@@ -62,16 +64,18 @@ def _split_support(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _build_halving_matrix(
     U_values: np.ndarray, values: np.ndarray, columns: np.ndarray, omega: float
 ) -> np.ndarray:
-    """The (n+1) x k coloring input: margin columns scaled by w_j/omega, plus
-    an l1 row |w_j|/omega that makes the coloring preserve total mass too.
+    """The (n+2) x k coloring input: margin columns scaled by w_j/omega, an
+    l1 row |w_j|/omega that makes the coloring preserve total mass too, and
+    a count row of ones that keeps about half of the columns.
 
     It is written straight into Fortran order, full_coloring's layout, so
     the coloring copies nothing; each column of a Fortran-ordered U_values
     is read contiguously."""
     n = U_values.shape[0]
-    out = np.empty((n + 1, columns.size), order="F")
+    out = np.empty((n + 2, columns.size), order="F")
     np.multiply(U_values[:, columns], values[columns] / omega, out=out[:n])
     np.divide(np.abs(values[columns]), omega, out=out[n])
+    out[n + 1] = 1.0
     return out
 
 
@@ -80,18 +84,24 @@ def halve(
     w: WeightVector,
     seed=None,
     config: ColoringConfig = DEFAULT_CONFIG,
+    start: WeightVector | None = None,
 ) -> WeightVector:
     """One halving round: support drops to at most ceil(|support|/2) while
     every margin moves by at most O(omega * coloring discrepancy).
 
-    The scaling weight omega is fixed once per call. After the first of the
-    two color-and-zero passes the surviving weights have doubled, so the
-    second pass's matrix can reach magnitude 2; the coloring input is
-    rescaled into [-1, 1] (a positive rescaling changes no coloring
-    decision), keeping omega's role in the update untouched.
+    Each of two passes colors the nonzero free columns' halving matrix
+    from the base [U(v - start); ||v||_1 - 1; 0] / (omega * peak), the
+    drift of the current weights v from start (w when None). It doubles the
+    +1 columns and zeroes the rest, with the +1 columns of smallest |w_j|
+    beyond floor(k/2), lower index first. The drift is taken from U once,
+    then moved by omega * peak * Ax. omega is fixed per call; the doubled
+    weights of the second pass can reach 2, so its margin and l1 rows are
+    divided by their peak. The seed is not read.
     """
     require_normalized(w)
     _check_dims(U, w)
+    origin = w if start is None else start
+    _check_dims(U, origin)
     support = w.support_size
     if support < MIN_HALVING_SUPPORT:
         raise ValueError(
@@ -103,21 +113,25 @@ def halve(
     # at least 4 nonzero weights are free and omega is positive.
     _, free = _split_support(values)
     omega = float(np.max(np.abs(values[free])))
+    drift = np.append(_row_sums(U.values, values - origin.values), 0.0)
 
-    for iteration in (0, 1):
+    for _ in (0, 1):
         columns = free[values[free] != 0.0]
         if columns.size == 0:
             break
         A = _build_halving_matrix(U.values, values, columns, omega)
         # Margins lie in [-1, 1], so no scaled entry exceeds its column's
         # l1 entry (rounding is monotone) and the l1 row holds the peak.
-        peak = float(A[-1].max())
+        peak = max(1.0, float(A[-2].max()))
         if peak > 1.0:
-            A /= peak
-        kept = columns[halve_columns(A, split_seed(seed, iteration), config)]
-        doubled = 2.0 * values[kept]
-        values[columns] = 0.0
-        values[kept] = doubled
+            A[:-1] /= peak
+        scale = omega * peak
+        x = full_coloring(A, config=config, base=np.append(drift / scale, 0.0))
+        plus = np.flatnonzero(x > 0.0)
+        smallest = np.argsort(np.abs(values[columns[plus]]), kind="stable")
+        x[plus[smallest[: max(plus.size - columns.size // 2, 0)]]] = -1.0
+        drift += scale * _row_sums(A, x)[:-1]
+        values[columns] = np.where(x > 0.0, 2.0 * values[columns], 0.0)
 
     total = float(np.sum(np.abs(values)))
     values /= total
@@ -125,7 +139,7 @@ def halve(
     if result.support_size > -(-support // 2):
         raise RuntimeError(
             f"halving kept {result.support_size} of {support} entries; "
-            "minority-sign bookkeeping is broken"
+            "the halving bookkeeping is broken"
         )
     return result
 
@@ -139,13 +153,12 @@ def sparsify(
 ) -> tuple[WeightVector, SparsifyReport]:
     """Repeated halving until the support is at most T.
 
-    Each round calls halve once, with seed split_seed(seed, round, 0); its
-    colorings make up to RETRY_BUDGET attempts each (random signs, then a
-    flip polish). A round that succeeds at least halves the support. When
-    a coloring still misses its bound (DiscrepancyBoundError), halving
-    stops; then, or when the support is still above T once halving can no
-    longer run, the remainder is truncated to the top T weights and the
-    report is flagged.
+    Each round calls halve once, with start=w, so every coloring steers the
+    margins back toward w's; a round that succeeds at least halves the
+    support. When a coloring misses its bound (DiscrepancyBoundError),
+    halving stops; then, or when the support is still above T once halving
+    can no longer run, the remainder is truncated to the top T weights and
+    the report is flagged. The seed is not read.
 
     The rounds halve on U's distinct rows up to sign (the first of each
     class as it stands, found once here by _distinct_rows), in Fortran
@@ -164,7 +177,7 @@ def sparsify(
     per_round: list[float] = []
     while current.support_size > max(T, MIN_HALVING_SUPPORT - 1):
         try:
-            candidate = halve(distinct, current, split_seed(seed, len(per_round), 0), config)
+            candidate = halve(distinct, current, config=config, start=w)
         except DiscrepancyBoundError:
             break
         per_round.append(sup_norm_diff(U, current, candidate))
@@ -180,7 +193,6 @@ def sparsify(
         halving_rounds=len(per_round),
         achieved_error=sup_norm_diff(U, w, current),
         per_round_errors=tuple(per_round),
-        seed=seed,
         truncated_fallback=fallback,
     )
     return current, report

@@ -289,51 +289,27 @@ def bruteforce_float_search(A, block_cells):
     return value, np.append(signs, 1.0)
 
 
-def refine_flips_one_at_a_time(A, x, refine_sweeps, pair_refine_max, tolerance=0.0):
-    """Flip polish scoring one column (and all opposite-sign pairs at once)
-    per step: first-improvement single flips in column order, then repeated
-    best pair flips, until a sweep improves nothing (the pre-blocking
-    kernel). The pair flip is the first pair in row-major order whose
-    maximum is within `tolerance` of the smallest, and is made only when
-    that maximum improves on the current one by more than 1e-12."""
-    x = x.copy()
-    sums = A @ x
-    current = float(np.max(np.abs(sums)))
-    k = x.size
-    for _ in range(refine_sweeps):
-        improved = False
-        for j in range(k):
-            cand = sums - 2.0 * x[j] * A[:, j]
-            val = float(np.max(np.abs(cand)))
-            if val < current - 1e-12:
-                x[j] = -x[j]
-                sums = cand
-                current = val
-                improved = True
-        if k <= pair_refine_max:
-            while True:
-                plus = np.flatnonzero(x > 0)
-                minus = np.flatnonzero(x < 0)
-                if plus.size == 0 or minus.size == 0:
-                    break
-                cand = (
-                    sums[None, None, :]
-                    - 2.0 * A[:, plus].T[:, None, :]
-                    + 2.0 * A[:, minus].T[None, :, :]
-                )
-                vals = np.max(np.abs(cand), axis=2)
-                first = int(np.argmax(vals <= vals.min() + tolerance))
-                a, b = np.unravel_index(first, vals.shape)
-                if vals[a, b] >= current - 1e-12:
-                    break
-                x[plus[a]] = -1.0
-                x[minus[b]] = 1.0
-                sums = cand[a, b].copy()
-                current = float(vals[a, b])
-                improved = True
-        if not improved:
-            break
-    return x
+def cosh_signing_decisions(A, base, x):
+    """The hyperbolic-cosine signing's decision sum at every column, along
+    the signs x, with its scale: before column j each row's running sum is
+    s_i = base_i + sum over l < j of x_l * a_il, and the decision is
+    sum_i sinh(lambda * s_i) * a_ij, lambda = sqrt(2 ln(2n) / k), added one
+    row at a time in Python floats. The scale is sum_i cosh(lambda * s_i)
+    * |a_ij|, which bounds how far rounding in s can move the decision."""
+    A = np.asarray(A, dtype=np.float64)
+    n, k = A.shape
+    lam = math.sqrt(2.0 * math.log(2.0 * n) / k)
+    sums = [float(b) for b in base]
+    out = []
+    for j in range(k):
+        decision, scale = 0.0, 0.0
+        for i in range(n):
+            decision += math.sinh(lam * sums[i]) * float(A[i, j])
+            scale += math.cosh(lam * sums[i]) * abs(float(A[i, j]))
+        out.append((decision, scale))
+        for i in range(n):
+            sums[i] += float(x[j]) * float(A[i, j])
+    return out
 
 
 def class_leads_by_dict(A):

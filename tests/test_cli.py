@@ -147,6 +147,7 @@ class TestParser:
         "command, flag",
         [
             ("train", "--seed"),
+            ("sparsify", "--seed"),
             ("train", "--ks"),
             ("sample", "--ks"),
             ("eval", "--ks"),
@@ -156,6 +157,7 @@ class TestParser:
     def test_flags_a_command_does_not_read_exit_2(self, command, flag, capsys):
         argv = {
             "train": ["--data", "d.csv", "--rounds", "4", "--out", "m.json"],
+            "sparsify": ["--matrix", "m.txt", "-T", "4", "--out", "w.json"],
             "sample": ["--matrix", "m.txt", "-T", "4", "--out", "w.json"],
             "eval": ["--model", "m.json", "--data", "d.csv"],
             "margins": ["--matrix", "m.txt", "--out", "c.csv"],
@@ -231,7 +233,7 @@ class TestSubcommands:
         sparse = tmp_path / "sparse.json"
         code = main([
             "sparsify", "--model", str(model), "--data", str(train),
-            "-T", "8", "--seed", "3", "--out", str(sparse),
+            "-T", "8", "--out", str(sparse),
         ])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
@@ -352,7 +354,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize(
         "failure",
-        [DiscrepancyBoundError(2.5, 1.5, attempts=16), RuntimeError("margin LP failed: x")],
+        [DiscrepancyBoundError(2.5, 1.5), RuntimeError("margin LP failed: x")],
     )
     def test_runtime_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch, failure):
         path = tmp_path / "m.txt"

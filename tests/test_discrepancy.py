@@ -29,7 +29,6 @@ from sparsevote import (
     spencer_bound,
 )
 from sparsevote.seeding import rng_from, split_seed
-from sparsevote.sparsify import _build_halving_matrix, _split_support
 
 from oracles import (
     best_signs_float_search,
@@ -37,10 +36,10 @@ from oracles import (
     bruteforce_float_search,
     bruteforce_unblocked,
     class_leads_by_dict,
+    cosh_signing_decisions,
     distinct_rows_by_dict,
     float_search_maxima,
     min_discrepancy_exhaustive,
-    refine_flips_one_at_a_time,
 )
 
 # The package re-exports the function `discrepancy`, which shadows the
@@ -91,10 +90,7 @@ def fine_grid_matrix(seed, n, k):
 
 KERNEL_MATRICES = {"signs": sign_matrix, "grid": grid_matrix, "fine": fine_grid_matrix}
 # Row counts that split the scans unevenly: with BLOCK_CELLS = 2^15 the
-# single-flip scan takes 32768, 10922, 63 or 16 columns per block (k = 40
-# and 90 are multiples of none), the exhaustive searches take 2^15, 2^13, 64
-# or 16 candidates per block, and the pair scan at n = 2001 takes one
-# plus-coordinate per block.
+# exhaustive searches take 2^15, 2^13, 64 or 16 candidates per block.
 KERNEL_ROWS = [1, 3, 513, 2001]
 
 
@@ -159,37 +155,15 @@ class TestBlockedKernels:
             assert value == ref_value
             assert np.array_equal(x, ref_x)
 
-    @pytest.mark.parametrize("kind", sorted(KERNEL_MATRICES))
-    @pytest.mark.parametrize("n", KERNEL_ROWS)
-    def test_refine_flips_matches_one_at_a_time(self, kind, n):
-        # k = 40 and 64 take the pair-flip path, k = 90 exceeds
-        # PAIR_REFINE_MAX; 40 and 90 are not multiples of any block width.
-        rng = rng_from(n + 11)
-        for k in (5, 40, 64, 90):
-            A = KERNEL_MATRICES[kind](1000 * n + k, n, k)
-            x = rng.choice([-1.0, 1.0], size=k)
-            out = coloring._refine_flips(A, x)
-            expected = refine_flips_one_at_a_time(
-                A, x, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX
-            )
-            assert np.array_equal(out, expected)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_single_row_sum_blocks(self, monkeypatch, seed):
         # Blocks narrower than one row: every candidate is its own block.
         monkeypatch.setattr(coloring, "BLOCK_CELLS", 5)
-        A = grid_matrix(seed + 90, 9, 24)
-        value, x = bruteforce_min_discrepancy(A[:, :10])
-        ref_value, ref_x = bruteforce_unblocked(A[:, :10])
+        A = grid_matrix(seed + 90, 9, 24)[:, :10]
+        value, x = bruteforce_min_discrepancy(A)
+        ref_value, ref_x = bruteforce_unblocked(A)
         assert value == ref_value
         assert np.array_equal(x, ref_x)
-        x0 = rng_from(seed).choice([-1.0, 1.0], size=24)
-        assert np.array_equal(
-            coloring._refine_flips(A, x0),
-            refine_flips_one_at_a_time(
-                A, x0, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX
-            ),
-        )
 
 
 def ternary_matrix(seed, n, k):
@@ -428,18 +402,18 @@ def frozen_coloring_input(name):
 
 
 # full_coloring outputs ("+" is +1): the exhaustive path (k = 14, recorded
-# before the exact searches were blocked), random signs plus accepted pair
-# flips (k = 40), random signs on a square sign matrix (k = 170), and a
-# Hadamard block at the pair-flip cutoff (k = 64).
+# before the exact searches were blocked), and the signing on a tall grid
+# matrix (k = 40), a square sign matrix (k = 170) and a Hadamard block
+# (k = 64), where 10 decision sums are exact ties.
 FROZEN_COLORINGS = {
     "tall_bruteforce": "+-++--+-+++--+",
-    "tall_pairs": "-+-++++++++-+-++--+-----++-++-++----+-++",
+    "tall_pairs": "+-+--++----+-++---++-+--++-++--+-+++++--",
     "square_signs": (
-        "---++-+-+-+---+----++++--+-+--++--++---+-+++--++-+----+--++-++--+++++"
-        "--+-+-----+++-+--++-+-+++++-++--++++---+-+-+++-+-+-+++-++---++--+++-+"
-        "+++++-++-++-+++-+++-++-+-+-+-+--"
+        "++++--+--++++--++-+------+--+-+--+++++-+---++----+------++-+++--+-++-"
+        "+--+-+-++---+-+-----+++-+----++++--+++++-+-+++---++--+-++------++-+++"
+        "+--+--+-++--++++----+----++--+-+"
     ),
-    "hadamard": "+++-+-+-+-++-++++-+-+-+-+-+++--++-+++--++--+-+-+---++--+--+-+-++",
+    "hadamard": "+++++++--+-+-+++-+-+++--++-+-+---+-+++++--+--+--++-----+++++++++",
 }
 
 
@@ -510,8 +484,7 @@ class TestFullColoring:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_walk_meets_bound_and_signs(self, seed):
-        # k = 24 exceeds the exhaustive cutoff, forcing the random signs
-        # and the polish
+        # k = 24 exceeds the exhaustive cutoff, forcing the signing
         A = sign_matrix(seed, 24, 24)
         x = full_coloring(A, seed=split_seed(1000, seed))
         assert x.shape == (24,)
@@ -530,19 +503,47 @@ class TestFullColoring:
         expected, _ = min_discrepancy_exhaustive(A)
         assert discrepancy(A, x) >= expected - 1e-12
 
-    def test_impossible_bound_raises_with_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(coloring, "RETRY_BUDGET", 2)
+    def test_impossible_bound_raises_with_diagnostics(self):
+        # The error reports the coloring from a zero base, which the bound
+        # does not change, also when a coloring from a base came first.
         config = ColoringConfig(spencer_constant=1e-3)
         A = sign_matrix(4, 20, 18)
-        with pytest.raises(DiscrepancyBoundError, match="best discrepancy") as info:
-            full_coloring(A, seed=0, config=config)
-        err = info.value
-        assert err.achieved > err.bound
-        assert err.attempts == 2
+        achieved = discrepancy(A, full_coloring(A))
+        for base in (None, box_matrix(5, 20, 1)[:, 0]):
+            with pytest.raises(DiscrepancyBoundError, match="best discrepancy") as info:
+                full_coloring(A, seed=0, config=config, base=base)
+            err = info.value
+            assert err.achieved > err.bound
+            assert err.achieved == achieved
+            assert err.bound == spencer_bound(20, 18, 1e-3)
+
+    def test_a_base_past_the_bound_falls_back_to_a_zero_base(self, monkeypatch):
+        # Row 0 is all ones with a base of 1000: the signing from it makes
+        # every sign -1, so that row's own sum is -40, past the bound
+        # 3 * sqrt(40 ln(64e/40)) = 23.0, which the signing from a zero base
+        # meets (sqrt(2 * 40 ln 128) = 19.7).
+        A = sign_matrix(6, 64, 40)
+        A[0] = 1.0
+        base = np.zeros(64)
+        base[0] = 1e3
+        config = ColoringConfig(spencer_constant=3.0)
+        calls = []
+        real = coloring.partial_coloring
+
+        def spy(M, seed=None, base=None):
+            out = real(M, seed, base)
+            calls.append((base is None, discrepancy(M, out)))
+            return out
+
+        monkeypatch.setattr(coloring, "partial_coloring", spy)
+        x = full_coloring(A, config=config, base=base)
+        assert [zero for zero, _ in calls] == [False, True]
+        assert calls[0][1] == 40.0
+        assert x.tobytes() == full_coloring(A, config=config).tobytes()
 
     def test_one_wide_row_of_ones_is_balanced(self):
-        # A single all-ones row: a balanced coloring has discrepancy 0,
-        # whatever the random signs were before the polish.
+        # A single all-ones row: the signing alternates the signs, and a
+        # balanced coloring has discrepancy 0.
         A = np.ones((1, 512))
         x = full_coloring(A, seed=0)
         assert set(np.unique(x)) <= {-1.0, 1.0}
@@ -555,10 +556,11 @@ class TestFullColoring:
         assert arr.flags.f_contiguous
 
     def test_seed_determinism(self):
+        # No seed is read: every seed gives the same bits.
         A = sign_matrix(12, 30, 26)
-        x1 = full_coloring(A, seed=7)
-        x2 = full_coloring(A, seed=7)
-        assert np.array_equal(x1, x2)
+        x = full_coloring(A, seed=7)
+        for seed in (7, None, 0, split_seed(5, 2, 0)):
+            assert full_coloring(A, seed=seed).tobytes() == x.tobytes()
 
 
 class TestPartialColoring:
@@ -575,45 +577,64 @@ class TestPartialColoring:
         assert out.shape == (6,)
         assert np.all(out ** 2 == 1.0)
 
-    @pytest.mark.parametrize("free", [1, 13, 40, 341])
-    def test_draw_freezes_every_free_coordinate(self, free):
-        # The draw depends on the seed and the width only: the matrix's
-        # entries and its row count are not read.
-        k = free + 7
-        out = partial_coloring(box_matrix(free, 5, k), seed=free)
-        assert np.all(np.abs(out) == 1.0)
-        again = partial_coloring(box_matrix(free, 5, k), seed=free)
-        assert again.tobytes() == out.tobytes()
-        other = partial_coloring(sign_matrix(free + 1, 9, k), seed=free)
-        assert other.tobytes() == out.tobytes()
+    @pytest.mark.parametrize("kind", ["signs", "box", "grid"])
+    def test_matches_stepwise_oracle(self, kind):
+        # Every sign the oracle's decision sum fixes beyond rounding is the
+        # one partial_coloring chose, with and without a base.
+        make = {"signs": sign_matrix, "box": box_matrix, "grid": grid_matrix}[kind]
+        for n, k, reach in [(24, 20, 0.0), (64, 40, 3.0), (5, 33, 1.0), (1, 17, 2.0)]:
+            A = make(n * k, n, k)
+            base = reach * box_matrix(n + k, n, 1)[:, 0]
+            x = partial_coloring(A, base=base)
+            checked = 0
+            for j, (decision, scale) in enumerate(cosh_signing_decisions(A, base, x)):
+                if abs(decision) > 1e-9 * scale:
+                    assert x[j] == (-1.0 if decision > 0.0 else 1.0)
+                    checked += 1
+            assert checked >= k // 2
 
-    @pytest.mark.parametrize("seed", [0, 3, 2**40, split_seed(5, 2, 0)])
-    def test_draw_is_one_rng_choice(self, seed):
-        # The exact draw: another generator call would change every coloring
-        # of more than BRUTEFORCE_MAX columns, and fails here.
-        for k in (1, 17, 300):
-            out = partial_coloring(np.zeros((2, k)), seed=seed)
-            ref = rng_from(seed).choice([-1.0, 1.0], size=k)
-            assert out.tobytes() == ref.tobytes()
+    def test_exact_ties_give_plus_one(self):
+        # Sylvester matrices make many decision sums exactly zero, which
+        # rounding leaves at about 1e-17 of their scale; each is a tie.
+        for A in (sylvester(64), sylvester(128)[:, :64], hadamard_block(3, 128, 64)):
+            x = partial_coloring(A)
+            decisions = cosh_signing_decisions(A, np.zeros(A.shape[0]), x)
+            ties = [j for j, (decision, scale) in enumerate(decisions) if abs(decision) <= 1e-12 * scale]
+            assert len(ties) >= 7
+            assert np.all(x[ties] == 1.0)
 
-    def test_draw_is_uniform(self):
-        # Over 2000 seeds at k = 40, each coordinate is +1 in half of the
-        # draws, within 4 binomial standard deviations.
-        k, draws = 40, 2000
-        A = np.zeros((1, k))
-        plus = np.zeros(k)
-        for seed in range(draws):
-            plus += partial_coloring(A, seed=seed) == 1.0
-        assert np.all(np.abs(plus - draws / 2) <= 4.0 * math.sqrt(draws / 4))
+    @pytest.mark.parametrize("kind", ["signs", "box", "sylvester"])
+    def test_zero_base_meets_the_chord_bound(self, kind):
+        # max_i |(Ax)_i| <= sqrt(2k ln(2n)) from a zero base, also on wide
+        # matrices and on Sylvester's worst case.
+        for n, k in [(16, 64), (128, 64), (512, 200), (256, 256), (1, 31)]:
+            if kind == "sylvester":
+                A = sylvester(max(n, k))[:n, :k]
+            else:
+                A = {"signs": sign_matrix, "box": box_matrix}[kind](n + k, n, k)
+            x = partial_coloring(A)
+            assert discrepancy(A, x) <= math.sqrt(2.0 * k * math.log(2.0 * n))
 
-    def test_reads_only_the_shape(self):
-        # full_coloring validates the matrix; the draw checks its shape and
-        # never reads an entry, so a NaN matrix draws the same signs.
-        out = partial_coloring(np.full((4, 6), np.nan), seed=3)
-        ref = partial_coloring(np.zeros((4, 6)), seed=3)
-        assert out.tobytes() == ref.tobytes()
-        with pytest.raises(ValueError, match="2-D"):
-            partial_coloring(np.zeros(6), seed=3)
+    def test_huge_bases_do_not_overflow(self):
+        # lambda * base is clipped once, so no sinh overflows and no
+        # warning is raised; the rows of huge base are steered first.
+        # Row 1 is row 0 negated, with its base.
+        A = sign_matrix(8, 30, 40)
+        A[1] = -A[0]
+        base = np.zeros(30)
+        base[:3] = [1e300, -1e300, 1e6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = partial_coloring(A, base=base)
+        assert x[0] == -A[0, 0]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            partial_coloring(np.zeros(6))
+        with pytest.raises(ValueError, match="base must be 3 finite entries"):
+            partial_coloring(np.ones((3, 4)), base=np.ones(4))
+        with pytest.raises(ValueError, match="base must be 3 finite entries"):
+            full_coloring(np.ones((3, 4)), base=np.array([0.0, np.nan, 1.0]))
 
 
 class TestHalveColumns:
@@ -706,8 +727,7 @@ INVARIANCE_MATRICES = {
     "hadamard": hadamard_block,
     "stumps": stump_matrix,
 }
-# The exhaustive path, random signs with pair flips, and random signs
-# without them.
+# The exhaustive path, and the signing on a narrow and a wider matrix.
 INVARIANCE_SHAPES = [(64, 12), (128, 40), (256, 90)]
 
 
@@ -726,26 +746,34 @@ def reordered(A, seed):
     return permuted, repeated, negated
 
 
+# The 13 free columns of matrix 8 of the hadamard benchmark workload at
+# seed 1 (T = 16, compare seed 1000536) after four halving rounds of the
+# random-sign halver, with their weights, in hexadecimal.
+HADAMARD_SEED_ONE_FREE = [1, 127, 136, 147, 163, 243, 248, 277, 309, 364, 470, 473, 485]
+HADAMARD_SEED_ONE_WEIGHTS = [
+    "0x1.643b4d036d4b5p-5", "0x1.08ce03cec3487p-5", "0x1.ef1cc390b94d4p-6",
+    "0x1.208be8015e186p-5", "0x1.7e967b830539cp-5", "0x1.325c6c2da5d7ap-5",
+    "0x1.90ef97f4e8d37p-5", "0x1.ad8445cab7016p-5", "0x1.46adb6694480ap-5",
+    "0x1.329138afa1030p-5", "0x1.978f793ce32d3p-5", "0x1.ffd27ccbadfaep-6",
+    "0x1.f7a896720d84dp-6",
+]
+
+
 @functools.lru_cache(maxsize=1)
 def hadamard_seed_one_search():
-    """(C, base) of the 1025 x 12 exhaustive search that sparsify reaches
-    on matrix 8 of the hadamard benchmark workload at seed 1, with T = 16
-    and compare seed 1000536: the first coloring of the fifth halving round,
-    last sign pinned at +1. Its sign vectors with codes 4 and 8 tie
-    exactly, and OpenBLAS rounds their maxima apart in one 4096-candidate
-    block but not in 32-candidate blocks."""
+    """(C, base) of the 1025 x 12 exhaustive search that sparsify reached
+    on matrix 8 of the hadamard benchmark workload at seed 1 under the
+    random-sign halver: the margin and l1 rows of the first coloring of the
+    fifth halving round, last sign pinned at +1. Its sign vectors with
+    codes 4 and 8 tie exactly, and OpenBLAS rounds their maxima apart in
+    one 4096-candidate block but not in 32-candidate blocks."""
     rng = np.random.default_rng([1, 3, 8])
     H = sylvester(1024)[:, :512]
     U = rng.choice([-1.0, 1.0], size=1024)[:, None] * H[:, rng.permutation(512)]
-    weights = rng.exponential(size=512)
-    w = WeightVector(weights / weights.sum())
-    seed = split_seed(1000536, 2)
-    for halving in range(4):
-        w = halve(MarginMatrix(U), w, split_seed(seed, halving, 0))
-    values = w.values.copy()
-    _, free = _split_support(values)
-    A = _build_halving_matrix(U, values, free, float(np.max(np.abs(values[free]))))
-    return A[:, :-1], A[:, -1]
+    values = np.array([float.fromhex(v) for v in HADAMARD_SEED_ONE_WEIGHTS])
+    omega = float(values.max())
+    A = np.vstack([U[:, HADAMARD_SEED_ONE_FREE] * (values / omega), values / omega])
+    return np.asfortranarray(A[:, :-1]), A[:, -1].copy()
 
 
 def exact_max(C, base, code):
@@ -775,6 +803,26 @@ class TestRowInvariance:
             assert full_coloring(variant, seed=5).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(INVARIANCE_MATRICES))
+    @pytest.mark.parametrize("n, k", INVARIANCE_SHAPES)
+    def test_full_coloring_from_a_base_ignores_row_order_repeats_and_seed(self, kind, n, k):
+        # The base is a row sum of A, so rows equal up to sign get bases
+        # equal up to sign; rows are repeated and negated with their bases.
+        A = INVARIANCE_MATRICES[kind](n + k, n, k)
+        base = coloring._row_sums(A, rng_from(n * k).uniform(-1.0, 1.0, size=k))
+        x = full_coloring(A, seed=5, base=base)
+        rng = rng_from(k + 1)
+        permuted = rng.permutation(n)
+        rows = np.concatenate([np.arange(n), rng.integers(0, n, size=n)])
+        rng.shuffle(rows)
+        signs = rng.choice([-1.0, 1.0], size=rows.size)
+        variants = [
+            (A[permuted], base[permuted]),
+            (signs[:, None] * A[rows], signs * base[rows]),
+        ]
+        for seed, (M, b) in zip((None, 1), variants):
+            assert full_coloring(M, seed=seed, base=b).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(INVARIANCE_MATRICES))
     def test_distinct_rows_match_dict_oracle(self, monkeypatch, kind):
         A = INVARIANCE_MATRICES[kind](7, 64, 12)
         repeated = reordered(A, 3)[1]
@@ -782,7 +830,7 @@ class TestRowInvariance:
         got = coloring._distinct_rows(coloring._validate_matrix(repeated))
         assert got.tobytes() == expected.tobytes()
         # Every key collides: rows are merged only when they are equal.
-        monkeypatch.setattr(coloring, "_row_keys", lambda M: np.zeros(M.shape[0]))
+        monkeypatch.setattr(coloring, "_row_keys", lambda M, base=None: np.zeros(M.shape[0]))
         got = coloring._distinct_rows(coloring._validate_matrix(repeated))
         assert got.tobytes() == expected.tobytes()
         assert full_coloring(repeated, seed=2).tobytes() == full_coloring(A, seed=2).tobytes()
@@ -813,18 +861,25 @@ class TestRowInvariance:
 
     @pytest.mark.parametrize("k", [12, 40])
     def test_full_coloring_colors_the_distinct_rows(self, monkeypatch, k):
+        # One matrix is colored, the same bits for both variants: one row
+        # per class of rows equal up to sign, each up to sign a row of the
+        # variant.
         _, repeated, negated = reordered(stump_matrix(11, 200, k), 4)
         seen = []
-        for name in ("bruteforce_min_discrepancy", "partial_coloring", "_refine_flips"):
+        for name in ("bruteforce_min_discrepancy", "partial_coloring"):
             real = getattr(coloring, name)
-            spy = lambda M, *args, real=real: seen.append(M.tobytes()) or real(M, *args)
+            spy = lambda M, *args, real=real, **kwargs: seen.append(M) or real(M, *args, **kwargs)
             monkeypatch.setattr(coloring, name, spy)
-        colorings = set()
+        colorings, matrices = set(), set()
         for variant in (repeated, negated):
             seen.clear()
             colorings.add(full_coloring(variant, seed=1).tobytes())
-            assert seen and set(seen) == {distinct_rows_by_dict(variant).tobytes()}
-        assert len(colorings) == 1
+            assert len(seen) == 1
+            matrices.add(seen[0].tobytes())
+            classes = distinct_rows_by_dict(variant).shape[0]
+            assert seen[0].shape[0] == classes
+            assert distinct_rows_by_dict(np.vstack([seen[0], variant])).shape[0] == classes
+        assert len(colorings) == len(matrices) == 1
 
     def test_bound_counts_distinct_rows(self):
         # One distinct row up to sign: its bound 0.5 * sqrt(1) is below the
@@ -859,32 +914,43 @@ class TestRowInvariance:
         # The thread count is read when OpenBLAS loads, so each count needs
         # its own process. Each process also runs the search as one block,
         # where OpenBLAS splits the tie on a 2-core x86-64 host even when
-        # the thread count does not.
+        # the thread count does not, then a 40-column coloring from a base
+        # and a sparsify run, whose weights must keep their bits.
         C, base = hadamard_seed_one_search()
         np.save(tmp_path / "C.npy", C)
         np.save(tmp_path / "base.npy", base)
         script = (
             "import importlib, sys\n"
             "import numpy as np\n"
+            "import sparsevote as sv\n"
             "coloring = importlib.import_module('sparsevote.discrepancy')\n"
             "C, base = np.load(sys.argv[1]), np.load(sys.argv[2])\n"
             "for cells in (coloring.BLOCK_CELLS, 1 << 22):\n"
             "    coloring.BLOCK_CELLS = cells\n"
             "    value, signs = coloring._best_signs(C, base)\n"
             "    print(np.float64(value).tobytes().hex(), signs.tobytes().hex())\n"
+            "A = np.tile(C[:, :10], 4) * np.linspace(1.0, 0.25, 40)\n"
+            "print(sv.full_coloring(A, base=base).tobytes().hex())\n"
+            "rng = np.random.default_rng(5)\n"
+            "U = sv.MarginMatrix(rng.choice([-1.0, 1.0], size=(300, 96)))\n"
+            "w = sv.WeightVector(rng.exponential(size=96))\n"
+            "print(sv.sparsify(U, w.normalized(), 8)[0].values.tobytes().hex())\n"
         )
         src = os.path.dirname(os.path.dirname(coloring.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        for threads in ("1", "2", None):
+            env = dict(os.environ, PYTHONPATH=path)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
             run = subprocess.run(
                 [sys.executable, "-c", script, str(tmp_path / "C.npy"), str(tmp_path / "base.npy")],
                 env=env, capture_output=True, text=True, timeout=300, check=True,
             )
             outputs.append(run.stdout.splitlines())
-        assert len(outputs[0]) == 2
-        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0] == outputs[0][1]
 
     @pytest.mark.parametrize("kind", ["signs", "hadamard", "stumps"])
@@ -904,97 +970,10 @@ class TestRowInvariance:
         assert report_twice.achieved_error == pytest.approx(report_once.achieved_error, rel=1e-12)
 
 
-def pair_heavy_matrix(seed, n, k):
-    """Columns drawn from ten sign patterns, each scaled by a weight in
-    [1/2, 1] on a 2^-20 grid: many columns repeat a pattern, so single
-    flips stall where opposite pairs still help, and every row sum is
-    exact, so ties between pairs are exact whatever the summation order."""
-    rng = rng_from(seed)
-    patterns = rng.choice([-1.0, 1.0], size=(n, 10))
-    weights = np.round(rng.uniform(0.5, 1.0, size=k) * 2.0**20) / 2.0**20
-    return patterns[:, rng.integers(0, 10, size=k)] * weights
-
-
-POLISH_MATRICES = {
-    "hadamard": hadamard_block,
-    "stumps": stump_matrix,
-    "pairs": pair_heavy_matrix,
-    "signs": sign_matrix,
-}
-
-
-class TestBoundedPolish:
-    """_refine_flips bounds candidates on a few rows before it scores them
-    on all rows; its moves must be those of scoring every candidate."""
-
-    @pytest.mark.parametrize("bound_rows", ["default", 1, "all"])
-    @pytest.mark.parametrize("kind", sorted(POLISH_MATRICES))
-    @pytest.mark.parametrize("n, ks", [(128, (20, 40, 64)), (256, (17, 48, 90))])
-    def test_matches_one_at_a_time(self, monkeypatch, bound_rows, kind, n, ks):
-        for k in ks:
-            A = coloring._distinct_rows(
-                coloring._validate_matrix(POLISH_MATRICES[kind](7 * n + k, n, k))
-            )
-            rows = {"default": coloring.BOUND_ROWS, "all": A.shape[0] + 1}.get(
-                bound_rows, bound_rows
-            )
-            monkeypatch.setattr(coloring, "BOUND_ROWS", rows)
-            for start in range(3):
-                x = rng_from(100 * k + start).choice([-1.0, 1.0], size=k)
-                out = coloring._refine_flips(A, x)
-                expected = refine_flips_one_at_a_time(
-                    A, x, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX
-                )
-                assert out.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("bound_rows", [1, 32])
-    @pytest.mark.parametrize("tolerance", [0.01, 0.1])
-    def test_tie_rule_with_a_wide_tolerance(self, monkeypatch, bound_rows, tolerance):
-        # A wide tie tolerance often makes the first tied pair one that the
-        # bound leaves at or above the current maximum, or one that does
-        # not improve it, so the polish stops there. Row sums of these
-        # matrices are exact, so ties are exact as well.
-        monkeypatch.setattr(coloring, "_tie_tolerance", lambda k, scale: tolerance)
-        monkeypatch.setattr(coloring, "BOUND_ROWS", bound_rows)
-        cases = [(pair_heavy_matrix, 128, 40), (fine_grid_matrix, 96, 64), (pair_heavy_matrix, 64, 24)]
-        for seed, (make, n, k) in enumerate(cases):
-            A = coloring._distinct_rows(coloring._validate_matrix(make(seed + 70, n, k)))
-            for start in range(4):
-                x = rng_from(10 * seed + start).choice([-1.0, 1.0], size=k)
-                out = coloring._refine_flips(A, x)
-                expected = refine_flips_one_at_a_time(
-                    A, x, coloring.REFINE_SWEEPS, coloring.PAIR_REFINE_MAX, tolerance
-                )
-                assert out.tobytes() == expected.tobytes()
-
-    def test_pairs_are_scored(self, monkeypatch):
-        # The cases above make pair flips that the single flips could not:
-        # without pairs the polish ends elsewhere on some start.
-        differ = 0
-        for seed in range(6):
-            A = coloring._validate_matrix(pair_heavy_matrix(seed, 64, 40))
-            x = rng_from(seed).choice([-1.0, 1.0], size=40)
-            with_pairs = coloring._refine_flips(A, x)
-            with monkeypatch.context() as patch:
-                patch.setattr(coloring, "PAIR_REFINE_MAX", 0)
-                without = coloring._refine_flips(A, x)
-            differ += with_pairs.tobytes() != without.tobytes()
-        assert differ > 0
-
-    @pytest.mark.parametrize("n", [1, 5, 32, 33, 600])
-    def test_top_rows_are_the_largest(self, n):
-        sums = rng_from(n).normal(size=n)
-        top = coloring._top_rows(sums)
-        assert top.size == min(n, coloring.BOUND_ROWS)
-        assert np.unique(top).size == top.size
-        rest = np.setdiff1d(np.arange(n), top)
-        if rest.size:
-            assert np.abs(sums[top]).min() >= np.abs(sums[rest]).max()
-
-
 class TestRowClasses:
-    """_row_classes finds the first row of each class of rows equal up to
-    sign, on a margin matrix in either layout."""
+    """_row_classes finds the first row of each class of rows of [A | base]
+    equal up to sign, on a margin matrix in either layout, in an order that
+    depends on the rows up to sign alone."""
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("kind", ["hadamard", "stumps", "signs"])
@@ -1003,23 +982,57 @@ class TestRowClasses:
         for variant in (U, *reordered(U, 17)):
             variant = np.asarray(variant, order=layout)
             expected = distinct_rows_by_dict(variant)
-            leads = coloring._row_classes(variant)
-            got = variant if leads is None else variant[leads]
-            assert got.tobytes() == expected.tobytes()
+            leads, _ = coloring._row_classes(variant)
+            assert variant[np.sort(leads)].tobytes() == expected.tobytes()
             with monkeypatch.context() as patch:
                 # Every key collides: rows are merged only when they are equal.
-                patch.setattr(coloring, "_row_keys", lambda M: np.zeros(M.shape[0]))
-                collided = coloring._row_classes(variant)
-            assert np.array_equal(
-                np.arange(variant.shape[0]) if leads is None else leads,
-                np.arange(variant.shape[0]) if collided is None else collided,
-            )
+                patch.setattr(coloring, "_row_keys", lambda M, base=None: np.zeros(M.shape[0]))
+                collided, _ = coloring._row_classes(variant)
+            assert np.array_equal(np.sort(leads), np.sort(collided))
+
+    @pytest.mark.parametrize("kind", ["hadamard", "stumps", "signs"])
+    def test_bases_that_differ_in_the_last_bit(self, monkeypatch, kind):
+        # Rows repeated, some negated with their base, and some repeats
+        # given a base one bit off: such rows collide on |key| but are
+        # distinct rows of [A | base].
+        U = INVARIANCE_MATRICES[kind](19, 128, 24)
+        rng = rng_from(20)
+        rows = np.concatenate([np.arange(128), rng.integers(0, 128, size=128)])
+        rng.shuffle(rows)
+        signs = rng.choice([-1.0, 1.0], size=rows.size)
+        A = signs[:, None] * U[rows]
+        raw = rng.uniform(-1e-3, 1e-3, size=128)[rows]
+        nudged = rng.random(rows.size) < 0.3
+        base = signs * np.where(nudged, np.nextafter(raw, np.inf), raw)
+        expected = class_leads_by_dict(np.column_stack([A, base]))
+        keys = coloring._row_keys(A, base)
+        assert any(
+            abs(keys[i]) == abs(keys[j]) and abs(base[i]) != abs(base[j])
+            for i in range(rows.size) for j in range(i) if rows[i] == rows[j]
+        )
+        leads, _ = coloring._row_classes(A, base)
+        assert np.array_equal(np.sort(leads), np.sort(expected))
+        with monkeypatch.context() as patch:
+            patch.setattr(coloring, "_row_keys", lambda M, base=None: np.zeros(M.shape[0]))
+            collided, _ = coloring._row_classes(A, base)
+        assert np.array_equal(np.sort(collided), np.sort(expected))
+        # The order, and so the signing, ignores where the rows sit: the
+        # first rows, each oriented by its key's sign, are the same bits.
+        def oriented(M, b):
+            leads, keys = coloring._row_classes(M, b)
+            signs = np.where(keys[leads] < 0.0, -1.0, 1.0)
+            return (signs[:, None] * M[leads]).tobytes(), (signs * b[leads]).tobytes()
+
+        permuted = rng.permutation(rows.size)
+        assert oriented(A[permuted], base[permuted]) == oriented(A, base)
+        x = full_coloring(np.tile(A, 2), base=base)
+        assert full_coloring(np.tile(A[permuted], 2), base=base[permuted]).tobytes() == x.tobytes()
 
     def test_hadamard_rows_pair_up(self):
         U = hadamard_block(3, 1024, 512)
-        leads = coloring._row_classes(U)
-        assert np.array_equal(leads, np.arange(512))
-        assert coloring._row_classes(U[:512]) is None
+        leads, _ = coloring._row_classes(U)
+        assert np.array_equal(np.sort(leads), np.arange(512))
+        assert coloring._row_classes(U[:512])[0].size == 512
 
     @pytest.mark.parametrize("k", [13, 85, 341])
     def test_keys_match_across_layouts(self, k):
@@ -1035,8 +1048,9 @@ class TestRowClasses:
 
 
 class TestPhaseCalls:
-    """A full_coloring attempt on more than BRUTEFORCE_MAX columns makes one
-    partial_coloring call, the random signs on every column, and the
+    """full_coloring on more than BRUTEFORCE_MAX columns makes one
+    partial_coloring call, the signing, and a second one, from a zero
+    base, only when a coloring from a nonzero base misses the bound; the
     exhaustive path makes none: tracing counts them there."""
 
     @pytest.mark.parametrize(
@@ -1051,29 +1065,27 @@ class TestPhaseCalls:
         ],
     )
     def test_one_partial_coloring_call_per_attempt(self, monkeypatch, kind, k, constant):
-        monkeypatch.setattr(coloring, "RETRY_BUDGET", 3)
-        calls, polishes = [], []
-        real_polish = coloring._refine_flips
-        monkeypatch.setattr(
-            coloring, "_refine_flips", lambda *args: polishes.append(args) or real_polish(*args)
-        )
+        calls = []
         real = coloring.partial_coloring
 
-        def partial(A, seed):
-            out = real(A, seed)
-            calls.append((A.shape[1], out.shape))
+        def partial(A, seed=None, base=None):
+            out = real(A, seed, base)
+            calls.append((A.shape[1], out.shape, base is None))
             return out
 
         monkeypatch.setattr(coloring, "partial_coloring", partial)
         A = INVARIANCE_MATRICES[kind](41, 128, k)
-        if constant == 12.0:
-            full_coloring(A, seed=3)
-        else:
-            with pytest.raises(DiscrepancyBoundError) as info:
-                full_coloring(A, seed=3, config=ColoringConfig(constant))
-            assert info.value.attempts == (1 if k <= coloring.BRUTEFORCE_MAX else 3)
-        if k <= coloring.BRUTEFORCE_MAX:
-            assert calls == polishes == []
-            return
-        assert len(polishes) == (1 if constant == 12.0 else 3)
-        assert calls == [(k, (k,))] * len(polishes)
+        drift = coloring._row_sums(A, rng_from(k).uniform(-1.0, 1.0, size=k))
+        for base in (None, drift):
+            calls.clear()
+            if constant == 12.0:
+                full_coloring(A, seed=3, base=base)
+            else:
+                with pytest.raises(DiscrepancyBoundError):
+                    full_coloring(A, seed=3, config=ColoringConfig(constant), base=base)
+            if k <= coloring.BRUTEFORCE_MAX:
+                assert calls == []
+            elif base is None or constant == 12.0:
+                assert calls == [(k, (k,), base is None)]
+            else:
+                assert calls == [(k, (k,), False), (k, (k,), True)]

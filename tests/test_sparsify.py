@@ -57,20 +57,22 @@ class TestHalvingMatrixIdentity:
     @pytest.mark.parametrize("seed", range(6))
     def test_row_sum_identity(self, seed):
         # omega * (row sums over the first n rows) must reproduce the
-        # margins of w restricted to the free columns.
+        # margins of w restricted to the free columns, the next row their
+        # l1 mass, and the count row is all ones.
         U, w = random_instance(seed, n=7, m=12, signed=seed % 2 == 0)
         values = w.values.copy()
         _, free = _split_support(values)
         omega = float(np.max(np.abs(values[free])))
         A = _build_halving_matrix(U.values, values, free, omega)
-        assert A.shape == (8, free.size)
+        assert A.shape == (9, free.size)
         restricted = np.zeros_like(values)
         restricted[free] = values[free]
         expected = U.values @ restricted
-        assert np.max(np.abs(omega * A[:-1].sum(axis=1) - expected)) <= 1e-10
-        assert omega * A[-1].sum() == pytest.approx(
+        assert np.max(np.abs(omega * A[:-2].sum(axis=1) - expected)) <= 1e-10
+        assert omega * A[-2].sum() == pytest.approx(
             np.sum(np.abs(values[free])), abs=1e-10
         )
+        assert np.array_equal(A[-1], np.ones(free.size))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_l1_row_holds_column_peaks(self, seed):
@@ -84,7 +86,7 @@ class TestHalvingMatrixIdentity:
         omega = float(np.max(np.abs(values[free])))
         values[free[::2]] *= 2.0
         A = _build_halving_matrix(U.values, values, free, omega)
-        assert np.abs(A).max(axis=0).tobytes() == A[-1].tobytes()
+        assert np.abs(A[:-1]).max(axis=0).tobytes() == A[-2].tobytes()
 
 
 class TestHalve:
@@ -133,6 +135,25 @@ class TestHalve:
         assert np.all(np.sign(out.values[surviving]) == np.sign(w.values[surviving]))
 
 
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_excess_plus_columns_are_dropped(self, monkeypatch, uniform):
+        # Every coloring all +1: each pass keeps floor(k/2) of its k free
+        # columns, those of largest |w_j|, the higher index on ties.
+        seen = []
+
+        def all_plus(A, seed=None, config=None, base=None):
+            seen.append(A.shape[1])
+            return np.ones(A.shape[1])
+
+        monkeypatch.setattr(sparsify_module, "full_coloring", all_plus)
+        U, w = random_instance(31, n=12, m=30, uniform=uniform)
+        protected, free = _split_support(w.values)
+        out = halve(U, w)
+        assert seen == [20, 10]
+        ranked = sorted(free.tolist(), key=lambda j: (-abs(w.values[j]), -j))
+        assert set(out.nonzero_indices().tolist()) == set(protected.tolist()) | set(ranked[:5])
+
+
 class TestSparsify:
     def test_already_sparse_returns_unchanged(self):
         U, w = random_instance(5, n=6, m=10)
@@ -168,11 +189,34 @@ class TestSparsify:
             errors.append(report.achieved_error)
         assert float(np.median(errors)) <= bound
 
+    def test_halver_beats_the_sampler_at_larger_targets(self):
+        # The paper's claim beyond criterion 7: at T = 64 and 128 the
+        # halver's median sup-norm error is at or below importance
+        # sampling's, on uniform +-1 matrices (512 x 256, uniform weights)
+        # and on Sylvester-Hadamard blocks with random row signs and
+        # exponential weights (1024 x 512), eight of each, five sampler
+        # draws per matrix.
+        instances = {"uniform": [], "hadamard": []}
+        for j in range(8):
+            rng = rng_from(split_seed(2200, j))
+            U = MarginMatrix(rng.choice([-1.0, 1.0], size=(512, 256)))
+            instances["uniform"].append((U, WeightVector.uniform(256)))
+            instances["hadamard"].append(sylvester_rows(split_seed(2300, j), 1024, 512))
+        for kind, pairs in instances.items():
+            for T in (64, 128):
+                halver, sampler = [], []
+                for j, (U, w) in enumerate(pairs):
+                    halver.append(sparsify(U, w, T, seed=split_seed(2500, j))[1].achieved_error)
+                    for draw in range(5):
+                        sampled = importance_sample(w, T, seed=split_seed(2400, T, draw))
+                        sampler.append(sup_norm_diff(U, w, sampled))
+                assert np.median(halver) <= np.median(sampler), (kind, T)
+
     def test_failed_coloring_truncates_after_one_halve(self, monkeypatch):
         # 21 of the 32 weights are free, too many for the exhaustive search,
         # and no coloring of them meets a bound of K_S = 1e-3: the first
-        # round's coloring spends its retry budget, and sparsify truncates
-        # without trying that round again.
+        # round's coloring misses it, and sparsify truncates without trying
+        # that round again.
         U, w = random_instance(10, n=64, m=32)
         calls = []
         real = sparsify_module.halve
@@ -187,6 +231,28 @@ class TestSparsify:
         assert report.truncated_fallback
         assert report.halving_rounds == 0
         assert report.final_support <= 8
+        assert out.values.tobytes() == truncate_top(w, 8).values.tobytes()
+
+    def test_a_miss_from_the_drift_and_from_zero_truncates(self, monkeypatch):
+        # Colorings meet their bound until the first one from a nonzero
+        # drift, the first round's second pass; from there every coloring
+        # misses, the one from the drift and the one from a zero base that
+        # full_coloring makes next, and sparsify truncates.
+        coloring = importlib.import_module("sparsevote.discrepancy")
+        real = coloring._color
+        bases = []
+
+        def color(A, base, config):
+            bases.append(base is None)
+            achieved, bound, x = real(A, base, config)
+            return (math.inf if False in bases else achieved), bound, x
+
+        monkeypatch.setattr(coloring, "_color", color)
+        U, w = random_instance(12, n=40, m=48)
+        out, report = sparsify(U, w, T=8)
+        assert bases == [True, False, True]
+        assert report.truncated_fallback
+        assert report.halving_rounds == 0
         assert out.values.tobytes() == truncate_top(w, 8).values.tobytes()
 
     def test_wide_all_ones_matrix_halves_to_target(self):
@@ -286,16 +352,16 @@ class TestDistinctRowHalving:
         U, w = DISTINCT_ROW_INSTANCES[kind]()
         classes = distinct_rows_by_dict(U.values).shape[0]
         seen = []
-        real = sparsify_module.halve_columns
+        real = sparsify_module.full_coloring
 
         def spy(A, *args, **kwargs):
             seen.append((A.flags.f_contiguous, A.shape[0]))
             return real(A, *args, **kwargs)
 
-        monkeypatch.setattr(sparsify_module, "halve_columns", spy)
+        monkeypatch.setattr(sparsify_module, "full_coloring", spy)
         sparsify(U, w, T=8, seed=5)
         assert len(seen) >= 2
-        assert set(seen) == {(True, classes + 1)}
+        assert set(seen) == {(True, classes + 2)}
         if kind != "uniform":
             assert classes < U.n_points
 
@@ -329,12 +395,12 @@ class TestDistinctRowHalving:
 
     @pytest.mark.parametrize("kind", sorted(DISTINCT_ROW_INSTANCES))
     def test_rounds_are_halving_on_all_rows(self, kind):
-        # The same rounds, each a halve call on U itself.
+        # The same rounds, each a halve call on U itself from w.
         U, w = DISTINCT_ROW_INSTANCES[kind]()
         out, report = sparsify(U, w, T=8, seed=6)
         current, errors = w, []
         while current.support_size > 8:
-            halved = halve(U, current, split_seed(6, len(errors), 0))
+            halved = halve(U, current, split_seed(6, len(errors), 0), start=w)
             errors.append(sup_norm_diff(U, current, halved))
             current = halved
         assert out.values.tobytes() == current.values.tobytes()
@@ -347,7 +413,7 @@ class TestDistinctRowHalving:
         _, free = _split_support(values)
         omega = float(np.max(np.abs(values[free])))
         scaled = U.values[:, free] * (values[free] / omega)[None, :]
-        expected = np.vstack([scaled, np.abs(values[free]) / omega])
+        expected = np.vstack([scaled, np.abs(values[free]) / omega, np.ones(free.size)])
         for layout in (U.values, np.asfortranarray(U.values)):
             A = _build_halving_matrix(layout, values, free, omega)
             assert A.flags.f_contiguous
