@@ -577,6 +577,36 @@ class TestPartialColoring:
         assert out.shape == (6,)
         assert np.all(out ** 2 == 1.0)
 
+    @pytest.mark.parametrize("free", [1, 13, 40, 341])
+    def test_draw_freezes_every_free_coordinate(self, free):
+        # Every column gets a sign, from a zero base and from a base, and
+        # the same entries give the same bits.
+        k = free + 7
+        A = box_matrix(free, 5, k)
+        for base in (None, box_matrix(free + 1, 5, 1)[:, 0]):
+            out = partial_coloring(A, base=base)
+            assert out.shape == (k,)
+            assert np.all(np.abs(out) == 1.0)
+            again = partial_coloring(A.copy(order="F"), base=base)
+            assert again.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40, split_seed(5, 2, 0)])
+    def test_draw_is_one_rng_choice(self, monkeypatch, seed):
+        # The signing makes no rng choice at all: it builds no generator,
+        # and on a zero matrix every decision sum is a tie, so any seed
+        # gives +1 on every column.
+        matrices = [sign_matrix(k, 4, k) for k in (1, 17, 300)]
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("partial_coloring built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for A in matrices:
+            k = A.shape[1]
+            out = partial_coloring(np.zeros((2, k)), seed=seed)
+            assert out.tobytes() == np.ones(k).tobytes()
+            assert partial_coloring(A, seed=seed).tobytes() == partial_coloring(A).tobytes()
+
     @pytest.mark.parametrize("kind", ["signs", "box", "grid"])
     def test_matches_stepwise_oracle(self, kind):
         # Every sign the oracle's decision sum fixes beyond rounding is the
@@ -968,6 +998,87 @@ class TestRowInvariance:
         assert report_once.halving_rounds == report_twice.halving_rounds
         assert report_once.truncated_fallback == report_twice.truncated_fallback
         assert report_twice.achieved_error == pytest.approx(report_once.achieved_error, rel=1e-12)
+
+
+def pair_heavy_matrix(seed, n, k):
+    """Columns drawn from ten sign patterns, each scaled by a weight in
+    [1/2, 1] on a 2^-20 grid: many columns repeat a pattern, and every row
+    sum is exact, so ties between candidates are exact whatever the
+    summation order."""
+    rng = rng_from(seed)
+    patterns = rng.choice([-1.0, 1.0], size=(n, 10))
+    weights = np.round(rng.uniform(0.5, 1.0, size=k) * 2.0**20) / 2.0**20
+    return patterns[:, rng.integers(0, 10, size=k)] * weights
+
+
+PASS_MATRICES = {
+    "hadamard": hadamard_block,
+    "stumps": stump_matrix,
+    "pairs": pair_heavy_matrix,
+    "signs": sign_matrix,
+}
+
+
+def pass_base(seed, n, rows, reach):
+    """A base that is nonzero on the first `rows` of n rows only, on a 2^-20
+    grid, so that sums of grid matrices with it stay exact."""
+    base = np.zeros(n)
+    base[:rows] = np.round(rng_from(seed).uniform(-reach, reach, size=min(rows, n)) * 2.0**20) / 2.0**20
+    return base
+
+
+class TestBoundedPolish:
+    """The one bounded pass that took the flip polish's place: full_coloring
+    keeps its coloring from the base when that meets the bound, and colors
+    from a zero base otherwise. Beyond BRUTEFORCE_MAX columns that coloring
+    is the signing, whose signs must be those of the stepwise oracle, which
+    adds one row at a time; up to it, it is the exhaustive search, whose tie
+    rule must be that of scoring one code at a time. `bound_rows` is the
+    number of rows that carry a nonzero base."""
+
+    @pytest.mark.parametrize("bound_rows", ["default", 1, "all"])
+    @pytest.mark.parametrize("kind", sorted(PASS_MATRICES))
+    @pytest.mark.parametrize("n, ks", [(128, (20, 40, 64)), (256, (17, 48, 90))])
+    def test_matches_one_at_a_time(self, bound_rows, kind, n, ks):
+        for k in ks:
+            A = coloring._distinct_rows(
+                coloring._validate_matrix(PASS_MATRICES[kind](7 * n + k, n, k))
+            )
+            rows = {"default": 0, "all": A.shape[0]}.get(bound_rows, bound_rows)
+            base = pass_base(n + k, A.shape[0], rows, math.sqrt(k))
+            x = partial_coloring(A, base=base)
+            decided = 0
+            for j, (decision, scale) in enumerate(cosh_signing_decisions(A, base, x)):
+                if abs(decision) > 1e-9 * scale:
+                    assert x[j] == (-1.0 if decision > 0.0 else 1.0)
+                elif abs(decision) <= 1e-12 * scale:
+                    assert x[j] == 1.0
+                else:
+                    continue
+                decided += 1
+            assert decided >= k - 2
+            bound = spencer_bound(*A.shape, DEFAULT_CONFIG.spencer_constant)
+            expected = x if discrepancy(A, x) <= bound else partial_coloring(A)
+            assert full_coloring(A, base=base).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bound_rows", [1, 32])
+    @pytest.mark.parametrize("tolerance", [0.01, 0.1])
+    def test_tie_rule_with_a_wide_tolerance(self, monkeypatch, bound_rows, tolerance):
+        # A wide tie tolerance puts many codes within it of the smallest
+        # maximum; the lowest of them must win. Row sums of these matrices
+        # and bases are exact, so every code's maximum is exact as well.
+        monkeypatch.setattr(coloring, "_tie_tolerance", lambda k, scale: tolerance)
+        cases = [(pair_heavy_matrix, 128, 10), (fine_grid_matrix, 96, 9), (pair_heavy_matrix, 64, 12)]
+        for seed, (make, n, k) in enumerate(cases):
+            C = make(seed + 70, n, k)
+            base = pass_base(seed + 80, n, bound_rows, 2.0)
+            codes = np.arange(2**k)
+            signs = np.where((codes[:, None] >> np.arange(k)) & 1, 1.0, -1.0)
+            maxima = np.abs(signs @ C.T + base).max(axis=1)
+            winner = int(np.argmax(maxima <= maxima.min() + tolerance))
+            value, x = coloring._best_signs(C, base)
+            assert x.tobytes() == signs[winner].tobytes()
+            assert value == maxima[winner]
 
 
 class TestRowClasses:
