@@ -292,13 +292,12 @@ def budget_multiplier(n: int, T: int) -> int:
 def sparsiboost(
     dataset: Dataset,
     T: int,
-    seed=None,
+    *,
     coloring: ColoringConfig = DEFAULT_CONFIG,
     rounds: int | None = None,
 ) -> tuple[Ensemble, Ensemble, SparsifyReport]:
     """Train ``rounds`` stumps (default c*T), then sparsify the ensemble down
-    to T of them. Training and halving are deterministic, so ``seed`` is
-    not read.
+    to T of them. Training and halving are deterministic.
 
     Returns the full ensemble, the pruned one (the surviving hypotheses with
     their renormalized weights, summing to 1), and the halving's report.

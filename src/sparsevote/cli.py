@@ -5,10 +5,10 @@ eval, margins, and compare, the driver that trains a full ensemble,
 derives truncated / sparsified / importance-sampled competitors, evaluates
 all four, and writes a JSON report plus cumulative-margin CSV curves.
 
-Every run is reproducible from its config. Training is deterministic; the
-sparsifier and the sampler draw from the single seed through the fixed
-component indices 2 and 3, the only components used anywhere (so
-``sparsiboost`` with the same seed returns compare's sparsified ensemble).
+Every run is reproducible from its config. Training and the sparsifier are
+deterministic (so ``sparsiboost`` returns compare's sparsified ensemble);
+the sampler alone draws, from the single seed through the fixed component
+index 3, the only component used anywhere.
 Reports are written with sorted keys, so identical configs produce
 byte-identical files (timing aside).
 """
@@ -141,7 +141,7 @@ def _dataset_record(
         "curve": cumulative_margin_curve(train_margins),
     }
     if sparsify_report is not None:
-        record["sparsify"] = _report_payload(sparsify_report)
+        record["sparsify"] = dataclasses.asdict(sparsify_report)
     return record
 
 
@@ -165,19 +165,8 @@ def _matrix_record(
         "curve": cumulative_margin_curve(margins(U, weights)),
     }
     if sparsify_report is not None:
-        record["sparsify"] = _report_payload(sparsify_report)
+        record["sparsify"] = dataclasses.asdict(sparsify_report)
     return record
-
-
-def _report_payload(report: SparsifyReport) -> dict:
-    return {
-        "initial_support": report.initial_support,
-        "final_support": report.final_support,
-        "halving_rounds": report.halving_rounds,
-        "achieved_error": report.achieved_error,
-        "per_round_errors": list(report.per_round_errors),
-        "truncated_fallback": report.truncated_fallback,
-    }
 
 
 def run_compare(config: RunConfig) -> dict:
@@ -222,7 +211,7 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
     if rounds is None:
         rounds = budget_multiplier(train.n_points, T) * T
     full, sparsified, report = sparsiboost(
-        train, T, config.seed, _coloring(config.spencer_constant), rounds
+        train, T, coloring=_coloring(config.spencer_constant), rounds=rounds
     )
     truncated = adaboost_v(train, min(T, rounds))
     w_full = full.weights.normalized()
@@ -379,7 +368,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     T = min(args.target, len(w))
     sparse_w, report = sparsify(U, w, T, config=coloring)
     _write_weights_output(args.out, sparse_w, ensemble)
-    print(json.dumps(_report_payload(report), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0
 
 

@@ -3,9 +3,9 @@
 Produces sign colorings x of the columns of a matrix A with entries in
 [-1, 1] such that the discrepancy max_i |(Ax)_i| meets a Spencer-type bound,
 plus the minority-sign column subset that inherits a row-sum sandwich from
-the coloring. A coloring may start from a base b, the drift that earlier
-colorings left on the rows, and then steers the sums b + Ax. No step reads
-a seed.
+the coloring. A coloring starts from a base b, the drift that earlier
+colorings left on the rows or zeros when none is given, and steers the
+sums b + Ax. No step takes a seed.
 
 partial_coloring is Spencer's hyperbolic-cosine balancing game, derandomized
 by Raghavan's pessimistic estimator: one pass that signs the columns in
@@ -66,8 +66,8 @@ from .margins import _checked_entries
 # 4 * BLOCK_CELLS int16 ones in the exhaustive search's screen.
 BLOCK_CELLS = 1 << 15
 EPS = float(np.finfo(np.float64).eps)
-# Exhaustive search colors matrices of at most BRUTEFORCE_MAX columns; it
-# stays at most 20, the limit of bruteforce_min_discrepancy.
+# Exhaustive search (_best_signs) colors matrices of at most BRUTEFORCE_MAX
+# columns, 2^16 sign vectors.
 BRUTEFORCE_MAX = 16
 
 
@@ -112,14 +112,14 @@ def _validate_matrix(A) -> np.ndarray:
     return _checked_entries(np.asfortranarray(A, dtype=np.float64), "matrix")
 
 
-def _validate_base(base, n_rows: int) -> np.ndarray | None:
-    """base as n_rows finite floats; None for None or a zero base."""
+def _validate_base(base, n_rows: int) -> np.ndarray:
+    """base as n_rows finite floats; zeros for None."""
     if base is None:
-        return None
+        return np.zeros(n_rows)
     arr = np.asarray(base, dtype=np.float64)
     if arr.shape != (n_rows,) or not np.isfinite(arr).all():
         raise ValueError(f"base must be {n_rows} finite entries, got shape {arr.shape}")
-    return arr if arr.any() else None
+    return arr
 
 
 def spencer_bound(n_rows: int, k: int, constant: float) -> float:
@@ -162,7 +162,7 @@ def _key_weights(k: int) -> np.ndarray:
     return weights
 
 
-def _row_keys(A: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
+def _row_keys(A: np.ndarray, base: np.ndarray) -> np.ndarray:
     """One key per row of [A | base], not stacked: its sum against fixed
     pseudo-random weights. Equal rows get equal keys and negated rows
     negated keys; unequal ones can collide (bases one bit apart do), so
@@ -170,8 +170,7 @@ def _row_keys(A: np.ndarray, base: np.ndarray | None = None) -> np.ndarray:
     in either layout, so A is not copied into Fortran order."""
     k = A.shape[1]
     weights = _key_weights(k + 1)
-    keys = np.einsum("ij,j->i", A, weights[:k])
-    return keys if base is None else keys + weights[k] * base
+    return np.einsum("ij,j->i", A, weights[:k]) + weights[k] * base
 
 
 def _canonical_rows(A: np.ndarray) -> np.ndarray:
@@ -184,9 +183,7 @@ def _canonical_rows(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_classes(
-    A: np.ndarray, base: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _row_classes(A: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first (lowest) row index of each class of rows of [A | base]
     equal up to sign, in the signing's order, and every row's key.
 
@@ -197,7 +194,6 @@ def _row_classes(
     sign alone, not on where they sit.
     """
     keys = _row_keys(A, base)
-    base = np.zeros(A.shape[0]) if base is None else base
     order = np.argsort(np.abs(keys), kind="stable")
     mags = np.abs(keys[order])
     tied = mags[1:] == mags[:-1]
@@ -227,7 +223,7 @@ def _distinct_rows(A: np.ndarray) -> np.ndarray:
     """The first row of each class of rows of A equal up to sign
     (_row_classes), as it stands and in its order in A, in Fortran order;
     A itself when no two rows are equal up to sign."""
-    leads, _ = _row_classes(A)
+    leads, _ = _row_classes(A, np.zeros(A.shape[0]))
     if leads.size == A.shape[0]:
         return A
     return np.asfortranarray(A[np.sort(leads)])
@@ -390,9 +386,9 @@ def minority_sign(x) -> int:
     return -1 if minus <= plus else +1
 
 
-def partial_coloring(A, seed=None, base=None) -> np.ndarray:
+def partial_coloring(A, *, base=None) -> np.ndarray:
     """The hyperbolic-cosine signing of A's columns from base (the module
-    docstring); the seed is not read.
+    docstring), zeros when None.
 
     A decision sum within its rounding bound of zero is a tie and gives
     +1, so exact ties, frequent on Hadamard matrices, do not fall to the
@@ -404,7 +400,7 @@ def partial_coloring(A, seed=None, base=None) -> np.ndarray:
     n, k = arr.shape
     b = _validate_base(base, n)
     lam = math.sqrt(2.0 * math.log(2.0 * n) / k)
-    s = np.zeros(n) if b is None else np.clip(lam * b, -354.0, 354.0)
+    s = np.clip(lam * b, -354.0, 354.0)
     # Before column j the potential is at most phi_0 * cosh(lambda)^j and
     # a decision sum at most lambda times that, so its rounding is below
     # tie = 2(n + 2) * eps * lambda * phi_0 * cosh(lambda)^j.
@@ -425,7 +421,7 @@ def partial_coloring(A, seed=None, base=None) -> np.ndarray:
     return x
 
 
-def _color(A: np.ndarray, base: np.ndarray | None, config: ColoringConfig):
+def _color(A: np.ndarray, base: np.ndarray, config: ColoringConfig):
     """(discrepancy, bound, x) of one coloring of the distinct rows of
     [A | base], each oriented by its key's sign: the exact minimizer of
     max_i |(Ax)_i + base_i| up to BRUTEFORCE_MAX columns, else the signing."""
@@ -435,21 +431,16 @@ def _color(A: np.ndarray, base: np.ndarray | None, config: ColoringConfig):
     C = A.T.take(leads, axis=1)
     C *= signs
     C = C.T
-    b = None if base is None else base[leads] * signs
+    b = base[leads] * signs
     if C.shape[1] > BRUTEFORCE_MAX:
         x = partial_coloring(C, base=b)
-    elif b is None:
-        x = bruteforce_min_discrepancy(C)[1]
     else:
         x = _best_signs(C, b)[1]
     return discrepancy(C, x), spencer_bound(*C.shape, config.spencer_constant), x
 
 
 def full_coloring(
-    A,
-    seed=None,
-    config: ColoringConfig = DEFAULT_CONFIG,
-    base=None,
+    A, *, config: ColoringConfig = DEFAULT_CONFIG, base=None
 ) -> np.ndarray:
     """Complete sign coloring with discrepancy within the Spencer-type bound.
 
@@ -458,24 +449,20 @@ def full_coloring(
     otherwise), n counting the distinct rows: that check is the output's
     guarantee. On a miss from a nonzero base the rows are colored once
     more from a zero base, and DiscrepancyBoundError reports that one's
-    miss. The seed is not read; the bits do not depend on the rows' order,
-    repetition or negation with their base, nor on BLAS threads.
+    miss. The bits do not depend on the rows' order, repetition or
+    negation with their base, nor on BLAS threads.
     """
     arr = _validate_matrix(A)
     b = _validate_base(base, arr.shape[0])
     achieved, bound, x = _color(arr, b, config)
-    if achieved > bound and b is not None:
-        achieved, bound, x = _color(arr, None, config)
+    if achieved > bound and b.any():
+        achieved, bound, x = _color(arr, np.zeros_like(b), config)
     if achieved > bound:
         raise DiscrepancyBoundError(achieved, bound)
     return x
 
 
-def halve_columns(
-    A,
-    seed=None,
-    config: ColoringConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
+def halve_columns(A, *, config: ColoringConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Indices of at most floor(k/2) of A's k columns whose row sums track
     half the full row sums to within half the coloring's discrepancy.
 
@@ -483,6 +470,6 @@ def halve_columns(
     row sum is (full sum + sigma*(Ax)_i)/2, so the coloring's Spencer-type
     bound, halved, bounds each row's error.
     """
-    x = full_coloring(A, seed, config)
+    x = full_coloring(A, config=config)
     sigma = minority_sign(x)
     return np.flatnonzero(x == sigma)

@@ -82,7 +82,7 @@ def _build_halving_matrix(
 def halve(
     U: MarginMatrix,
     w: WeightVector,
-    seed=None,
+    *,
     config: ColoringConfig = DEFAULT_CONFIG,
     start: WeightVector | None = None,
 ) -> WeightVector:
@@ -96,7 +96,7 @@ def halve(
     beyond floor(k/2), lower index first. The drift is taken from U once,
     then moved by omega * peak * Ax. omega is fixed per call; the doubled
     weights of the second pass can reach 2, so its margin and l1 rows are
-    divided by their peak. The seed is not read.
+    divided by their peak.
     """
     require_normalized(w)
     _check_dims(U, w)
@@ -148,7 +148,7 @@ def sparsify(
     U: MarginMatrix,
     w: WeightVector,
     T: int,
-    seed=None,
+    *,
     config: ColoringConfig = DEFAULT_CONFIG,
 ) -> tuple[WeightVector, SparsifyReport]:
     """Repeated halving until the support is at most T.
@@ -158,7 +158,7 @@ def sparsify(
     support. When a coloring misses its bound (DiscrepancyBoundError),
     halving stops; then, or when the support is still above T once halving
     can no longer run, the remainder is truncated to the top T weights and
-    the report is flagged. The seed is not read.
+    the report is flagged.
 
     The rounds halve on U's distinct rows up to sign (the first of each
     class as it stands, found once here by _distinct_rows), in Fortran

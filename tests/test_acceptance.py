@@ -75,7 +75,7 @@ def test_criterion_01_coloring_bound():
         for seed in range(50):
             rng = rng_from(split_seed(1100, n, k, seed))
             A = rng.choice([-1.0, 1.0], size=(n, k))
-            x = full_coloring(A, seed=split_seed(1101, n, k, seed))
+            x = full_coloring(A)
             assert np.all(np.abs(x) == 1.0)
             worst_ratio = max(worst_ratio, float(np.max(np.abs(A @ x))) / bound)
             trials += 1
@@ -99,7 +99,7 @@ def test_criterion_02_coloring_optimality():
             rng = rng_from(split_seed(1300, k, seed))
             n = int(rng.integers(1, 21))
             A = rng.uniform(-1.0, 1.0, size=(n, k))
-            x = full_coloring(A, seed=split_seed(1301, k, seed))
+            x = full_coloring(A)
             achieved = float(np.max(np.abs(A @ x)))
             optimum, _ = min_discrepancy_exhaustive(A)
             never_below = never_below and achieved >= optimum - 1e-12
@@ -125,7 +125,7 @@ def test_criterion_03_halving_sandwich():
     for seed in range(50):
         rng = rng_from(split_seed(1600, seed))
         A = rng.choice([-1.0, 1.0], size=(n, T))
-        kept = halve_columns(A, seed=split_seed(1601, seed))
+        kept = halve_columns(A)
         max_size = max(max_size, len(kept))
         deviation = np.abs(A[:, kept].sum(axis=1) - A.sum(axis=1) / 2.0)
         worst = max(worst, float(np.max(deviation)))
@@ -150,7 +150,7 @@ def test_criterion_04_sparsification_rate():
             rng = rng_from(split_seed(1200, T, seed))
             U = MarginMatrix(rng.choice([-1.0, 1.0], size=(n, m)))
             w = WeightVector.uniform(m)
-            _, report = sparsify(U, w, T, seed=split_seed(1201, T, seed))
+            _, report = sparsify(U, w, T)
             errors.append(report.achieved_error)
         medians.append(float(np.median(errors)))
         bounds.append(24.0 * math.sqrt(math.log(2.0 + n / T) / T))
@@ -186,7 +186,7 @@ def test_criterion_05_structural_invariants():
             raw = np.abs(raw) + 1e-3
             nonneg_trials += 1
         w = WeightVector(raw / np.sum(np.abs(raw)))
-        out, _ = sparsify(U, w, T, seed=split_seed(1701, trials))
+        out, _ = sparsify(U, w, T)
         good = (
             out.support_size <= T
             and abs(out.l1_norm - 1.0) <= 1e-9
@@ -255,7 +255,7 @@ def test_criterion_07_beats_sampling():
         sampler = []
         for seed in range(20):
             U, w = _boosted_benchmark(seed)
-            out, report = sparsify(U, w, T, seed=split_seed(7002, T, seed))
+            out, report = sparsify(U, w, T)
             halver.append(report.achieved_error)
             sampled = importance_sample(w, T, seed=split_seed(7003, T, seed))
             sampler.append(sup_norm_diff(U, w, sampled))
@@ -313,7 +313,7 @@ def test_criterion_09_end_to_end_pipeline():
         -1.0,
     )
     data = Dataset(X, y)
-    dictionary, ensemble, _ = sparsiboost(data, T, seed=split_seed(1901, 0))
+    dictionary, ensemble, _ = sparsiboost(data, T)
     c = budget_multiplier(n, T)
     rho_star, _ = lp_optimal_margin(build_margin_matrix(data, dictionary))
     rho = min_margin(build_margin_matrix(data, ensemble), ensemble.weights)

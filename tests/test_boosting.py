@@ -424,7 +424,7 @@ class TestSparsiBoost:
     def test_pipeline_postconditions(self):
         data = random_dataset(21, 60, 3)
         T = 8
-        full, ens, report = sparsiboost(data, T, seed=5)
+        full, ens, report = sparsiboost(data, T)
         assert len(ens) <= T
         assert np.all(ens.weights.values >= 0.0)
         assert abs(ens.weights.l1_norm - 1.0) <= 1e-9
@@ -436,7 +436,7 @@ class TestSparsiBoost:
     def test_margin_chain_invariant(self):
         data = random_dataset(22, 80, 3)
         T = 8
-        full, ens, report = sparsiboost(data, T, seed=13)
+        full, ens, report = sparsiboost(data, T)
         U = build_margin_matrix(data, full)
         w = full.weights.normalized()
         pruned_margin = float(

@@ -441,7 +441,7 @@ class TestCompare:
             seed=7, target=4, rounds=rounds,
             train_path=str(train), test_path=str(test), out_path=str(tmp_path / "out"),
         ))
-        full, sparsified, report = sparsiboost(load_dataset(train), 4, seed=7, rounds=rounds)
+        full, sparsified, report = sparsiboost(load_dataset(train), 4, rounds=rounds)
         by_name = {r["method"]: r for r in payload["methods"]}
         assert by_name["full"]["hypothesis_count"] == len(full)
         assert by_name["sparsified"]["hypothesis_count"] == len(sparsified)
@@ -450,7 +450,7 @@ class TestCompare:
             "final_support": report.final_support,
             "halving_rounds": report.halving_rounds,
             "achieved_error": report.achieved_error,
-            "per_round_errors": list(report.per_round_errors),
+            "per_round_errors": report.per_round_errors,
             "truncated_fallback": report.truncated_fallback,
         }
 

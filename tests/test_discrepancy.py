@@ -391,22 +391,22 @@ class TestScreen:
 
 def frozen_coloring_input(name):
     if name == "tall_bruteforce":
-        return box_matrix(101, 300, 14), 1
+        return box_matrix(101, 300, 14)
     if name == "tall_pairs":
-        return grid_matrix(102, 600, 40), 2
+        return grid_matrix(102, 600, 40)
     if name == "square_signs":
-        return sign_matrix(103, 170, 170), 3
+        return sign_matrix(103, 170, 170)
     rng = rng_from(104)
     H = sylvester(128)[:, :64]
-    return rng.choice([-1.0, 1.0], size=128)[:, None] * H[:, rng.permutation(64)], 4
+    return rng.choice([-1.0, 1.0], size=128)[:, None] * H[:, rng.permutation(64)]
 
 
-# full_coloring outputs ("+" is +1): the exhaustive path (k = 14, recorded
-# before the exact searches were blocked), and the signing on a tall grid
-# matrix (k = 40), a square sign matrix (k = 170) and a Hadamard block
-# (k = 64), where 10 decision sums are exact ties.
+# full_coloring outputs ("+" is +1): the exhaustive path (k = 14; from a
+# zero base, the lowest code among the tied minimizers), and the signing on
+# a tall grid matrix (k = 40), a square sign matrix (k = 170) and a Hadamard
+# block (k = 64), where 10 decision sums are exact ties.
 FROZEN_COLORINGS = {
-    "tall_bruteforce": "+-++--+-+++--+",
+    "tall_bruteforce": "-+--++-+---++-",
     "tall_pairs": "+-+--++----+-++---++-+--++-++--+-+++++--",
     "square_signs": (
         "++++--+--++++--++-+------+--+-+--+++++-+---++----+------++-+++--+-++-"
@@ -420,9 +420,9 @@ FROZEN_COLORINGS = {
 class TestFrozenColorings:
     @pytest.mark.parametrize("name", sorted(FROZEN_COLORINGS))
     def test_matches_recorded(self, name):
-        A, seed = frozen_coloring_input(name)
+        A = frozen_coloring_input(name)
         expected = np.array([1.0 if c == "+" else -1.0 for c in FROZEN_COLORINGS[name]])
-        assert np.array_equal(full_coloring(A, seed=seed), expected)
+        assert np.array_equal(full_coloring(A), expected)
 
 
 class TestMinoritySign:
@@ -461,7 +461,7 @@ class TestFullColoring:
         assert discrepancy(A, x) == 0.0
 
     def test_8x8_exact_on_fast_path(self):
-        x = full_coloring(A_8X8, seed=3)
+        x = full_coloring(A_8X8)
         value = discrepancy(A_8X8, x)
         assert value == A_8X8_OPTIMUM
         assert value <= spencer_bound(8, 8, 12.0)
@@ -480,26 +480,26 @@ class TestFullColoring:
         A = sign_matrix(5, 20, 18)
         nudged = A.copy()
         nudged[0, 0] *= 1.0 + 1e-12
-        assert np.array_equal(full_coloring(nudged, seed=1), full_coloring(A, seed=1))
+        assert np.array_equal(full_coloring(nudged), full_coloring(A))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_walk_meets_bound_and_signs(self, seed):
         # k = 24 exceeds the exhaustive cutoff, forcing the signing
         A = sign_matrix(seed, 24, 24)
-        x = full_coloring(A, seed=split_seed(1000, seed))
+        x = full_coloring(A)
         assert x.shape == (24,)
         assert set(np.unique(x)) <= {-1.0, 1.0}
         assert discrepancy(A, x) <= spencer_bound(24, 24, 12.0)
 
     def test_wide_matrix_branch(self):
         A = box_matrix(9, 6, 40)
-        x = full_coloring(A, seed=2)
+        x = full_coloring(A)
         assert discrepancy(A, x) <= spencer_bound(6, 40, 12.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_never_beats_exhaustive_optimum(self, seed):
         A = box_matrix(seed + 50, 5, 18)
-        x = full_coloring(A, seed=seed)
+        x = full_coloring(A)
         expected, _ = min_discrepancy_exhaustive(A)
         assert discrepancy(A, x) >= expected - 1e-12
 
@@ -511,7 +511,7 @@ class TestFullColoring:
         achieved = discrepancy(A, full_coloring(A))
         for base in (None, box_matrix(5, 20, 1)[:, 0]):
             with pytest.raises(DiscrepancyBoundError, match="best discrepancy") as info:
-                full_coloring(A, seed=0, config=config, base=base)
+                full_coloring(A, config=config, base=base)
             err = info.value
             assert err.achieved > err.bound
             assert err.achieved == achieved
@@ -530,9 +530,9 @@ class TestFullColoring:
         calls = []
         real = coloring.partial_coloring
 
-        def spy(M, seed=None, base=None):
-            out = real(M, seed, base)
-            calls.append((base is None, discrepancy(M, out)))
+        def spy(M, *, base):
+            out = real(M, base=base)
+            calls.append((not base.any(), discrepancy(M, out)))
             return out
 
         monkeypatch.setattr(coloring, "partial_coloring", spy)
@@ -545,7 +545,7 @@ class TestFullColoring:
         # A single all-ones row: the signing alternates the signs, and a
         # balanced coloring has discrepancy 0.
         A = np.ones((1, 512))
-        x = full_coloring(A, seed=0)
+        x = full_coloring(A)
         assert set(np.unique(x)) <= {-1.0, 1.0}
         assert discrepancy(A, x) == 0.0
 
@@ -555,24 +555,39 @@ class TestFullColoring:
         assert np.array_equal(arr, [[1.0, -0.5], [0.25, -1.0]])
         assert arr.flags.f_contiguous
 
-    def test_seed_determinism(self):
-        # No seed is read: every seed gives the same bits.
+    @pytest.mark.parametrize("k", [12, 40])
+    def test_a_zero_base_is_no_base(self, k):
+        # The exhaustive search (k = 12) and the signing (k = 40) color
+        # from zeros when no base is given.
+        A = box_matrix(k + 60, 50, k)
+        x = full_coloring(A)
+        assert full_coloring(A, base=None).tobytes() == x.tobytes()
+        assert full_coloring(A, base=np.zeros(50)).tobytes() == x.tobytes()
+
+    def test_seed_determinism(self, monkeypatch):
+        # The coloring takes no seed and builds no generator (the first call
+        # caches the fixed row-key weights): repeated calls give the same bits.
         A = sign_matrix(12, 30, 26)
-        x = full_coloring(A, seed=7)
-        for seed in (7, None, 0, split_seed(5, 2, 0)):
-            assert full_coloring(A, seed=seed).tobytes() == x.tobytes()
+        x = full_coloring(A)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("full_coloring built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for _ in range(3):
+            assert full_coloring(A).tobytes() == x.tobytes()
 
 
 class TestPartialColoring:
     def test_zero_matrix_freezes_every_coordinate(self):
-        out = partial_coloring(np.zeros((3, 8)), seed=0)
+        out = partial_coloring(np.zeros((3, 8)))
         assert out.dtype == np.float64
         assert out.shape == (8,)
         assert np.all(np.abs(out) == 1.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_postconditions_on_random_instance(self, seed):
-        out = partial_coloring(box_matrix(seed + 20, 6, 6), seed=seed)
+        out = partial_coloring(box_matrix(seed + 20, 6, 6))
         assert out.dtype == np.float64
         assert out.shape == (6,)
         assert np.all(out ** 2 == 1.0)
@@ -590,11 +605,18 @@ class TestPartialColoring:
             again = partial_coloring(A.copy(order="F"), base=base)
             assert again.tobytes() == out.tobytes()
 
+    @pytest.mark.parametrize("k", [12, 40])
+    def test_a_zero_base_is_no_base(self, k):
+        A = box_matrix(k + 70, 50, k)
+        x = partial_coloring(A)
+        assert partial_coloring(A, base=None).tobytes() == x.tobytes()
+        assert partial_coloring(A, base=np.zeros(50)).tobytes() == x.tobytes()
+
     @pytest.mark.parametrize("seed", [0, 3, 2**40, split_seed(5, 2, 0)])
     def test_draw_is_one_rng_choice(self, monkeypatch, seed):
         # The signing makes no rng choice at all: it builds no generator,
-        # and on a zero matrix every decision sum is a tie, so any seed
-        # gives +1 on every column.
+        # repeated calls give the same bits, and on a zero matrix every
+        # decision sum is a tie, so every column gets +1.
         matrices = [sign_matrix(k, 4, k) for k in (1, 17, 300)]
 
         def no_generator(*args, **kwargs):
@@ -603,9 +625,9 @@ class TestPartialColoring:
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         for A in matrices:
             k = A.shape[1]
-            out = partial_coloring(np.zeros((2, k)), seed=seed)
+            out = partial_coloring(np.zeros((2, k)))
             assert out.tobytes() == np.ones(k).tobytes()
-            assert partial_coloring(A, seed=seed).tobytes() == partial_coloring(A).tobytes()
+            assert partial_coloring(A).tobytes() == partial_coloring(A).tobytes()
 
     @pytest.mark.parametrize("kind", ["signs", "box", "grid"])
     def test_matches_stepwise_oracle(self, kind):
@@ -674,7 +696,7 @@ class TestHalveColumns:
     def test_duplicated_columns(self):
         B = box_matrix(2, 3, 2)
         A = np.hstack([B, B])
-        subset = halve_columns(A, seed=0)
+        subset = halve_columns(A)
         assert subset.size <= 2
         half = A.sum(axis=1) / 2.0
         err = np.max(np.abs(A[:, subset].sum(axis=1) - half))
@@ -683,13 +705,13 @@ class TestHalveColumns:
     def test_negated_block(self):
         B = box_matrix(3, 4, 3)
         A = np.hstack([B, -B])
-        subset = halve_columns(A, seed=1)
+        subset = halve_columns(A)
         sums = A[:, subset].sum(axis=1)
         assert np.max(np.abs(sums)) <= self.bound(4, 6)
 
     def test_4x6_against_subset_enumeration(self):
         A = box_matrix(4, 4, 6)
-        subset = halve_columns(A, seed=5)
+        subset = halve_columns(A)
         assert subset.size <= 3
         assert np.array_equal(subset, np.sort(subset))
         half = A.sum(axis=1) / 2.0
@@ -702,7 +724,7 @@ class TestHalveColumns:
     def test_size_and_sandwich(self, seed):
         n, T = 16, 14
         A = sign_matrix(seed + 300, n, T)
-        subset = halve_columns(A, seed=seed)
+        subset = halve_columns(A)
         assert subset.size <= (T + 1) // 2
         assert len(set(subset.tolist())) == subset.size
         half = A.sum(axis=1) / 2.0
@@ -828,9 +850,9 @@ class TestRowInvariance:
     @pytest.mark.parametrize("n, k", INVARIANCE_SHAPES)
     def test_full_coloring_ignores_row_order_and_repeats(self, kind, n, k):
         A = INVARIANCE_MATRICES[kind](n + k, n, k)
-        x = full_coloring(A, seed=5)
+        x = full_coloring(A)
         for variant in reordered(A, k):
-            assert full_coloring(variant, seed=5).tobytes() == x.tobytes()
+            assert full_coloring(variant).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(INVARIANCE_MATRICES))
     @pytest.mark.parametrize("n, k", INVARIANCE_SHAPES)
@@ -839,7 +861,7 @@ class TestRowInvariance:
         # equal up to sign; rows are repeated and negated with their bases.
         A = INVARIANCE_MATRICES[kind](n + k, n, k)
         base = coloring._row_sums(A, rng_from(n * k).uniform(-1.0, 1.0, size=k))
-        x = full_coloring(A, seed=5, base=base)
+        x = full_coloring(A, base=base)
         rng = rng_from(k + 1)
         permuted = rng.permutation(n)
         rows = np.concatenate([np.arange(n), rng.integers(0, n, size=n)])
@@ -849,8 +871,8 @@ class TestRowInvariance:
             (A[permuted], base[permuted]),
             (signs[:, None] * A[rows], signs * base[rows]),
         ]
-        for seed, (M, b) in zip((None, 1), variants):
-            assert full_coloring(M, seed=seed, base=b).tobytes() == x.tobytes()
+        for M, b in [(A, base), *variants]:
+            assert full_coloring(M, base=b).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(INVARIANCE_MATRICES))
     def test_distinct_rows_match_dict_oracle(self, monkeypatch, kind):
@@ -860,10 +882,10 @@ class TestRowInvariance:
         got = coloring._distinct_rows(coloring._validate_matrix(repeated))
         assert got.tobytes() == expected.tobytes()
         # Every key collides: rows are merged only when they are equal.
-        monkeypatch.setattr(coloring, "_row_keys", lambda M, base=None: np.zeros(M.shape[0]))
+        monkeypatch.setattr(coloring, "_row_keys", lambda M, base: np.zeros(M.shape[0]))
         got = coloring._distinct_rows(coloring._validate_matrix(repeated))
         assert got.tobytes() == expected.tobytes()
-        assert full_coloring(repeated, seed=2).tobytes() == full_coloring(A, seed=2).tobytes()
+        assert full_coloring(repeated).tobytes() == full_coloring(A).tobytes()
 
     @pytest.mark.parametrize("k", [13, 85, 341])
     def test_row_sums_give_equal_rows_equal_bits(self, k):
@@ -896,14 +918,14 @@ class TestRowInvariance:
         # variant.
         _, repeated, negated = reordered(stump_matrix(11, 200, k), 4)
         seen = []
-        for name in ("bruteforce_min_discrepancy", "partial_coloring"):
+        for name in ("_best_signs", "partial_coloring"):
             real = getattr(coloring, name)
             spy = lambda M, *args, real=real, **kwargs: seen.append(M) or real(M, *args, **kwargs)
             monkeypatch.setattr(coloring, name, spy)
         colorings, matrices = set(), set()
         for variant in (repeated, negated):
             seen.clear()
-            colorings.add(full_coloring(variant, seed=1).tobytes())
+            colorings.add(full_coloring(variant).tobytes())
             assert len(seen) == 1
             matrices.add(seen[0].tobytes())
             classes = distinct_rows_by_dict(variant).shape[0]
@@ -991,9 +1013,9 @@ class TestRowInvariance:
         points = np.concatenate([np.arange(128), rng.integers(0, 128, size=128)])
         rng.shuffle(points)
         once, twice = MarginMatrix(U), MarginMatrix(U[points])
-        assert halve(once, w, seed=3).values.tobytes() == halve(twice, w, seed=3).values.tobytes()
-        w_once, report_once = sparsify(once, w, 8, seed=4)
-        w_twice, report_twice = sparsify(twice, w, 8, seed=4)
+        assert halve(once, w).values.tobytes() == halve(twice, w).values.tobytes()
+        w_once, report_once = sparsify(once, w, 8)
+        w_twice, report_twice = sparsify(twice, w, 8)
         assert w_once.values.tobytes() == w_twice.values.tobytes()
         assert report_once.halving_rounds == report_twice.halving_rounds
         assert report_once.truncated_fallback == report_twice.truncated_fallback
@@ -1093,12 +1115,13 @@ class TestRowClasses:
         for variant in (U, *reordered(U, 17)):
             variant = np.asarray(variant, order=layout)
             expected = distinct_rows_by_dict(variant)
-            leads, _ = coloring._row_classes(variant)
+            zeros = np.zeros(variant.shape[0])
+            leads, _ = coloring._row_classes(variant, zeros)
             assert variant[np.sort(leads)].tobytes() == expected.tobytes()
             with monkeypatch.context() as patch:
                 # Every key collides: rows are merged only when they are equal.
-                patch.setattr(coloring, "_row_keys", lambda M, base=None: np.zeros(M.shape[0]))
-                collided, _ = coloring._row_classes(variant)
+                patch.setattr(coloring, "_row_keys", lambda M, base: np.zeros(M.shape[0]))
+                collided, _ = coloring._row_classes(variant, zeros)
             assert np.array_equal(np.sort(leads), np.sort(collided))
 
     @pytest.mark.parametrize("kind", ["hadamard", "stumps", "signs"])
@@ -1124,7 +1147,7 @@ class TestRowClasses:
         leads, _ = coloring._row_classes(A, base)
         assert np.array_equal(np.sort(leads), np.sort(expected))
         with monkeypatch.context() as patch:
-            patch.setattr(coloring, "_row_keys", lambda M, base=None: np.zeros(M.shape[0]))
+            patch.setattr(coloring, "_row_keys", lambda M, base: np.zeros(M.shape[0]))
             collided, _ = coloring._row_classes(A, base)
         assert np.array_equal(np.sort(collided), np.sort(expected))
         # The order, and so the signing, ignores where the rows sit: the
@@ -1141,9 +1164,9 @@ class TestRowClasses:
 
     def test_hadamard_rows_pair_up(self):
         U = hadamard_block(3, 1024, 512)
-        leads, _ = coloring._row_classes(U)
+        leads, _ = coloring._row_classes(U, np.zeros(1024))
         assert np.array_equal(np.sort(leads), np.arange(512))
-        assert coloring._row_classes(U[:512])[0].size == 512
+        assert coloring._row_classes(U[:512], np.zeros(512))[0].size == 512
 
     @pytest.mark.parametrize("k", [13, 85, 341])
     def test_keys_match_across_layouts(self, k):
@@ -1152,7 +1175,7 @@ class TestRowClasses:
         block = hadamard_block(k, 1024, k)
         A = np.vstack([block, block[:3]])
         for layout in ("C", "F"):
-            keys = coloring._row_keys(np.asarray(A, order=layout))
+            keys = coloring._row_keys(np.asarray(A, order=layout), np.zeros(1027))
             assert keys[1024:].tobytes() == keys[:3].tobytes()
             signs = np.where(A[:512, 0] == A[512:1024, 0], 1.0, -1.0)
             assert keys[:512].tobytes() == (signs * keys[512:1024]).tobytes()
@@ -1179,9 +1202,9 @@ class TestPhaseCalls:
         calls = []
         real = coloring.partial_coloring
 
-        def partial(A, seed=None, base=None):
-            out = real(A, seed, base)
-            calls.append((A.shape[1], out.shape, base is None))
+        def partial(A, *, base):
+            out = real(A, base=base)
+            calls.append((A.shape[1], out.shape, not base.any()))
             return out
 
         monkeypatch.setattr(coloring, "partial_coloring", partial)
@@ -1190,10 +1213,10 @@ class TestPhaseCalls:
         for base in (None, drift):
             calls.clear()
             if constant == 12.0:
-                full_coloring(A, seed=3, base=base)
+                full_coloring(A, base=base)
             else:
                 with pytest.raises(DiscrepancyBoundError):
-                    full_coloring(A, seed=3, config=ColoringConfig(constant), base=base)
+                    full_coloring(A, config=ColoringConfig(constant), base=base)
             if k <= coloring.BRUTEFORCE_MAX:
                 assert calls == []
             elif base is None or constant == 12.0:

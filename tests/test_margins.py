@@ -130,7 +130,7 @@ class TestSharedEntryCheck:
         with pytest.raises(ValueError) as margin_error:
             MarginMatrix(bad)
         with pytest.raises(ValueError) as coloring_error:
-            full_coloring(bad, seed=0)
+            full_coloring(bad)
         assert str(margin_error.value) == f"margin {coloring_error.value}"
 
     def test_same_clip_and_no_copy(self):

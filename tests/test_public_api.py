@@ -1,9 +1,15 @@
 """The names other code reaches the package by: the package's __all__, and
 the functions bench/tracer.py wraps. A rename or deletion that leaves one
-of them stale fails here, not only in a benchmark run."""
+of them stale fails here, not only in a benchmark run. Also the seeds:
+only the importance sampler takes one, and the deterministic colorings,
+halvings and sparsiboost refuse one."""
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import sparsevote
 import sparsevote.cli  # noqa: F401  (the tracer wraps cli.main)
@@ -36,3 +42,49 @@ def test_every_traced_name_is_callable():
     coloring = sys.modules["sparsevote.discrepancy"]
     assert callable(coloring.spencer_bound)
     assert coloring.DEFAULT_CONFIG is not None
+
+
+DETERMINISTIC = (
+    "partial_coloring",
+    "full_coloring",
+    "halve_columns",
+    "halve",
+    "sparsify",
+    "sparsiboost",
+)
+
+
+def test_only_the_importance_sampler_takes_a_seed():
+    takes_seed = [
+        name for name in DETERMINISTIC
+        if "seed" in inspect.signature(getattr(sparsevote, name)).parameters
+    ]
+    assert takes_seed == []
+    assert "seed" in inspect.signature(sparsevote.importance_sample).parameters
+
+
+def _seedless_calls():
+    """Each deterministic function with its required arguments."""
+    A = np.ones((3, 6))
+    U = sparsevote.MarginMatrix(A)
+    w = sparsevote.WeightVector.uniform(6)
+    data = sparsevote.Dataset(np.arange(8.0)[:, None], np.array([1.0, -1.0] * 4))
+    return {
+        "partial_coloring": (A,),
+        "full_coloring": (A,),
+        "halve_columns": (A,),
+        "halve": (U, w),
+        "sparsify": (U, w, 4),
+        "sparsiboost": (data, 4),
+    }
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_a_seed_is_refused(name):
+    # An old positional seed would otherwise bind to the next parameter.
+    fn = getattr(sparsevote, name)
+    args = _seedless_calls()[name]
+    with pytest.raises(TypeError):
+        fn(*args, 0)
+    with pytest.raises(TypeError):
+        fn(*args, seed=0)

@@ -93,13 +93,13 @@ class TestHalve:
     def test_constant_columns_zero_error(self):
         U = MarginMatrix(np.full((5, 8), 0.375))
         w = WeightVector.uniform(8)
-        out = halve(U, w, seed=0)
+        out = halve(U, w)
         assert sup_norm_diff(U, w, out) <= 1e-12
 
     def test_six_equal_entries(self):
         U, _ = random_instance(3, n=6, m=6)
         w = WeightVector.uniform(6)
-        out = halve(U, w, seed=1)
+        out = halve(U, w)
         assert out.support_size <= 3
         assert abs(out.l1_norm - 1.0) <= 1e-9
         assert np.all(out.values >= 0.0)
@@ -108,25 +108,25 @@ class TestHalve:
         rng = rng_from(7)
         U = MarginMatrix(rng.uniform(-1.0, 1.0, size=(64, 48)))
         w = WeightVector(rng.dirichlet(np.ones(48)))
-        out = halve(U, w, seed=9)
+        out = halve(U, w)
         bound = 24.0 * math.sqrt(math.log(2.0 + 64 / 48) / 48)
         assert sup_norm_diff(U, w, out) <= bound
 
     def test_rejects_small_support(self):
         U, _ = random_instance(1, n=4, m=5)
         with pytest.raises(ValueError):
-            halve(U, WeightVector.uniform(5), seed=0)
+            halve(U, WeightVector.uniform(5))
 
     def test_rejects_unnormalized(self):
         U, _ = random_instance(1, n=4, m=8)
         with pytest.raises(ValueError):
-            halve(U, WeightVector(np.full(8, 0.25)), seed=0)
+            halve(U, WeightVector(np.full(8, 0.25)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_support_halves_and_signs_survive(self, seed):
         m = int(rng_from(seed).integers(6, 40))
         U, w = random_instance(seed + 40, n=10, m=m, signed=True)
-        out = halve(U, w, seed=split_seed(2, seed))
+        out = halve(U, w)
         support = w.support_size
         assert out.support_size <= -(-support // 2)
         assert abs(out.l1_norm - 1.0) <= 1e-9
@@ -141,7 +141,7 @@ class TestHalve:
         # columns, those of largest |w_j|, the higher index on ties.
         seen = []
 
-        def all_plus(A, seed=None, config=None, base=None):
+        def all_plus(A, *, config=None, base=None):
             seen.append(A.shape[1])
             return np.ones(A.shape[1])
 
@@ -157,7 +157,7 @@ class TestHalve:
 class TestSparsify:
     def test_already_sparse_returns_unchanged(self):
         U, w = random_instance(5, n=6, m=10)
-        out, report = sparsify(U, w, T=10, seed=0)
+        out, report = sparsify(U, w, T=10)
         assert out is w
         assert report.halving_rounds == 0
         assert report.achieved_error == 0.0
@@ -166,16 +166,16 @@ class TestSparsify:
     def test_constant_columns_error_zero(self):
         U = MarginMatrix(np.full((6, 16), -0.5))
         w = WeightVector.uniform(16)
-        out, report = sparsify(U, w, T=4, seed=3)
+        out, report = sparsify(U, w, T=4)
         assert out.support_size <= 4
         assert report.achieved_error <= 1e-12
 
     def test_target_validation(self):
         U, w = random_instance(6, n=5, m=8)
         with pytest.raises(ValueError):
-            sparsify(U, w, T=0, seed=0)
+            sparsify(U, w, T=0)
         with pytest.raises(ValueError):
-            sparsify(U, w, T=9, seed=0)
+            sparsify(U, w, T=9)
 
     def test_monte_carlo_median_error(self):
         n, m, T = 256, 128, 16
@@ -185,7 +185,7 @@ class TestSparsify:
             rng = rng_from(split_seed(500, seed))
             U = MarginMatrix(rng.choice([-1.0, 1.0], size=(n, m)))
             w = WeightVector.uniform(m)
-            _, report = sparsify(U, w, T, seed=split_seed(501, seed))
+            _, report = sparsify(U, w, T)
             errors.append(report.achieved_error)
         assert float(np.median(errors)) <= bound
 
@@ -206,7 +206,7 @@ class TestSparsify:
             for T in (64, 128):
                 halver, sampler = [], []
                 for j, (U, w) in enumerate(pairs):
-                    halver.append(sparsify(U, w, T, seed=split_seed(2500, j))[1].achieved_error)
+                    halver.append(sparsify(U, w, T)[1].achieved_error)
                     for draw in range(5):
                         sampled = importance_sample(w, T, seed=split_seed(2400, T, draw))
                         sampler.append(sup_norm_diff(U, w, sampled))
@@ -226,7 +226,7 @@ class TestSparsify:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sparsify_module, "halve", spy)
-        out, report = sparsify(U, w, T=8, seed=5, config=ColoringConfig(1e-3))
+        out, report = sparsify(U, w, T=8, config=ColoringConfig(1e-3))
         assert len(calls) == 1
         assert report.truncated_fallback
         assert report.halving_rounds == 0
@@ -243,7 +243,7 @@ class TestSparsify:
         bases = []
 
         def color(A, base, config):
-            bases.append(base is None)
+            bases.append(not base.any())
             achieved, bound, x = real(A, base, config)
             return (math.inf if False in bases else achieved), bound, x
 
@@ -260,7 +260,7 @@ class TestSparsify:
         # can be balanced, so sparsify halves down to T with no fallback.
         U = MarginMatrix(np.ones((3, 1500)))
         w = WeightVector.uniform(1500)
-        out, report = sparsify(U, w, T=16, seed=0)
+        out, report = sparsify(U, w, T=16)
         assert report.halving_rounds >= 1
         assert not report.truncated_fallback
         assert report.final_support <= 16
@@ -268,7 +268,7 @@ class TestSparsify:
 
     def test_report_fields(self):
         U, w = random_instance(8, n=12, m=32)
-        out, report = sparsify(U, w, T=8, seed=4)
+        out, report = sparsify(U, w, T=8)
         assert isinstance(report, SparsifyReport)
         assert report.initial_support == 32
         assert report.final_support == out.support_size
@@ -280,7 +280,7 @@ class TestSparsify:
     def test_per_round_errors_track_support_bound(self, seed):
         n, m = 24, 64
         U, w = random_instance(seed + 60, n=n, m=m, uniform=True)
-        _, report = sparsify(U, w, T=8, seed=split_seed(3, seed))
+        _, report = sparsify(U, w, T=8)
         support = m
         for error in report.per_round_errors:
             assert error <= halving_error_bound(n, support, 24.0)
@@ -288,21 +288,21 @@ class TestSparsify:
 
     def test_idempotent_at_target(self):
         U, w = random_instance(9, n=10, m=40)
-        first, _ = sparsify(U, w, T=6, seed=11)
-        second, report = sparsify(U, first, T=6, seed=12)
+        first, _ = sparsify(U, w, T=6)
+        second, report = sparsify(U, first, T=6)
         assert second is first
         assert report.halving_rounds == 0
 
     def test_nonnegativity_preserved(self):
         for seed in range(12):
             U, w = random_instance(seed + 90, n=8, m=24)
-            out, _ = sparsify(U, w, T=5, seed=split_seed(7, seed))
+            out, _ = sparsify(U, w, T=5)
             assert np.all(out.values >= 0.0)
 
     def test_signed_input_signs_preserved(self):
         for seed in range(12):
             U, w = random_instance(seed + 120, n=8, m=24, signed=True)
-            out, _ = sparsify(U, w, T=5, seed=split_seed(8, seed))
+            out, _ = sparsify(U, w, T=5)
             surviving = out.nonzero_indices()
             assert set(surviving) <= set(w.nonzero_indices())
             assert np.all(
@@ -359,7 +359,7 @@ class TestDistinctRowHalving:
             return real(A, *args, **kwargs)
 
         monkeypatch.setattr(sparsify_module, "full_coloring", spy)
-        sparsify(U, w, T=8, seed=5)
+        sparsify(U, w, T=8)
         assert len(seen) >= 2
         assert set(seen) == {(True, classes + 2)}
         if kind != "uniform":
@@ -377,7 +377,7 @@ class TestDistinctRowHalving:
             return real(distinct, *args, **kwargs)
 
         monkeypatch.setattr(sparsify_module, "halve", spy)
-        sparsify(U, w, T=8, seed=5)
+        sparsify(U, w, T=8)
         assert seen and set(seen) == {(True, expected)}
 
     @pytest.mark.parametrize("kind", sorted(DISTINCT_ROW_INSTANCES))
@@ -388,8 +388,8 @@ class TestDistinctRowHalving:
         U, w = DISTINCT_ROW_INSTANCES[kind]()
         negated = U.values.copy(order="K")
         negated[class_leads_by_dict(U.values)] *= -1.0
-        out, report = sparsify(U, w, T=8, seed=7)
-        out_negated, report_negated = sparsify(MarginMatrix(negated), w, T=8, seed=7)
+        out, report = sparsify(U, w, T=8)
+        out_negated, report_negated = sparsify(MarginMatrix(negated), w, T=8)
         assert out_negated.values.tobytes() == out.values.tobytes()
         assert report_negated == report
 
@@ -397,10 +397,10 @@ class TestDistinctRowHalving:
     def test_rounds_are_halving_on_all_rows(self, kind):
         # The same rounds, each a halve call on U itself from w.
         U, w = DISTINCT_ROW_INSTANCES[kind]()
-        out, report = sparsify(U, w, T=8, seed=6)
+        out, report = sparsify(U, w, T=8)
         current, errors = w, []
         while current.support_size > 8:
-            halved = halve(U, current, split_seed(6, len(errors), 0), start=w)
+            halved = halve(U, current, start=w)
             errors.append(sup_norm_diff(U, current, halved))
             current = halved
         assert out.values.tobytes() == current.values.tobytes()
