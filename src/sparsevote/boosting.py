@@ -9,6 +9,7 @@ and halves the support down to T hypotheses.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -23,20 +24,38 @@ EDGE_CAP = 1.0 - 1e-10
 
 
 class _StumpTable(NamedTuple):
-    """Per-dataset sort data for stump training, flattened over features.
+    """Per-dataset sort data for stump training, and the workspace every
+    training call writes into.
 
-    Candidate k puts the j smallest values of feature ``feature[k]`` below
-    ``threshold[k]``, where ``prefix_index[k] = feature[k] * (n + 1) + j``
-    indexes the flattened d x (n+1) prefix sums of the signed weights. j = 0
-    is the -inf sentinel, j = n the +inf sentinel, and interior j exist only
-    between distinct values. Candidates run in feature order, thresholds
-    ascending within a feature.
+    Features f and h + f, h = ceil(d/2), share row f of the workspace as the
+    real and imaginary lanes of one complex number, so one complex cumsum
+    forms the prefix sums of both. Complex addition is two independent IEEE
+    additions, and each lane adds its feature's signed weights in that
+    feature's sort order, so every prefix sum has the bits of a cumsum over
+    that feature alone. For odd d the last row's imaginary lane gathers
+    point 0 and is never read.
+
+    Candidate k puts the j smallest values of feature f = ``feature[k]``
+    below ``threshold[k]``. j = 0 is the -inf sentinel, j = n the +inf
+    sentinel, and interior j exist only between distinct values. Candidates
+    run in feature order, thresholds ascending within a feature. Read
+    through the lanes' transpose, the prefix sums run in the same order:
+    ``prefix_index[k]`` indexes that of candidate k in the flattened
+    h x (n+1) x 2 real view of ``prefix``. When no feature has tied values
+    every j is a candidate, and ``prefix_index`` is None.
+
+    ``lock`` guards the workspace, so threads that share a dataset train in
+    turn.
     """
 
-    order: np.ndarray  # d x n stable argsort of each feature column
-    prefix_index: np.ndarray
+    gather: np.ndarray  # h x 2n: lane f // h of row f % h sorts feature f
+    prefix_index: np.ndarray | None
     feature: np.ndarray
     threshold: np.ndarray
+    lanes: np.ndarray  # h x n complex: the signed weights in sort order
+    prefix: np.ndarray  # h x (n+1) complex; column 0 stays zero
+    edge: np.ndarray  # 2h(n+1) floats; the first len(feature) are the edges
+    lock: threading.Lock
 
 
 @dataclass(frozen=True)
@@ -74,13 +93,24 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
+    def __getstate__(self) -> dict:
+        # The stump table holds a lock, which cannot be pickled or copied;
+        # a copy builds its own table when it first trains.
+        state = self.__dict__.copy()
+        state.pop("_stump_table", None)
+        return state
+
     @cached_property
     def _stump_table(self) -> _StumpTable:
         # The features are read-only, so one sort serves every boosting round.
-        n = self.n_points
+        n, d = self.n_points, self.n_features
+        h = (d + 1) // 2
         order = np.argsort(self.features.T, axis=1, kind="stable")
+        gather = np.zeros((h, 2 * n), dtype=np.intp)
         prefix_index, feature, threshold = [], [], []
-        for f in range(self.n_features):
+        for f in range(d):
+            row, lane = f % h, f // h
+            gather[row, lane::2] = order[f]
             sorted_vals = self.features[order[f], f]
             interior = np.flatnonzero(sorted_vals[:-1] < sorted_vals[1:]) + 1
             positions = np.concatenate([[0], interior, [n]])
@@ -88,14 +118,20 @@ class Dataset:
             thresholds[0] = -math.inf
             thresholds[-1] = math.inf
             thresholds[1:-1] = (sorted_vals[interior - 1] + sorted_vals[interior]) / 2.0
-            prefix_index.append(f * (n + 1) + positions)
+            prefix_index.append((row * (n + 1) + positions) * 2 + lane)
             feature.append(np.full(positions.size, f))
             threshold.append(thresholds)
+        feature = np.concatenate(feature)
+        tied = feature.size < d * (n + 1)
         return _StumpTable(
-            order,
-            np.concatenate(prefix_index),
-            np.concatenate(feature),
+            gather,
+            np.concatenate(prefix_index) if tied else None,
+            feature,
             np.concatenate(threshold),
+            np.empty((h, n), dtype=np.complex128),
+            np.zeros((h, n + 1), dtype=np.complex128),
+            np.empty(2 * h * (n + 1)),
+            threading.Lock(),
         )
 
 
@@ -168,7 +204,10 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     sorted feature values plus -inf/+inf sentinels. The features are sorted
     once per dataset; each call then evaluates the edge
     sum_i D(i) y_i h(x_i) of every candidate through prefix sums in one
-    O(d*n) pass. Among stumps whose computed edges are exactly equal, ties
+    O(d*n) pass. The pass writes into a workspace kept with the dataset's
+    sort data, and forms two features' prefix sums per complex addition,
+    which rounds each feature's sums exactly as a cumsum over it alone
+    would. Among stumps whose computed edges are exactly equal, ties
     go to the lowest feature index, then the lowest threshold, then polarity
     +1. Edges are compared as computed: the prefix sums add the weights in
     each feature's sort order, so rounding can separate edges that are
@@ -192,15 +231,23 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     table = dataset._stump_table
     signed = weights * dataset.labels
     total = float(signed.sum())
-    prefix = np.zeros((dataset.n_features, dataset.n_points + 1))
-    np.cumsum(signed[table.order], axis=1, out=prefix[:, 1:])
-    # h = sign(x - threshold): points below contribute -1, so the edge of
-    # polarity +1 is total - 2 * prefix (scaling by -2 is exact, so the
-    # in-place form below has the same bits) and that of -1 its negation.
-    edge = prefix.ravel()[table.prefix_index]
-    edge *= -2.0
-    edge += total
-    k, polarity = _best_candidate(edge)
+    with table.lock:
+        # mode="clip" writes straight into out; the default buffers a copy.
+        np.take(signed, table.gather, out=table.lanes.view(np.float64), mode="clip")
+        np.cumsum(table.lanes, axis=1, out=table.prefix[:, 1:])
+        # h = sign(x - threshold): points below contribute -1, so the edge of
+        # polarity +1 is total - 2 * prefix (scaling by -2 is exact, so the
+        # in-place form below has the same bits) and that of -1 its negation.
+        prefix = table.prefix.view(np.float64)
+        edge = table.edge[: table.feature.size]
+        if table.prefix_index is None:
+            lanes_first = prefix.reshape(prefix.shape[0], -1, 2).transpose(2, 0, 1)
+            np.multiply(lanes_first, -2.0, out=table.edge.reshape(lanes_first.shape))
+        else:
+            np.take(prefix, table.prefix_index, out=edge, mode="clip")
+            edge *= -2.0
+        edge += total
+        k, polarity = _best_candidate(edge)
     return DecisionStump(int(table.feature[k]), float(table.threshold[k]), polarity)
 
 

@@ -117,10 +117,15 @@ def _dataset_record(
     full_train_scores: np.ndarray,
     fit_bias: bool,
     sparsify_report: SparsifyReport | None = None,
+    train_scores: np.ndarray | None = None,
 ) -> dict:
+    """The report record of ``ensemble``, scored with normalized weights.
+    ``train_scores``, when given, are its scores on ``train``, already
+    computed."""
     weights = ensemble.weights.normalized()
     scored = Ensemble(ensemble.hypotheses, weights)
-    train_scores = predict_scores(scored, train)
+    if train_scores is None:
+        train_scores = predict_scores(scored, train)
     test_scores = predict_scores(scored, test)
     offset = 0.0
     if fit_bias:
@@ -222,7 +227,15 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
     payload["rounds"] = rounds
     records = payload["methods"]
     records.append(
-        _dataset_record("full", full, train, test, full_train_scores, fit_bias=False)
+        _dataset_record(
+            "full",
+            full,
+            train,
+            test,
+            full_train_scores,
+            fit_bias=False,
+            train_scores=full_train_scores,
+        )
     )
     records.append(
         _dataset_record(

@@ -103,6 +103,67 @@ def best_stump_exhaustive(features, labels, weights):
     return best, best_edge
 
 
+def train_stump_per_feature(features, labels, weights):
+    """The stump search of the per-feature kernel, one feature at a time:
+    each feature's stable argsort, the cumsum of the signed weights in that
+    order, the edges total - 2 * prefix at the candidate thresholds (the
+    sentinels and the midpoints between distinct values), and the
+    interleaved argmax. Returns ((feature, threshold, polarity), edges),
+    the edges of polarity +1 in feature order, thresholds ascending."""
+    features = np.asarray(features, dtype=np.float64)
+    n, d = features.shape
+    signed = np.asarray(weights, dtype=np.float64) * np.asarray(labels, dtype=np.float64)
+    total = float(signed.sum())
+    edges, candidates = [], []
+    for f in range(d):
+        order = np.argsort(features[:, f], kind="stable")
+        values = features[order, f]
+        prefix = np.zeros(n + 1)
+        prefix[1:] = np.cumsum(signed[order])
+        interior = [j for j in range(1, n) if values[j - 1] < values[j]]
+        thresholds = [(values[j - 1] + values[j]) / 2.0 for j in interior]
+        edge = prefix[[0] + interior + [n]]
+        edge *= -2.0
+        edge += total
+        edges.append(edge)
+        candidates.extend((f, t) for t in [-math.inf] + thresholds + [math.inf])
+    edges = np.concatenate(edges)
+    k, polarity = stump_pick_interleaved(edges)
+    feature, threshold = candidates[k]
+    return (feature, float(threshold), polarity), edges
+
+
+def adaboost_v_per_feature(features, labels, rounds):
+    """AdaBoostV's rounds, spelled out over train_stump_per_feature.
+    Returns the stumps as (feature, threshold, polarity) and the alphas."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n = features.shape[0]
+    nu = math.sqrt(2.0 * math.log(n) / rounds)
+    cap = 1.0 - 1e-10
+    distribution = np.full(n, 1.0 / n)
+    stumps, alphas = [], []
+    min_edge = math.inf
+    for _ in range(rounds):
+        (f, t, p), _ = train_stump_per_feature(features, labels, distribution)
+        predictions = p * np.where(features[:, f] - t >= 0.0, 1.0, -1.0)
+        agreement = labels * predictions
+        edge = float(distribution @ agreement)
+        if edge <= 0.0:
+            break
+        edge = min(edge, cap)
+        min_edge = min(min_edge, edge)
+        rho = min(max(min_edge - nu, -cap), cap)
+        alpha = 0.5 * math.log((1 + edge) / (1 - edge)) - 0.5 * math.log(
+            (1 + rho) / (1 - rho)
+        )
+        stumps.append((f, t, p))
+        alphas.append(alpha)
+        distribution = distribution * np.exp(-alpha * agreement)
+        distribution /= distribution.sum()
+    return stumps, np.array(alphas)
+
+
 def stump_pick_interleaved(edge):
     """(candidate, polarity) picked by argmax over the edges of both
     polarities interleaved per candidate, +1 first: the first largest in

@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,10 +26,12 @@ from sparsevote import (
 from sparsevote.seeding import rng_from
 
 from oracles import (
+    adaboost_v_per_feature,
     best_stump_exhaustive,
     lp_margin_grid,
     margins_double_loop,
     stump_pick_interleaved,
+    train_stump_per_feature,
 )
 
 
@@ -236,6 +242,89 @@ class TestTrainStump:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 train_stump(three, np.array([bad, 0.5, 0.5]))
+
+
+def weight_draws(rng, n):
+    """A spread-out weighting, one with about half its points at zero, and
+    a point mass, each summing to 1."""
+    yield rng.dirichlet(np.ones(n))
+    weights = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+    weights[rng.integers(n)] += 0.25
+    yield weights / weights.sum()
+    weights = np.zeros(n)
+    weights[rng.integers(n)] = 1.0
+    yield weights
+
+
+def stump_tuple(stump):
+    return (stump.feature, stump.threshold, stump.polarity)
+
+
+class TestPerFeatureKernel:
+    """The shared workspace and the two-lane cumsum keep the per-feature
+    kernel's bits: the same edges, so the same stumps and alphas."""
+
+    @pytest.mark.parametrize("n", [2, 3, 200, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 11, 31])
+    def test_train_stump_matches(self, d, n):
+        for grid in (None, 2):
+            data = random_dataset(100 * d + n, n, d, grid=grid)
+            rng = rng_from(n + d)
+            for weights in weight_draws(rng, n):
+                stump = train_stump(data, weights)
+                expected, edges = train_stump_per_feature(
+                    data.features, data.labels, weights
+                )
+                assert stump_tuple(stump) == expected
+                table = data._stump_table
+                assert table.edge[: edges.size].tobytes() == edges.tobytes()
+
+    @pytest.mark.parametrize("n, d, grid", [(300, 11, 2), (300, 10, None)])
+    def test_adaboost_v_matches(self, n, d, grid):
+        data = random_dataset(7 + d, n, d, grid=grid)
+        ens = adaboost_v(data, 128)
+        stumps, alphas = adaboost_v_per_feature(data.features, data.labels, 128)
+        assert [stump_tuple(h) for h in ens.hypotheses] == stumps
+        assert ens.weights.values.tobytes() == alphas.tobytes()
+
+
+class TestStumpWorkspace:
+    def test_threads_get_serial_results(self):
+        data = random_dataset(3, 400, 7, grid=4)
+        draws = [rng_from(50 + t).dirichlet(np.ones(400), size=50) for t in range(4)]
+        serial = [[train_stump(data, w) for w in ws] for ws in draws]
+        results = [None] * len(draws)
+
+        def train(t):
+            results[t] = [train_stump(data, w) for w in draws[t]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=train, args=(t,)) for t in range(len(draws))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_trained_dataset_copies(self, clone):
+        data = random_dataset(4, 120, 5, grid=2)
+        weightings = list(weight_draws(rng_from(4), 120))
+        before = [train_stump(data, w) for w in weightings]
+        twin = clone(data)
+        assert np.array_equal(twin.features, data.features)
+        assert np.array_equal(twin.labels, data.labels)
+        assert [train_stump(twin, w) for w in weightings] == before
+        assert [train_stump(data, w) for w in weightings] == before
 
 
 class TestBestCandidate:
