@@ -38,23 +38,21 @@ class _StumpTable(NamedTuple):
     Candidate k puts the j smallest values of feature f = ``feature[k]``
     below ``threshold[k]``. j = 0 is the -inf sentinel, j = n the +inf
     sentinel, and interior j exist only between distinct values. Candidates
-    run in feature order, thresholds ascending within a feature. Read
-    through the lanes' transpose, the prefix sums run in the same order:
-    ``prefix_index[k]`` indexes that of candidate k in the flattened
-    h x (n+1) x 2 real view of ``prefix``. When no feature has tied values
-    every j is a candidate, and ``prefix_index`` is None.
+    run in feature order, thresholds ascending within a feature.
+    ``prefix_index[k]`` indexes the prefix sum of candidate k in the
+    flattened h x (n+1) x 2 real view of ``prefix``.
 
     ``lock`` guards the workspace, so threads that share a dataset train in
     turn.
     """
 
     gather: np.ndarray  # h x 2n: lane f // h of row f % h sorts feature f
-    prefix_index: np.ndarray | None
+    prefix_index: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     lanes: np.ndarray  # h x n complex: the signed weights in sort order
     prefix: np.ndarray  # h x (n+1) complex; column 0 stays zero
-    edge: np.ndarray  # 2h(n+1) floats; the first len(feature) are the edges
+    edge: np.ndarray  # one float per candidate
     lock: threading.Lock
 
 
@@ -122,15 +120,14 @@ class Dataset:
             feature.append(np.full(positions.size, f))
             threshold.append(thresholds)
         feature = np.concatenate(feature)
-        tied = feature.size < d * (n + 1)
         return _StumpTable(
             gather,
-            np.concatenate(prefix_index) if tied else None,
+            np.concatenate(prefix_index),
             feature,
             np.concatenate(threshold),
             np.empty((h, n), dtype=np.complex128),
             np.zeros((h, n + 1), dtype=np.complex128),
-            np.empty(2 * h * (n + 1)),
+            np.empty(feature.size),
             threading.Lock(),
         )
 
@@ -238,14 +235,10 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
         # h = sign(x - threshold): points below contribute -1, so the edge of
         # polarity +1 is total - 2 * prefix (scaling by -2 is exact, so the
         # in-place form below has the same bits) and that of -1 its negation.
+        edge = table.edge
         prefix = table.prefix.view(np.float64)
-        edge = table.edge[: table.feature.size]
-        if table.prefix_index is None:
-            lanes_first = prefix.reshape(prefix.shape[0], -1, 2).transpose(2, 0, 1)
-            np.multiply(lanes_first, -2.0, out=table.edge.reshape(lanes_first.shape))
-        else:
-            np.take(prefix, table.prefix_index, out=edge, mode="clip")
-            edge *= -2.0
+        np.take(prefix, table.prefix_index, out=edge, mode="clip")
+        edge *= -2.0
         edge += total
         k, polarity = _best_candidate(edge)
     return DecisionStump(int(table.feature[k]), float(table.threshold[k]), polarity)
