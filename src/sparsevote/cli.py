@@ -109,40 +109,27 @@ def _require_paths(config: RunConfig) -> None:
         raise ValueError("an output directory (--out) is required")
 
 
-def _dataset_record(
+# The record fields only a dataset run scores, None in matrix mode.
+_SCORED_FIELDS = ("bias_offset", "train_accuracy", "test_accuracy", "train_auc", "test_auc")
+
+
+def _record(
     name: str,
-    ensemble: Ensemble,
-    train: Dataset,
-    test: Dataset,
-    full_train_scores: np.ndarray,
-    fit_bias: bool,
-    sparsify_report: SparsifyReport | None = None,
-    train_scores: np.ndarray | None = None,
+    hypothesis_count: int,
+    lowest_margin: float,
+    error_vs_full: float,
+    train_margins: np.ndarray,
+    sparsify_report: SparsifyReport | None,
+    scored: dict | None = None,
 ) -> dict:
-    """The report record of ``ensemble``, scored with normalized weights.
-    ``train_scores``, when given, are its scores on ``train``, already
-    computed."""
-    weights = ensemble.weights.normalized()
-    scored = Ensemble(ensemble.hypotheses, weights)
-    if train_scores is None:
-        train_scores = predict_scores(scored, train)
-    test_scores = predict_scores(scored, test)
-    offset = 0.0
-    if fit_bias:
-        offset, _ = bias_correct(train_scores, train.labels)
-    train_margins = train.labels * train_scores
+    """The report record of one method; the fields of ``scored`` are None
+    when it is not given."""
     record = {
         "method": name,
-        "hypothesis_count": len(ensemble),
-        "min_margin": float(np.min(train_margins)),
-        "sup_norm_error_vs_full": float(
-            np.max(np.abs(full_train_scores - train_scores))
-        ),
-        "bias_offset": offset,
-        "train_accuracy": accuracy(train_scores, train.labels, offset),
-        "test_accuracy": accuracy(test_scores, test.labels, offset),
-        "train_auc": auc(train_scores, train.labels),
-        "test_auc": auc(test_scores, test.labels),
+        "hypothesis_count": hypothesis_count,
+        "min_margin": lowest_margin,
+        "sup_norm_error_vs_full": error_vs_full,
+        **(scored or dict.fromkeys(_SCORED_FIELDS)),
         "curve": cumulative_margin_curve(train_margins),
     }
     if sparsify_report is not None:
@@ -150,28 +137,37 @@ def _dataset_record(
     return record
 
 
-def _matrix_record(
+def _dataset_record(
     name: str,
-    U: MarginMatrix,
-    weights: WeightVector,
-    full_weights: WeightVector,
-    sparsify_report: SparsifyReport | None = None,
-) -> dict:
-    record = {
-        "method": name,
-        "hypothesis_count": weights.support_size,
-        "min_margin": min_margin(U, weights),
-        "sup_norm_error_vs_full": sup_norm_diff(U, full_weights, weights),
-        "bias_offset": None,
-        "train_accuracy": None,
-        "test_accuracy": None,
-        "train_auc": None,
-        "test_auc": None,
-        "curve": cumulative_margin_curve(margins(U, weights)),
+    ensemble: Ensemble,
+    train: Dataset,
+    test: Dataset,
+    reference: np.ndarray | None,
+    fit_bias: bool,
+    sparsify_report: SparsifyReport | None,
+) -> tuple[dict, np.ndarray]:
+    """The report record of ``ensemble``, scored with normalized weights,
+    and its scores on ``train``. ``reference`` holds the full ensemble's
+    train scores; None makes ``ensemble`` its own reference."""
+    scored = Ensemble(ensemble.hypotheses, ensemble.weights.normalized())
+    train_scores = predict_scores(scored, train)
+    test_scores = predict_scores(scored, test)
+    reference = train_scores if reference is None else reference
+    offset = bias_correct(train_scores, train.labels)[0] if fit_bias else 0.0
+    train_margins = train.labels * train_scores
+    fields = {
+        "bias_offset": offset,
+        "train_accuracy": accuracy(train_scores, train.labels, offset),
+        "test_accuracy": accuracy(test_scores, test.labels, offset),
+        "train_auc": auc(train_scores, train.labels),
+        "test_auc": auc(test_scores, test.labels),
     }
-    if sparsify_report is not None:
-        record["sparsify"] = dataclasses.asdict(sparsify_report)
-    return record
+    error = float(np.max(np.abs(reference - train_scores)))
+    record = _record(
+        name, len(ensemble), float(np.min(train_margins)), error, train_margins,
+        sparsify_report, fields,
+    )
+    return record, train_scores
 
 
 def run_compare(config: RunConfig) -> dict:
@@ -219,63 +215,40 @@ def _compare_datasets(config: RunConfig, payload: dict) -> None:
         train, T, coloring=_coloring(config.spencer_constant), rounds=rounds
     )
     truncated = adaboost_v(train, min(T, rounds))
-    w_full = full.weights.normalized()
-    sampled_w = importance_sample(w_full, min(T, len(full)), split_seed(config.seed, 3))
-
-    full_scored = Ensemble(full.hypotheses, w_full)
-    full_train_scores = predict_scores(full_scored, train)
+    sampled_w = importance_sample(
+        full.weights.normalized(), min(T, len(full)), split_seed(config.seed, 3)
+    )
     payload["rounds"] = rounds
-    records = payload["methods"]
-    records.append(
-        _dataset_record(
-            "full",
-            full,
-            train,
-            test,
-            full_train_scores,
-            fit_bias=False,
-            train_scores=full_train_scores,
-        )
+    rows = (
+        ("full", full, False, None),
+        ("truncated", truncated, False, None),
+        ("sparsified", sparsified, True, report),
+        ("sampled", prune_ensemble(full, sampled_w), True, None),
     )
-    records.append(
-        _dataset_record(
-            "truncated", truncated, train, test, full_train_scores, fit_bias=False
+    reference = None  # the full ensemble's train scores, from the first row
+    for name, ensemble, fit_bias, sparsify_report in rows:
+        record, scores = _dataset_record(
+            name, ensemble, train, test, reference, fit_bias, sparsify_report
         )
-    )
-    records.append(
-        _dataset_record(
-            "sparsified",
-            sparsified,
-            train,
-            test,
-            full_train_scores,
-            fit_bias=True,
-            sparsify_report=report,
-        )
-    )
-    records.append(
-        _dataset_record(
-            "sampled",
-            prune_ensemble(full, sampled_w),
-            train,
-            test,
-            full_train_scores,
-            fit_bias=True,
-        )
-    )
+        payload["methods"].append(record)
+        reference = scores if reference is None else reference
 
 
 def _compare_matrix(config: RunConfig, payload: dict) -> None:
     U, w = load_margin_matrix(config.matrix_path)
     T = min(config.target, len(w))
-    coloring = _coloring(config.spencer_constant)
-    sparse_w, report = sparsify(U, w, T, config=coloring)
-    sampled_w = importance_sample(w, T, split_seed(config.seed, 3))
-    records = payload["methods"]
-    records.append(_matrix_record("full", U, w, w))
-    records.append(_matrix_record("truncated", U, truncate_top(w, T), w))
-    records.append(_matrix_record("sparsified", U, sparse_w, w, report))
-    records.append(_matrix_record("sampled", U, sampled_w, w))
+    sparse_w, report = sparsify(U, w, T, config=_coloring(config.spencer_constant))
+    rows = (
+        ("full", w, None),
+        ("truncated", truncate_top(w, T), None),
+        ("sparsified", sparse_w, report),
+        ("sampled", importance_sample(w, T, split_seed(config.seed, 3)), None),
+    )
+    for name, weights, sparsify_report in rows:
+        payload["methods"].append(_record(
+            name, weights.support_size, min_margin(U, weights),
+            sup_norm_diff(U, w, weights), margins(U, weights), sparsify_report,
+        ))
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -312,7 +285,7 @@ _CONFIG_KEYS = {
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """File values fill in only the options the command line left unset."""
-    if args.config is None:
+    if getattr(args, "config", None) is None:  # train has no --config
         return args
     values = parse_config_file(args.config)
     unknown = set(values) - set(_CONFIG_KEYS)
@@ -328,20 +301,23 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+# The RunConfig field of each compare option.
+_RUN_CONFIG_FIELDS = {
+    "seed": "seed", "target": "target", "rounds": "rounds", "ks": "spencer_constant",
+    "train": "train_path", "test": "test_path", "matrix": "matrix_path",
+    "out": "out_path", "matrix_mode": "matrix_mode",
+}
+
+
 def _run_config_from(args: argparse.Namespace) -> RunConfig:
-    kwargs = {
-        "seed": args.seed if args.seed is not None else 0,
-        "target": args.target if getattr(args, "target", None) is not None else 16,
-        "rounds": getattr(args, "rounds", None),
-        "matrix_mode": bool(getattr(args, "matrix_mode", False)),
-        "train_path": getattr(args, "train", None),
-        "test_path": getattr(args, "test", None),
-        "matrix_path": getattr(args, "matrix", None),
-        "out_path": getattr(args, "out", None),
-    }
-    if args.ks is not None:
-        kwargs["spencer_constant"] = args.ks
-    return RunConfig(**kwargs)
+    """The RunConfig of the compare options that were set; RunConfig's
+    defaults fill in the rest."""
+    options = vars(args)
+    return RunConfig(**{
+        field: options[key]
+        for key, field in _RUN_CONFIG_FIELDS.items()
+        if options[key] is not None
+    })
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -363,10 +339,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_matrix_or_model(args: argparse.Namespace) -> tuple[MarginMatrix, WeightVector, Ensemble | None]:
-    if getattr(args, "matrix", None):
+    if args.matrix:
         U, w = load_margin_matrix(args.matrix)
         return U, w, None
-    if not (getattr(args, "model", None) and getattr(args, "data", None)):
+    if not (args.model and args.data):
         raise ValueError("need either --matrix or both --model and --data")
     ensemble = load_ensemble(args.model)
     dataset = load_dataset(args.data)
@@ -375,7 +351,6 @@ def _load_matrix_or_model(args: argparse.Namespace) -> tuple[MarginMatrix, Weigh
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     coloring = _coloring(args.ks)
     U, w, ensemble = _load_matrix_or_model(args)
     T = min(args.target, len(w))
@@ -386,7 +361,6 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     U, w, ensemble = _load_matrix_or_model(args)
     T = min(args.target, len(w))
     sampled = importance_sample(w, T, split_seed(args.seed or 0, 3))
@@ -410,7 +384,6 @@ def _write_weights_output(path, weights: WeightVector, ensemble: Ensemble | None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     ensemble = load_ensemble(args.model)
     dataset = load_dataset(args.data)
     scores = predict_scores(
@@ -435,7 +408,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_margins(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     U, w, _ = _load_matrix_or_model(args)
     curve = cumulative_margin_curve(margins(U, w))
     ensure_parent(args.out)
@@ -445,7 +417,6 @@ def _cmd_margins(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    args = _merge_config(args)
     config = _run_config_from(args)
     payload = run_compare(config)
     lines = []
@@ -533,7 +504,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merge_config(args))
     except (FileFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
