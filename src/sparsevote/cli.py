@@ -42,6 +42,7 @@ from .fileio import (
     load_dataset,
     load_ensemble,
     load_margin_matrix,
+    open_text,
     save_ensemble,
     write_curve_csv,
     write_json_report,
@@ -81,6 +82,7 @@ class RunConfig:
         _coloring(self.spencer_constant)
         if self.target < 1:
             raise ValueError("target size must be at least 1")
+        _check_seed(self.seed)
 
     def echo(self) -> dict:
         return dataclasses.asdict(self)
@@ -91,6 +93,11 @@ def _coloring(ks: float | None) -> ColoringConfig:
     is unset; ColoringConfig rejects a constant that is not positive and
     finite."""
     return DEFAULT_CONFIG if ks is None else ColoringConfig(spencer_constant=ks)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _require_paths(config: RunConfig) -> None:
@@ -254,7 +261,7 @@ def _compare_matrix(config: RunConfig, payload: dict) -> None:
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; blank lines and #-comments ignored."""
     values: dict[str, str] = {}
-    with open(path) as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -297,7 +304,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         # Unset is None, or False for a store_true flag; a 0 was given.
         current = getattr(args, key, True)
         if current is None or current is False:
-            setattr(args, key, _CONFIG_KEYS[key](raw))
+            try:
+                value = _CONFIG_KEYS[key](raw)
+            except ValueError:
+                raise FileFormatError(
+                    f"{args.config}: {key}: cannot parse {raw!r}"
+                ) from None
+            setattr(args, key, value)
     return args
 
 
@@ -338,14 +351,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_model_and_data(args: argparse.Namespace) -> tuple[Ensemble, Dataset]:
+    ensemble = load_ensemble(args.model)
+    dataset = load_dataset(args.data)
+    feature = max(stump.feature for stump in ensemble.hypotheses)
+    if feature >= dataset.n_features:
+        raise FileFormatError(
+            f"{args.model}: a stump reads feature {feature}, "
+            f"but {args.data} has {dataset.n_features} features"
+        )
+    return ensemble, dataset
+
+
 def _load_matrix_or_model(args: argparse.Namespace) -> tuple[MarginMatrix, WeightVector, Ensemble | None]:
     if args.matrix:
         U, w = load_margin_matrix(args.matrix)
         return U, w, None
     if not (args.model and args.data):
         raise ValueError("need either --matrix or both --model and --data")
-    ensemble = load_ensemble(args.model)
-    dataset = load_dataset(args.data)
+    ensemble, dataset = _load_model_and_data(args)
     U = build_margin_matrix(dataset, ensemble)
     return U, ensemble.weights.normalized(), ensemble
 
@@ -361,9 +385,11 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    seed = args.seed or 0
+    _check_seed(seed)
     U, w, ensemble = _load_matrix_or_model(args)
     T = min(args.target, len(w))
-    sampled = importance_sample(w, T, split_seed(args.seed or 0, 3))
+    sampled = importance_sample(w, T, split_seed(seed, 3))
     _write_weights_output(args.out, sampled, ensemble)
     summary = {
         "support": sampled.support_size,
@@ -384,8 +410,7 @@ def _write_weights_output(path, weights: WeightVector, ensemble: Ensemble | None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ensemble = load_ensemble(args.model)
-    dataset = load_dataset(args.data)
+    ensemble, dataset = _load_model_and_data(args)
     scores = predict_scores(
         Ensemble(ensemble.hypotheses, ensemble.weights.normalized()), dataset
     )

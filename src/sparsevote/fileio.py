@@ -27,6 +27,7 @@ once (see ``FloatText``).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -41,7 +42,19 @@ from .margins import ENTRY_TOL, L1_TOL, MarginMatrix, WeightVector
 
 
 class FileFormatError(ValueError):
-    """Malformed input file; the message names the offending line."""
+    """Malformed input file; the message starts with the file's path and
+    names the offending line where there is one."""
+
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """``open(path, newline=newline)`` for reading, with a byte that the text
+    encoding cannot decode raised as a FileFormatError naming the file."""
+    with open(path, newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
 
 
 def load_dataset(path) -> Dataset:
@@ -102,7 +115,7 @@ def _load_dataset_rows(path) -> Dataset:
     labels: list[float] = []
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="") as handle:
+    with open_text(path, newline="") as handle:
         for line_no, row in enumerate(_csv_rows(handle, path), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -312,7 +325,7 @@ def _normalized_weights(weights: np.ndarray) -> np.ndarray:
 def _load_margin_matrix_rows(path) -> tuple[MarginMatrix, WeightVector]:
     """The row-by-row matrix parser: same arrays, and the error names the
     first bad line."""
-    with open(path) as handle:
+    with open_text(path) as handle:
         lines = [line for line in handle if line.strip()]
     if not lines:
         raise FileFormatError(f"{path}: empty file")
@@ -405,7 +418,7 @@ def save_ensemble(path, ensemble: Ensemble) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
-    with open(path) as handle:
+    with open_text(path) as handle:
         try:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -420,9 +433,9 @@ def load_ensemble(path) -> Ensemble:
             )
             for item in payload["stumps"]
         )
-    except (KeyError, TypeError) as exc:
+        return Ensemble(stumps, weights)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from None
-    return Ensemble(stumps, weights)
 
 
 # A formatted column: the text of every value, and whether all are finite.

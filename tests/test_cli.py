@@ -12,19 +12,28 @@ from sparsevote import (
     Dataset,
     MarginMatrix,
     WeightVector,
+    importance_sample,
     load_dataset,
     load_ensemble,
+    load_margin_matrix,
     save_dataset,
     save_margin_matrix,
     sparsiboost,
+    truncate_top,
 )
 from sparsevote import cli
 from sparsevote.cli import RunConfig, main, parse_config_file, run_compare
 from sparsevote.discrepancy import DiscrepancyBoundError
 from sparsevote.fileio import FileFormatError
-from sparsevote.seeding import rng_from
+from sparsevote.seeding import rng_from, split_seed
 
 METHODS = ["full", "truncated", "sparsified", "sampled"]
+# The scored fields of a record, None in matrix mode.
+SCORED = {"bias_offset", "train_accuracy", "test_accuracy", "train_auc", "test_auc"}
+# The keys of every record in either mode; the sparsified one adds "sparsify".
+RECORD_KEYS = SCORED | {
+    "method", "hypothesis_count", "min_margin", "sup_norm_error_vs_full", "curve",
+}
 
 
 def synthetic_dataset(seed, n, d=4):
@@ -123,6 +132,58 @@ class TestConfigFile:
         )
         assert not out.exists()
 
+    def test_undecodable_file_is_named(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"seed=1\n\xff\n")
+        out = tmp_path / "out"
+        code = main([
+            "compare", "--config", str(cfg), "--train", str(train),
+            "--test", str(test), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        assert not out.exists()
+
+    def test_unparsable_value_names_file_and_key(self, tmp_path, data_files, capsys):
+        train, test = data_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target=abc\n")
+        out = tmp_path / "out"
+        code = main([
+            "compare", "--config", str(cfg), "--train", str(train),
+            "--test", str(test), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: target: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["command line", "config file"])
+    @pytest.mark.parametrize("command", ["compare", "sample"])
+    def test_negative_seed_is_rejected_before_work(
+        self, tmp_path, data_files, capsys, command, source
+    ):
+        # sample's matrix does not exist: the seed is checked before loading.
+        train, test = data_files
+        out = tmp_path / "out"
+        if command == "compare":
+            argv = ["compare", "--train", str(train), "--test", str(test),
+                    "--rounds", "4", "--out", str(out)]
+        else:
+            argv = ["sample", "--matrix", str(tmp_path / "missing.txt"), "-T", "2",
+                    "--out", str(out / "sampled.json")]
+        if source == "command line":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed=-1\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
+
     def test_data_key_fills_data_option(self, tmp_path, data_files):
         train, _ = data_files
         model = tmp_path / "model.json"
@@ -197,6 +258,8 @@ class TestRunConfig:
             RunConfig(spencer_constant=0.0)
         with pytest.raises(ValueError):
             RunConfig(target=0)
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(seed=-1)
 
     def test_paths_checked_before_work(self, tmp_path):
         config = RunConfig(
@@ -286,6 +349,24 @@ class TestSubcommands:
         xs = [float(line.split(",")[0]) for line in lines[1:]]
         assert xs == sorted(xs)
         assert len(xs) == 120
+
+    @pytest.mark.parametrize("command", ["eval", "margins"])
+    def test_feature_beyond_the_data_names_the_model(
+        self, tmp_path, data_files, capsys, command
+    ):
+        train, _ = data_files
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "weights": [1.0],
+            "stumps": [{"feature": 7, "threshold": 0.5, "polarity": 1}],
+        }))
+        argv = [command, "--model", str(model), "--data", str(train)]
+        if command == "margins":
+            argv += ["--out", str(tmp_path / "curve.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: a stump reads feature 7, but {train} has 4 features\n"
+        )
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code = main([
@@ -406,32 +487,58 @@ class TestImport:
 
 
 class TestCompare:
-    def test_report_schema(self, tmp_path, data_files):
-        train, test = data_files
+    @pytest.mark.parametrize("mode", ["dataset", "matrix"])
+    def test_report_schema(self, tmp_path, data_files, mode):
         out = tmp_path / "out"
-        code = main([
-            "compare", "--train", str(train), "--test", str(test),
-            "-T", "8", "--seed", "4", "--out", str(out),
-        ])
+        if mode == "dataset":
+            train, test = data_files
+            inputs = ["--train", str(train), "--test", str(test)]
+        else:
+            # Five zero weights: the full record counts the support, 35.
+            rng = rng_from(33)
+            weights = rng.dirichlet(np.ones(40))
+            weights[::8] = 0.0
+            matrix = tmp_path / "matrix.txt"
+            save_margin_matrix(
+                matrix, MarginMatrix(rng.choice([-1.0, 1.0], size=(60, 40))),
+                WeightVector(weights / weights.sum()),
+            )
+            inputs = ["--matrix-mode", "--matrix", str(matrix)]
+        code = main(["compare", *inputs, "-T", "8", "--seed", "4", "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["schema_version"] == 1
-        assert report["mode"] == "dataset"
+        assert report["mode"] == mode
         assert [r["method"] for r in report["methods"]] == METHODS
         by_name = {r["method"]: r for r in report["methods"]}
         assert by_name["sparsified"]["hypothesis_count"] <= 8
         assert by_name["sampled"]["hypothesis_count"] <= 8
         assert by_name["truncated"]["hypothesis_count"] <= 8
         assert by_name["full"]["sup_norm_error_vs_full"] == 0.0
-        assert by_name["full"]["bias_offset"] == 0.0
-        assert "sparsify" in by_name["sparsified"]
         for name in METHODS:
-            assert (out / f"curve_{name}.csv").exists()
             record = by_name[name]
+            extra = {"sparsify"} if name == "sparsified" else set()
+            assert set(record) == RECORD_KEYS | extra
+            assert (out / f"curve_{name}.csv").exists()
             xs = [m for m, _ in record["curve"]]
             assert xs == sorted(xs)
-            assert 0.0 <= record["test_accuracy"] <= 1.0
-            assert 0.0 <= record["test_auc"] <= 1.0
+            if mode == "dataset":
+                assert 0.0 <= record["test_accuracy"] <= 1.0
+                assert 0.0 <= record["test_auc"] <= 1.0
+            else:
+                assert {key: record[key] for key in SCORED} == dict.fromkeys(SCORED)
+        if mode == "dataset":
+            assert by_name["full"]["bias_offset"] == 0.0
+        else:
+            U, w = load_margin_matrix(matrix)
+            supports = {
+                "full": w.support_size,
+                "truncated": truncate_top(w, 8).support_size,
+                "sparsified": by_name["sparsified"]["sparsify"]["final_support"],
+                "sampled": importance_sample(w, 8, split_seed(4, 3)).support_size,
+            }
+            assert supports["full"] == 35
+            assert {name: by_name[name]["hypothesis_count"] for name in METHODS} == supports
         assert "timing_seconds" in report
 
     @pytest.mark.parametrize("rounds", [12, None])

@@ -93,6 +93,13 @@ class TestLoadDataset:
         with pytest.raises(FileFormatError, match="no data rows"):
             load_dataset(path)
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"1,0.5\xff\n-1,0.25\n")
+        with pytest.raises(FileFormatError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = rng_from(17)
         data = Dataset(rng.normal(size=(9, 3)), rng.choice([-1.0, 1.0], size=9))
@@ -164,6 +171,13 @@ class TestMarginMatrixFormat:
         path.write_text("1 2\n0 0\n1 -1\n")
         with pytest.raises(FileFormatError, match="all zero"):
             load_margin_matrix(path)
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"1 2\n0.5 0.5\n1 \xff\n")
+        with pytest.raises(FileFormatError) as info:
+            load_margin_matrix(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def _outcome(load, path):
@@ -573,6 +587,31 @@ class TestEnsembleFormat:
         path.write_text(json.dumps({"weights": [1.0]}))
         with pytest.raises(FileFormatError):
             load_ensemble(path)
+
+    @pytest.mark.parametrize(
+        "weights, stump, message",
+        [
+            ("abc", {}, "could not convert string to float"),
+            ([1.0], {"feature": "x"}, "invalid literal for int()"),
+            ([0.5, 0.5], {}, "1 hypotheses but 2 weights"),
+            ([1.0], {"threshold": math.nan}, "threshold must not be NaN"),
+            ([-1.0], {}, "ensemble weights must be nonnegative"),
+        ],
+    )
+    def test_malformed_model_names_the_file(self, tmp_path, weights, stump, message):
+        path = tmp_path / "model.json"
+        item = {"feature": 0, "threshold": 0.5, "polarity": 1, **stump}
+        path.write_text(json.dumps({"weights": weights, "stumps": [item]}))
+        with pytest.raises(FileFormatError, match=re.escape(message)) as info:
+            load_ensemble(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"weights": [1.0], \xff}')
+        with pytest.raises(FileFormatError) as info:
+            load_ensemble(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestReportAndCurves:
