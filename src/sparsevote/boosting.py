@@ -24,11 +24,11 @@ EDGE_CAP = 1.0 - 1e-10
 
 
 class _StumpTable(NamedTuple):
-    """Per-dataset sort data for stump training, and the workspace every
-    training call writes into.
+    """Per-dataset sort data for stump training, read-only once built. The
+    search's buffers are not kept here but by each thread (``_buffers``).
 
-    Features f and h + f, h = ceil(d/2), share row f of the workspace as the
-    real and imaginary lanes of one complex number, so one complex cumsum
+    Features f and h + f, h = ceil(d/2), share row f of the lanes as the
+    real and imaginary parts of one complex number, so one complex cumsum
     forms the prefix sums of both. Complex addition is two independent IEEE
     additions, and each lane adds its feature's signed weights in that
     feature's sort order, so every prefix sum has the bits of a cumsum over
@@ -40,20 +40,33 @@ class _StumpTable(NamedTuple):
     sentinel, and interior j exist only between distinct values. Candidates
     run in feature order, thresholds ascending within a feature.
     ``prefix_index[k]`` indexes the prefix sum of candidate k in the
-    flattened h x (n+1) x 2 real view of ``prefix``.
-
-    ``lock`` guards the workspace, so threads that share a dataset train in
-    turn.
+    flattened h x (n+1) x 2 real view of the prefix sums.
     """
 
     gather: np.ndarray  # h x 2n: lane f // h of row f % h sorts feature f
     prefix_index: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
-    lanes: np.ndarray  # h x n complex: the signed weights in sort order
-    prefix: np.ndarray  # h x (n+1) complex; column 0 stays zero
-    edge: np.ndarray  # one float per candidate
-    lock: threading.Lock
+
+
+_scratch = threading.local()
+
+
+def _buffers(table: _StumpTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The calling thread's lanes (h x n complex: the signed weights in sort
+    order), prefix sums (h x (n+1) complex; column 0 stays zero) and edges
+    (one float per candidate), sized for the last table the thread trained:
+    about 0.5 MB at n=2000, d=10. A table of other shapes replaces them."""
+    h, n = table.gather.shape[0], table.gather.shape[1] // 2
+    shape = (h, n, table.feature.size)
+    if getattr(_scratch, "shape", None) != shape:
+        _scratch.buffers = (
+            np.empty((h, n), dtype=np.complex128),
+            np.zeros((h, n + 1), dtype=np.complex128),
+            np.empty(table.feature.size),
+        )
+        _scratch.shape = shape
+    return _scratch.buffers
 
 
 @dataclass(frozen=True)
@@ -91,13 +104,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def __getstate__(self) -> dict:
-        # The stump table holds a lock, which cannot be pickled or copied;
-        # a copy builds its own table when it first trains.
-        state = self.__dict__.copy()
-        state.pop("_stump_table", None)
-        return state
-
     @cached_property
     def _stump_table(self) -> _StumpTable:
         # The features are read-only, so one sort serves every boosting round.
@@ -119,16 +125,11 @@ class Dataset:
             prefix_index.append((row * (n + 1) + positions) * 2 + lane)
             feature.append(np.full(positions.size, f))
             threshold.append(thresholds)
-        feature = np.concatenate(feature)
         return _StumpTable(
             gather,
             np.concatenate(prefix_index),
-            feature,
+            np.concatenate(feature),
             np.concatenate(threshold),
-            np.empty((h, n), dtype=np.complex128),
-            np.zeros((h, n + 1), dtype=np.complex128),
-            np.empty(feature.size),
-            threading.Lock(),
         )
 
 
@@ -197,20 +198,20 @@ class Ensemble:
 def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
     """Exhaustive weighted-edge maximization over all stumps.
 
-    Candidate thresholds are the midpoints between consecutive distinct
-    sorted feature values plus -inf/+inf sentinels. The features are sorted
-    once per dataset; each call then evaluates the edge
-    sum_i D(i) y_i h(x_i) of every candidate through prefix sums in one
-    O(d*n) pass. The pass writes into a workspace kept with the dataset's
-    sort data, and forms two features' prefix sums per complex addition,
-    which rounds each feature's sums exactly as a cumsum over it alone
-    would. Among stumps whose computed edges are exactly equal, ties
-    go to the lowest feature index, then the lowest threshold, then polarity
-    +1. Edges are compared as computed: the prefix sums add the weights in
-    each feature's sort order, so rounding can separate edges that are
-    mathematically equal (for instance two stumps that predict alike
-    through different features, or the two sentinels), and the larger
-    rounded edge wins.
+    Candidate thresholds are the midpoints between consecutive distinct sorted
+    feature values plus -inf/+inf sentinels. The features are sorted once per
+    dataset; each call then evaluates the edge sum_i D(i) y_i h(x_i) of every
+    candidate through prefix sums in one O(d*n) pass into the calling thread's
+    buffers, which every call on that thread reuses until it trains a dataset
+    of other shapes (they hold the last one's, about 0.5 MB at n=2000, d=10).
+    The pass forms two features' prefix sums per complex addition, which rounds
+    each feature's sums exactly as a cumsum over it alone would. Among stumps
+    whose computed edges are exactly equal, ties go to the lowest feature
+    index, then the lowest threshold, then polarity +1. Edges are compared as
+    computed: the prefix sums add the weights in each feature's sort order, so
+    rounding can separate edges that are mathematically equal (for instance two
+    stumps that predict alike through different features, or the two
+    sentinels), and the larger rounded edge wins.
     """
     weights = np.asarray(sample_weights, dtype=np.float64)
     if weights.shape != (dataset.n_points,):
@@ -226,21 +227,19 @@ def train_stump(dataset: Dataset, sample_weights) -> DecisionStump:
         raise ValueError("sample weights must sum to 1")
 
     table = dataset._stump_table
+    lanes, prefix, edge = _buffers(table)
     signed = weights * dataset.labels
     total = float(signed.sum())
-    with table.lock:
-        # mode="clip" writes straight into out; the default buffers a copy.
-        np.take(signed, table.gather, out=table.lanes.view(np.float64), mode="clip")
-        np.cumsum(table.lanes, axis=1, out=table.prefix[:, 1:])
-        # h = sign(x - threshold): points below contribute -1, so the edge of
-        # polarity +1 is total - 2 * prefix (scaling by -2 is exact, so the
-        # in-place form below has the same bits) and that of -1 its negation.
-        edge = table.edge
-        prefix = table.prefix.view(np.float64)
-        np.take(prefix, table.prefix_index, out=edge, mode="clip")
-        edge *= -2.0
-        edge += total
-        k, polarity = _best_candidate(edge)
+    # mode="clip" writes straight into out; the default buffers a copy.
+    np.take(signed, table.gather, out=lanes.view(np.float64), mode="clip")
+    np.cumsum(lanes, axis=1, out=prefix[:, 1:])
+    # h = sign(x - threshold): points below contribute -1, so the edge of
+    # polarity +1 is total - 2 * prefix (scaling by -2 is exact, so the
+    # in-place form below has the same bits) and that of -1 its negation.
+    np.take(prefix.view(np.float64), table.prefix_index, out=edge, mode="clip")
+    edge *= -2.0
+    edge += total
+    k, polarity = _best_candidate(edge)
     return DecisionStump(int(table.feature[k]), float(table.threshold[k]), polarity)
 
 

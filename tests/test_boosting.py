@@ -261,8 +261,9 @@ def stump_tuple(stump):
 
 
 class TestPerFeatureKernel:
-    """The shared workspace and the two-lane cumsum keep the per-feature
-    kernel's bits: the same edges, so the same stumps and alphas."""
+    """The thread's scratch buffers and the two-lane cumsum keep the
+    per-feature kernel's bits: the same edges, so the same stumps and
+    alphas."""
 
     @pytest.mark.parametrize("n", [2, 3, 200, 2000])
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 11, 31])
@@ -276,8 +277,8 @@ class TestPerFeatureKernel:
                     data.features, data.labels, weights
                 )
                 assert stump_tuple(stump) == expected
-                table = data._stump_table
-                assert table.edge[: edges.size].tobytes() == edges.tobytes()
+                edge = boosting._scratch.buffers[2]
+                assert edge[: edges.size].tobytes() == edges.tobytes()
 
     @pytest.mark.parametrize("n, d, grid", [(300, 11, 2), (300, 10, None)])
     def test_adaboost_v_matches(self, n, d, grid):
@@ -309,6 +310,34 @@ class TestStumpWorkspace:
                 assert not thread.is_alive()
         finally:
             sys.setswitchinterval(interval)
+        assert results == serial
+
+    def test_one_thread_alternates_shapes(self):
+        # The first two share h and n but not the candidate count; the third
+        # differs in every shape, so each switch reallocates the buffers.
+        datasets = [
+            random_dataset(5, 400, 7, grid=4),
+            random_dataset(6, 400, 7),
+            random_dataset(7, 150, 3, grid=2),
+        ]
+        draws = [
+            list(weight_draws(rng_from(60 + t), data.n_points)) * 2
+            for t, data in enumerate(datasets)
+        ]
+        serial = [
+            [train_stump(data, w) for w in ws] for data, ws in zip(datasets, draws)
+        ]
+        results = [[] for _ in datasets]
+
+        def alternate():
+            for step in range(len(draws[0])):
+                for t, data in enumerate(datasets):
+                    results[t].append(train_stump(data, draws[t][step]))
+
+        thread = threading.Thread(target=alternate)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
         assert results == serial
 
     @pytest.mark.parametrize(
