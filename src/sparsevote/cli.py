@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -82,6 +83,8 @@ class RunConfig:
         _coloring(self.spencer_constant)
         if self.target < 1:
             raise ValueError("target size must be at least 1")
+        if self.rounds is not None:
+            _check_rounds(self.rounds)
         _check_seed(self.seed)
 
     def echo(self) -> dict:
@@ -98,6 +101,11 @@ def _coloring(ks: float | None) -> ColoringConfig:
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _check_rounds(rounds: int) -> None:
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
 
 
 def _require_paths(config: RunConfig) -> None:
@@ -334,6 +342,7 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    _check_rounds(args.rounds)
     dataset = load_dataset(args.data)
     ensemble = adaboost_v(dataset, args.rounds)
     ensure_parent(args.out)
@@ -410,6 +419,8 @@ def _write_weights_output(path, weights: WeightVector, ensemble: Ensemble | None
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.offset):
+        raise ValueError(f"offset must be finite, got {args.offset}")
     ensemble, dataset = _load_model_and_data(args)
     scores = predict_scores(
         Ensemble(ensemble.hypotheses, ensemble.weights.normalized()), dataset

@@ -427,15 +427,27 @@ def load_ensemble(path) -> Ensemble:
         weights = WeightVector(np.array(payload["weights"], dtype=np.float64))
         stumps = tuple(
             DecisionStump(
-                feature=int(item["feature"]),
+                feature=_json_int(item, "feature"),
                 threshold=float(item["threshold"]),
-                polarity=int(item["polarity"]),
+                polarity=_json_int(item, "polarity"),
             )
             for item in payload["stumps"]
         )
-        return Ensemble(stumps, weights)
+        ensemble = Ensemble(stumps, weights)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: missing or malformed field: {exc}") from None
+    if not np.any(weights.values):
+        raise FileFormatError(f"{path}: weights are all zero")
+    return ensemble
+
+
+def _json_int(item: dict, key: str) -> int:
+    """The stump field ``key``, which save_ensemble writes as a JSON
+    integer: a float, a bool or a string is rejected, not converted."""
+    value = item[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 # A formatted column: the text of every value, and whether all are finite.

@@ -184,6 +184,31 @@ class TestConfigFile:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, source",
+        [("compare", "command line"), ("compare", "config file"), ("train", "command line")],
+    )
+    def test_zero_rounds_is_rejected_before_work(
+        self, tmp_path, data_files, capsys, command, source
+    ):
+        # train's dataset does not exist: rounds is checked before loading.
+        train, test = data_files
+        out = tmp_path / "out"
+        if command == "compare":
+            argv = ["compare", "--train", str(train), "--test", str(test), "--out", str(out)]
+        else:
+            argv = ["train", "--data", str(tmp_path / "missing.csv"),
+                    "--out", str(out / "model.json")]
+        if source == "command line":
+            argv += ["--rounds", "0"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("rounds=0\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: rounds must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_data_key_fills_data_option(self, tmp_path, data_files):
         train, _ = data_files
         model = tmp_path / "model.json"
@@ -260,6 +285,11 @@ class TestRunConfig:
             RunConfig(target=0)
         with pytest.raises(ValueError, match="seed"):
             RunConfig(seed=-1)
+
+    def test_rejects_zero_rounds(self):
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            RunConfig(rounds=0)
+        assert RunConfig(rounds=1).rounds == 1
 
     def test_paths_checked_before_work(self, tmp_path):
         config = RunConfig(
@@ -367,6 +397,46 @@ class TestSubcommands:
         assert capsys.readouterr().err == (
             f"error: {model}: a stump reads feature 7, but {train} has 4 features\n"
         )
+
+    @pytest.mark.parametrize("command", ["eval", "sparsify", "margins"])
+    @pytest.mark.parametrize(
+        "weights, stump",
+        [([1.0], {"feature": 1.7}), ([1.0], {"polarity": True}), ([0.0], {})],
+        ids=["fractional-feature", "boolean-polarity", "all-zero-weights"],
+    )
+    def test_model_save_ensemble_cannot_write_names_the_model(
+        self, tmp_path, data_files, capsys, command, weights, stump
+    ):
+        train, _ = data_files
+        model = tmp_path / "model.json"
+        item = {"feature": 0, "threshold": 0.5, "polarity": 1, **stump}
+        model.write_text(json.dumps({"weights": weights, "stumps": [item]}))
+        out = tmp_path / "out.json"
+        argv = [command, "--model", str(model), "--data", str(train), "--out", str(out)]
+        if command == "sparsify":
+            argv += ["-T", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+    def test_nonfinite_offset_is_rejected_before_work(
+        self, tmp_path, data_files, capsys, offset
+    ):
+        train, _ = data_files
+        model = tmp_path / "model.json"
+        main(["train", "--data", str(train), "--rounds", "4", "--out", str(model)])
+        capsys.readouterr()
+        out = tmp_path / "out" / "eval.json"
+        argv = ["eval", "--model", str(model), "--data", str(train),
+                f"--offset={offset}", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: offset must be finite, got {float(offset)}\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code = main([

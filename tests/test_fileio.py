@@ -592,10 +592,14 @@ class TestEnsembleFormat:
         "weights, stump, message",
         [
             ("abc", {}, "could not convert string to float"),
-            ([1.0], {"feature": "x"}, "invalid literal for int()"),
+            ([1.0], {"feature": "x"}, 'feature must be a JSON integer, got "x"'),
             ([0.5, 0.5], {}, "1 hypotheses but 2 weights"),
             ([1.0], {"threshold": math.nan}, "threshold must not be NaN"),
             ([-1.0], {}, "ensemble weights must be nonnegative"),
+            ([1.0], {"feature": 1.7}, "feature must be a JSON integer, got 1.7"),
+            ([1.0], {"polarity": True}, "polarity must be a JSON integer, got true"),
+            ([1.0], {"polarity": 1.0}, "polarity must be a JSON integer, got 1.0"),
+            ([0.0], {}, "weights are all zero"),
         ],
     )
     def test_malformed_model_names_the_file(self, tmp_path, weights, stump, message):
